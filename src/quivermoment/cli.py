@@ -30,7 +30,7 @@ from .moment import (
     moment_hyperkahler,
     moment_pairing_fd_oracle,
 )
-from .quiver import Quiver, Representation, extend
+from .quiver import STRUCTURES, Quiver, Representation, extend
 from .sampling import random_representation, random_uv_element
 from .stability import certify_stable_numerical, king_stable_test
 from .transport import (
@@ -69,8 +69,9 @@ def matrix_from_json(data, path):
         raise SpecError(f"{path}: expected a matrix of [re, im] pairs") from exc
 
 
-def algebra_element_to_json(y):
-    return {"blocks": [matrix_to_json(b) for b in y.blocks]}
+def blocks_to_json(value):
+    """Blocks of a representation or of per-vertex matrices, in order."""
+    return {"blocks": [matrix_to_json(b) for b in value.blocks]}
 
 
 def algebra_element_from_json(data, dims, path):
@@ -82,10 +83,6 @@ def algebra_element_from_json(data, dims, path):
         return LieAlgebraElement(mats)
     except ValueError as exc:
         raise SpecError(f"{path}: {exc}") from exc
-
-
-def representation_to_json(x):
-    return {"blocks": [matrix_to_json(b) for b in x.blocks]}
 
 
 def subspace_to_json(w):
@@ -102,7 +99,7 @@ def certificate_to_json(cert):
     if cert.witness_subspace is not None:
         out["witness_subspace"] = subspace_to_json(cert.witness_subspace)
     if cert.witness_direction is not None:
-        out["witness_direction"] = algebra_element_to_json(cert.witness_direction)
+        out["witness_direction"] = blocks_to_json(cert.witness_direction)
     return out
 
 
@@ -189,7 +186,7 @@ def cmd_moment(spec, args, rng):
     triple = moment_hyperkahler(x)
     mu_c = moment_complex(x)
     oracle_worst = 0.0
-    for structure in ("I", "J", "K"):
+    for structure in STRUCTURES:
         for _ in range(3):
             y = random_uv_element(rng, dims)
             lhs = pairing(triple.component(structure), y)
@@ -197,10 +194,10 @@ def cmd_moment(spec, args, rng):
             oracle_worst = max(oracle_worst, abs(lhs - rhs))
     c, resid = complex_vs_real_identity(x)
     return {
-        "mu_I": algebra_element_to_json(triple.mu_I),
-        "mu_J": algebra_element_to_json(triple.mu_J),
-        "mu_K": algebra_element_to_json(triple.mu_K),
-        "mu_C": {"blocks": [matrix_to_json(b) for b in mu_c.blocks]},
+        "mu_I": blocks_to_json(triple.mu_I),
+        "mu_J": blocks_to_json(triple.mu_J),
+        "mu_K": blocks_to_json(triple.mu_K),
+        "mu_C": blocks_to_json(mu_c),
         "oracle_max_mismatch": oracle_worst,
         "proportionality_c": c,
         "proportionality_residual": resid,
@@ -228,16 +225,18 @@ def cmd_solve(spec, args, rng):
     x = parse_representation(spec, quiver, dims, rng)
     theta = parse_theta(spec, dims)
     structure = spec.get("structure", "I")
+    if structure not in STRUCTURES:
+        raise SpecError(f"structure: expected one of {list(STRUCTURES)}, got {structure!r}")
     outcome = solve_moment_equation(x, theta, structure, _solve_options(spec, args))
     report = {
         "status": outcome.status,
         "structure": outcome.structure,
         "iterations": outcome.iterations,
         "residual": outcome.residual,
-        "y": algebra_element_to_json(outcome.y),
+        "y": blocks_to_json(outcome.y),
     }
     if outcome.divergence_direction is not None:
-        report["divergence_direction"] = algebra_element_to_json(outcome.divergence_direction)
+        report["divergence_direction"] = blocks_to_json(outcome.divergence_direction)
     return report, EXIT_OK if outcome.converged else EXIT_NO_CONVERGENCE
 
 
@@ -267,7 +266,7 @@ def cmd_flow(spec, args, rng):
         "grad_norm": outcome.grad_norm,
         "time": outcome.time,
         "events": list(outcome.events),
-        "limit_point": representation_to_json(outcome.limit_point),
+        "limit_point": blocks_to_json(outcome.limit_point),
         "trajectory_samples": len(outcome.trajectory_summary),
     }, EXIT_OK
 
@@ -276,7 +275,10 @@ def cmd_stability(spec, args, rng):
     quiver, dims = parse_quiver(spec)
     x = parse_representation(spec, quiver, dims, rng)
     theta = parse_theta(spec, dims)
-    budget = args.budget if args.budget is not None else spec.get("stability", {}).get("search_budget", 64)
+    stability_opts = spec.get("stability", {})
+    if not isinstance(stability_opts, dict):
+        raise SpecError("stability: expected an object")
+    budget = args.budget if args.budget is not None else stability_opts.get("search_budget", 64)
     king = king_stable_test(x, theta, search_budget=int(budget), seed=args.seed)
     numeric = certify_stable_numerical(x, theta, opts=_solve_options(spec, args))
     return {
@@ -338,6 +340,8 @@ def cmd_transport(spec, args, rng):
     elif "tolerance" in tspec:
         plan_kwargs["tolerance"] = tspec["tolerance"]
     if "leg_order" in tspec:
+        if not isinstance(tspec["leg_order"], list):
+            raise SpecError("transport.leg_order: expected a list of structures")
         plan_kwargs["leg_order"] = tuple(tspec["leg_order"])
 
     try:
@@ -370,7 +374,7 @@ def cmd_transport(spec, args, rng):
             image = quaternion_transport(x, q, t)
             return {
                 "mode": mode,
-                "image": representation_to_json(image),
+                "image": blocks_to_json(image),
                 "residual": 0.0,
             }, EXIT_OK
         elif mode == "replay":
@@ -381,7 +385,7 @@ def cmd_transport(spec, args, rng):
             image = replay_transport(x, log)
             return {
                 "mode": mode,
-                "image": representation_to_json(image),
+                "image": blocks_to_json(image),
             }, EXIT_OK
         else:
             raise SpecError(f"transport.mode: unknown mode {mode!r}")
@@ -392,11 +396,11 @@ def cmd_transport(spec, args, rng):
 
     return {
         "mode": mode,
-        "image": representation_to_json(result.image),
+        "image": blocks_to_json(result.image),
         "residual": result.residual,
         "subdivisions_used": result.subdivisions_used,
         "applied_y_log": [
-            [structure, algebra_element_to_json(y)] for structure, y in result.applied_y_log
+            [structure, blocks_to_json(y)] for structure, y in result.applied_y_log
         ],
     }, EXIT_OK
 

@@ -26,15 +26,15 @@ from .lie import (
     StabilityParameter,
     act,
     character_log_modulus,
-    infinitesimal_action,
     pairing,
     pairing_norm,
     polar_decompose,
+    tangent_matrix,
     theta_to_center,
     uv_basis,
 )
-from .moment import moment_real
-from .quiver import Representation, hyperkahler_rotation, norm_sq
+from .moment import moment_real, moment_residual
+from .quiver import Representation, norm_sq, rotate_to_I
 
 logger = logging.getLogger(__name__)
 
@@ -98,18 +98,7 @@ def geodesic_profile(theta, x, z: LieAlgebraElement, ts):
 def minimum_is_identity_check(theta, x, tol) -> bool:
     """True iff the functional is critical (hence minimal) at the identity,
     i.e. the moment value of x already equals the central target."""
-    r = moment_real(x, "I") - theta_to_center(theta)
-    return pairing_norm(r) <= tol
-
-
-def _rotate_to_I(structure, x):
-    if structure == "I":
-        return x
-    if structure == "J":
-        return hyperkahler_rotation(x, "inverse")
-    if structure == "K":
-        return hyperkahler_rotation(x)
-    raise ValueError(f"unknown structure {structure!r}")
+    return moment_residual(x, theta) <= tol
 
 
 def solve_moment_equation(
@@ -128,7 +117,7 @@ def solve_moment_equation(
     neither the residual nor the functional value.
     """
     opts = opts or SolveOptions()
-    x0 = _rotate_to_I(structure, x)
+    x0 = rotate_to_I(structure, x)
     basis = uv_basis(x.dims)
     target = theta_to_center(theta)
 
@@ -163,7 +152,7 @@ def solve_moment_equation(
             )
 
         grad = 2.0 * basis.coords(residual_el)
-        z_coords = _direction(basis, x_cur, grad, opts)
+        z_coords = _direction(x_cur, grad, opts)
         slope = float(grad @ z_coords)
         if slope >= -1e-16 * (np.linalg.norm(grad) * np.linalg.norm(z_coords) + 1e-300):
             z_coords = -0.5 * grad
@@ -241,21 +230,13 @@ def _trial_value(z, step, x_cur, target, y):
     return value if np.isfinite(value) else math.inf
 
 
-def _direction(basis, x_cur, grad, opts):
+def _direction(x_cur, grad, opts):
     """Newton direction from the Gram matrix of action tangents, or steepest
     descent when requested, when the system is too ill-conditioned, or when
     the Newton step blows up along a nearly flat direction."""
     if opts.step_control == "gradient-descent-armijo":
         return -0.5 * grad
-    rows = []
-    for e in basis.elements:
-        t = infinitesimal_action(e, x_cur)
-        rows.append(
-            np.concatenate([np.concatenate([b.real.ravel(), b.imag.ravel()]) for b in t.blocks])
-            if t.blocks
-            else np.zeros(0)
-        )
-    m = np.array(rows)
+    m = tangent_matrix(x_cur)
     # second derivative of the functional along exp(itZ) is 4 ||B_Z x||^2
     hessian = 4.0 * (m @ m.T)
     scale = np.linalg.norm(hessian, 2) if hessian.size else 0.0

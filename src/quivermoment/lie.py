@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quiver import Representation, hyperkahler_rotation
+from .quiver import Representation, rotate_to_I
 
 SKEW_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -307,22 +307,18 @@ def act(g: GroupElement, x: Representation, structure="I") -> Representation:
     Structure I is the natural linear action g_h phi g_t^{-1}; J and K are the
     I-action conjugated by the hyperkahler rotation.
     """
-    if structure == "I":
-        q = x.quiver
-        try:
-            inv = [np.linalg.inv(b) for b in g.blocks]
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("singular block in group element") from exc
-        blocks = [
-            g.blocks[q.head(e)] @ x.blocks[e] @ inv[q.tail(e)]
-            for e in range(q.num_edges)
-        ]
-        return x.replace_blocks(blocks)
-    if structure == "J":
-        return hyperkahler_rotation(act(g, hyperkahler_rotation(x, "inverse")))
-    if structure == "K":
-        return hyperkahler_rotation(act(g, hyperkahler_rotation(x)), "inverse")
-    raise ValueError(f"unknown structure {structure!r}")
+    if structure != "I":
+        return rotate_to_I(structure, act(g, rotate_to_I(structure, x)), back=True)
+    q = x.quiver
+    try:
+        inv = [np.linalg.inv(b) for b in g.blocks]
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("singular block in group element") from exc
+    blocks = [
+        g.blocks[q.head(e)] @ x.blocks[e] @ inv[q.tail(e)]
+        for e in range(q.num_edges)
+    ]
+    return x.replace_blocks(blocks)
 
 
 def exp_action(y: LieAlgebraElement, t, structure, x: Representation) -> Representation:
@@ -441,6 +437,12 @@ def uv_basis(dims) -> UvBasis:
     return UvBasis(dims)
 
 
+def tangent_matrix(x: Representation) -> np.ndarray:
+    """Real matrix of Y -> infinitesimal_action(Y, x): one row per basis
+    element of the compact algebra, flattened as real then imaginary parts."""
+    return np.array([_realify(infinitesimal_action(e, x)) for e in uv_basis(x.dims).elements])
+
+
 def stabilizer_lie_dim(x: Representation) -> int:
     """Dimension of the compact-algebra stabilizer of x.
 
@@ -451,17 +453,7 @@ def stabilizer_lie_dim(x: Representation) -> int:
     basis = uv_basis(x.dims)
     if basis.dim == 0:
         return 0
-    rows = []
-    for e in basis.elements:
-        tangent = infinitesimal_action(e, x)
-        rows.append(
-            np.concatenate(
-                [np.concatenate([b.real.ravel(), b.imag.ravel()]) for b in tangent.blocks]
-            )
-            if tangent.blocks
-            else np.zeros(0)
-        )
-    mat = np.array(rows)
+    mat = tangent_matrix(x)
     if mat.size == 0:
         return basis.dim
     s = np.linalg.svd(mat, compute_uv=False)

@@ -24,7 +24,7 @@ from .lie import (
     pairing_norm,
     theta_to_center,
 )
-from .quiver import Representation, hyperkahler_rotation, norm_sq
+from .quiver import Representation, inner_product, norm_sq, rotate_to_I
 
 
 def moment_real(x: Representation, structure="I") -> LieAlgebraElement:
@@ -35,16 +35,7 @@ def moment_real(x: Representation, structure="I") -> LieAlgebraElement:
     phi^dagger phi); the sign matches the positive definite pairing.  J and K
     are evaluated at the rotated point.
     """
-    if structure == "I":
-        return _moment_I(x)
-    if structure == "J":
-        return _moment_I(hyperkahler_rotation(x, "inverse"))
-    if structure == "K":
-        return _moment_I(hyperkahler_rotation(x))
-    raise ValueError(f"unknown structure {structure!r}")
-
-
-def _moment_I(x: Representation) -> LieAlgebraElement:
+    x = rotate_to_I(structure, x)
     q = x.quiver
     blocks = [np.zeros((d, d), dtype=complex) for d in x.dims]
     for e in range(q.num_edges):
@@ -170,7 +161,8 @@ def complex_vs_real_identity(x: Representation):
     for a, b in zip(lhs.blocks, mu_c.blocks):
         num += np.vdot(b, a).real
         den += np.vdot(b, b).real
-    if den < 1e-30:
+    # |mu_C|^2 has degree four in x; a fixed cutoff would read rounding as signal
+    if den <= 1e-30 * inner_product(x, x).real ** 2:
         resid = float(np.sqrt(sum(np.vdot(a, a).real for a in lhs.blocks)))
         return None, resid
     c = num / den

@@ -248,6 +248,19 @@ def hyperkahler_rotation(x: Representation, direction="forward") -> Representati
     return 0.5 * acc
 
 
+def rotate_to_I(structure, x: Representation, back=False) -> Representation:
+    """Carry x into the picture where ``structure`` acts as I, or ``back`` out of it.
+
+    The J and K quantities are the I quantity conjugated by the hyperkahler
+    rotation: the inverse rotation carries J to I and the forward one K to I.
+    """
+    _check_structure(structure)
+    if structure == "I":
+        return x
+    inverse = (structure == "J") != back
+    return hyperkahler_rotation(x, "inverse" if inverse else "forward")
+
+
 def quaternion_act(q, x: Representation) -> Representation:
     """Act by a unit quaternion q = (a, b, c, d) as a + bI + cJ + dK."""
     a, b, c, d = (float(v) for v in q)

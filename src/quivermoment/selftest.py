@@ -31,6 +31,7 @@ from .lie import (
     uv_basis,
 )
 from .quiver import (
+    STRUCTURES,
     apply_structure,
     hermitian_pairing,
     hyperkahler_metric,
@@ -39,8 +40,6 @@ from .quiver import (
     quaternion_act,
     quaternion_multiply,
 )
-
-STRUCTURES = ("I", "J", "K")
 
 
 @dataclass

@@ -178,24 +178,7 @@ def hm_limit_filtration(x: Representation, y: LieAlgebraElement, tol=WITNESS_TOL
     """
     if y.dims != x.dims:
         raise ValueError("algebra element bound to a different dimension vector")
-    eigvals = []
-    eigvecs = []
-    for b in y.blocks:
-        if b.size == 0:
-            eigvals.append(np.zeros(0))
-            eigvecs.append(np.zeros((0, 0), dtype=complex))
-            continue
-        w, u = np.linalg.eigh(1j * b)
-        eigvals.append(w)
-        eigvecs.append(u)
-
-    all_vals = np.sort(np.concatenate([w for w in eigvals])) if any(
-        len(w) for w in eigvals
-    ) else np.zeros(0)
-    levels = _cluster(all_vals)
-    level_of = [
-        np.array([_level_index(levels, v) for v in w], dtype=int) for w in eigvals
-    ]
+    eigvecs, levels, level_of = _eigen_levels(y)
 
     quiver = x.quiver
     limit_exists = True
@@ -220,32 +203,31 @@ def hm_limit_filtration(x: Representation, y: LieAlgebraElement, tol=WITNESS_TOL
 
 def filtration_subspaces(x, y):
     """Sublevel graded subspaces of iY, one per distinct eigenvalue level."""
-    out = []
-    eig = [np.linalg.eigh(1j * b) if b.size else (np.zeros(0), np.zeros((0, 0))) for b in y.blocks]
-    all_vals = np.sort(np.concatenate([w for w, _ in eig])) if any(len(w) for w, _ in eig) else np.zeros(0)
-    levels = _cluster(all_vals)
-    for k in range(len(levels)):
-        bases = []
-        for j, (w, u) in enumerate(eig):
-            sel = np.array([_level_index(levels, v) <= k for v in w], dtype=bool)
-            bases.append(u[:, sel])
-        out.append(GradedSubspace(bases, dims=x.dims, copy=False))
-    return out
+    eigvecs, levels, level_of = _eigen_levels(y)
+    return [
+        GradedSubspace(
+            [u[:, lv <= k] for u, lv in zip(eigvecs, level_of)], dims=x.dims, copy=False
+        )
+        for k in range(len(levels))
+    ]
 
 
-def _cluster(sorted_vals, gap=1e-8):
+def _eigen_levels(y, gap=1e-8):
+    """Eigenvectors of each hermitian block iY_j, the distinct eigenvalue
+    levels of all blocks together (values within ``gap`` of a level's lowest
+    member join it), and the level index of every eigenvalue."""
+    eig = [
+        np.linalg.eigh(1j * b) if b.size else (np.zeros(0), np.zeros((0, 0), dtype=complex))
+        for b in y.blocks
+    ]
+    all_vals = np.sort(np.concatenate([w for w, _ in eig])) if eig else ()
     levels = []
-    for v in sorted_vals:
+    for v in all_vals:
         if not levels or v - levels[-1] > gap:
             levels.append(float(v))
-    return levels
-
-
-def _level_index(levels, v, gap=1e-8):
-    for k, lam in enumerate(levels):
-        if v <= lam + gap:
-            return k
-    return len(levels) - 1
+    upper = np.array(levels) + gap
+    level_of = [np.minimum(np.searchsorted(upper, w), len(levels) - 1) for w, _ in eig]
+    return [u for _, u in eig], levels, level_of
 
 
 def hm_witness_check(theta: StabilityParameter, x, y, tol=WITNESS_TOL) -> str:

@@ -34,13 +34,14 @@ from .moment import (
     moment_complex,
     moment_hyperkahler,
     moment_real,
+    moment_residual,
+    quaternion_conjugate_triple,
 )
-from .quiver import Representation, norm_sq, quaternion_act
+from .quiver import STRUCTURES, Representation, _check_structure, norm_sq, quaternion_act
 
 logger = logging.getLogger(__name__)
 
 FIBER_PRE_TOL = 1e-7
-STRUCTURE_ORDER = ("I", "J", "K")
 
 
 class TransportError(RuntimeError):
@@ -60,7 +61,7 @@ class TransportPlan:
     solve_options: Optional[SolveOptions] = None
     max_subdivision_depth: int = 12
     tolerance: float = 1e-9
-    leg_order: tuple = STRUCTURE_ORDER
+    leg_order: tuple = STRUCTURES
     regular_gate: tuple = ()  # optional exact rational parameters to pre-check
 
     def __post_init__(self):
@@ -68,6 +69,8 @@ class TransportPlan:
             raise ValueError("max_subdivision_depth must be nonnegative")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
+        for s in self.leg_order:
+            _check_structure(s)
 
     def options(self):
         if self.solve_options is not None:
@@ -108,17 +111,9 @@ def transport_real(
     next parameter; failed legs are bisected up to the plan's depth.
     """
     plan = plan or TransportPlan()
-    theta_start = _central_parameter(x, "I")
-    log = []
-    count = [0]
-    stops = list(plan.waypoints) + [theta_target]
-    current = x
-    prev = theta_start
-    for stop in stops:
-        current = _axis_move(current, "I", prev, stop, plan, log, count, plan.max_subdivision_depth)
-        prev = stop
-    residual = pairing_norm(moment_real(current, "I") - theta_to_center(theta_target))
-    return TransportResult(current, log, residual, count[0])
+    params = [_central_parameter(x, "I"), *plan.waypoints, theta_target]
+    current, log, count = _run_legs(x, [("I", params)], plan)
+    return TransportResult(current, log, moment_residual(current, theta_target), count)
 
 
 def _central_parameter(x, structure) -> StabilityParameter:
@@ -153,24 +148,14 @@ def transport_hyperkahler(
     _check_regular_gate(plan, x.dims)
     start = _central_triple_parameters(x)
     target = _as_triple_parameters(target, x.dims)
-    stops = [_as_triple_parameters(w, x.dims) for w in plan.waypoints] + [target]
-    log = []
-    count = [0]
-    current = x
-    for s in plan.leg_order:
-        idx = STRUCTURE_ORDER.index(s)
-        prev = start[idx]
-        for stop in stops:
-            current = _axis_move(
-                current, s, prev, stop[idx], plan, log, count, plan.max_subdivision_depth
-            )
-            prev = stop[idx]
-    residual = _triple_residual(current, target)
-    return TransportResult(current, log, residual, count[0])
+    points = [start, *(_as_triple_parameters(w, x.dims) for w in plan.waypoints), target]
+    legs = [(s, [p[STRUCTURES.index(s)] for p in points]) for s in plan.leg_order]
+    current, log, count = _run_legs(x, legs, plan)
+    return TransportResult(current, log, _triple_residual(current, target), count)
 
 
 def _central_triple_parameters(x):
-    return tuple(_central_parameter(x, s) for s in STRUCTURE_ORDER)
+    return tuple(_central_parameter(x, s) for s in STRUCTURES)
 
 
 def _as_triple_parameters(triple, dims):
@@ -183,9 +168,23 @@ def _as_triple_parameters(triple, dims):
 
 def _triple_residual(x, target):
     total = 0.0
-    for s, th in zip(STRUCTURE_ORDER, target):
-        total += pairing_norm(moment_real(x, s) - theta_to_center(th)) ** 2
+    for s, th in zip(STRUCTURES, target):
+        total += moment_residual(x, th, s) ** 2
     return math.sqrt(total)
+
+
+def _run_legs(x, legs, plan):
+    """Apply each (structure, [start, stop, ...]) leg in order, moving that
+    structure's central value through its stops; returns the image, the log
+    of applied exponentials and the number of bisections."""
+    log = []
+    count = [0]
+    for structure, params in legs:
+        for th_from, th_to in zip(params, params[1:]):
+            x = _axis_move(
+                x, structure, th_from, th_to, plan, log, count, plan.max_subdivision_depth
+            )
+    return x, log, count[0]
 
 
 def _axis_move(x, structure, th_from, th_to, plan, log, count, depth):
@@ -283,26 +282,14 @@ def transport_complex(
         1.0 + math.sqrt(norm_sq(x))
     ):
         raise ValueError("x does not lie on the asserted start fiber")
-    stops = [np.asarray(w, dtype=complex) for w in plan.waypoints]
-    stops.append(np.asarray(xi_target, dtype=complex))
-    log = []
-    count = [0]
-    current = x
-    order = tuple(s for s in plan.leg_order if s in ("J", "K"))
-    start_jk = dict(zip(("J", "K"), xi_to_jk_parameters(xi_start, x.dims)))
-    for s in order:
-        prev = start_jk[s]
-        for stop in stops:
-            th = dict(zip(("J", "K"), xi_to_jk_parameters(stop, x.dims)))[s]
-            current = _axis_move(
-                current, s, prev, th, plan, log, count, plan.max_subdivision_depth
-            )
-            prev = th
+    points = [xi_to_jk_parameters(xi, x.dims) for xi in [xi_start, *plan.waypoints, xi_target]]
+    legs = [(s, [p["JK".index(s)] for p in points]) for s in plan.leg_order if s in ("J", "K")]
+    current, log, count = _run_legs(x, legs, plan)
     mu = moment_complex(current)
     residual = 0.0
     for b, v, d in zip(mu.blocks, np.asarray(xi_target, dtype=complex), x.dims):
         residual += float(np.linalg.norm(b - v * np.eye(d)) ** 2)
-    return TransportResult(current, log, math.sqrt(residual), count[0])
+    return TransportResult(current, log, math.sqrt(residual), count)
 
 
 def quaternion_transport(x: Representation, q, t) -> Representation:
@@ -319,6 +306,4 @@ def quaternion_transport(x: Representation, q, t) -> Representation:
 
 def predicted_quaternion_moment(x, q, t):
     """Moment triple of quaternion_transport(x, q, t), computed on parameters."""
-    from .moment import quaternion_conjugate_triple
-
     return quaternion_conjugate_triple(q, moment_hyperkahler(x)).scale(float(t))

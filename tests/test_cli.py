@@ -157,6 +157,16 @@ def test_malformed_input_exit_code(tmp_path):
     assert main(["moment", "--input", str(path)]) == EXIT_BAD_INPUT
     path.write_text(json.dumps({"quiver": {"vertices": 2, "edges": []}, "dims": [1]}))
     assert main(["moment", "--input", str(path)]) == EXIT_BAD_INPUT
+    bad = [
+        ("solve", dict(A2_SPEC, structure="X")),
+        ("solve", dict(A2_SPEC, structure=5)),
+        ("stability", dict(A2_SPEC, stability=5)),
+        ("transport", dict(A2_SPEC, transport={"target_theta": [2.0, -2.0], "leg_order": ["X"]})),
+        ("transport", dict(A2_SPEC, transport={"target_theta": [2.0, -2.0], "leg_order": 5})),
+    ]
+    for command, spec in bad:
+        path.write_text(json.dumps(spec))
+        assert main([command, "--input", str(path)]) == EXIT_BAD_INPUT, spec
 
 
 def test_batch_input(tmp_path):

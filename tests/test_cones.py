@@ -18,26 +18,9 @@ from quivermoment import (
 )
 from quivermoment.cones import SubsetCapError, WeightSet, theta_coordinates
 from quivermoment.sampling import random_rational_triple
+from quivermoment.selftest import _brute_force_projection, _float_regular_check
 
 ALPHA = np.array([1.0, -1.0])
-
-
-def brute_projection(vectors, theta):
-    """Support-enumeration quadratic programming, independent of the module."""
-    vectors = np.asarray(vectors, dtype=float)
-    k = len(vectors)
-    best = (np.zeros_like(theta), float(theta @ theta))
-    for mask in range(1, 2 ** k):
-        idx = [i for i in range(k) if mask >> i & 1]
-        a = vectors[idx].T
-        coeff, *_ = np.linalg.lstsq(a, theta, rcond=None)
-        if np.any(coeff < -1e-12):
-            continue
-        beta = a @ coeff
-        dist = float((theta - beta) @ (theta - beta))
-        if dist < best[1] - 1e-15:
-            best = (beta, dist)
-    return best
 
 
 def test_torus_weights_a2():
@@ -88,7 +71,7 @@ def test_cone_project_kkt_against_brute_force():
         vectors = rng.normal(size=(k, n))
         theta = rng.normal(size=n)
         beta, dist = cone_project(vectors, theta)
-        bbeta, bdist = brute_projection(vectors, theta)
+        bbeta, bdist = _brute_force_projection(vectors, theta)
         assert dist == pytest.approx(bdist, abs=1e-8)
         assert np.allclose(beta, bbeta, atol=1e-7)
         if k:
@@ -119,7 +102,7 @@ def test_d_theta_brute_force_agreement():
         brute = math.inf
         for mask in range(2 ** k):
             subset = vectors[[i for i in range(k) if mask >> i & 1]]
-            beta, dist = brute_projection(subset, theta)
+            beta, dist = _brute_force_projection(subset, theta)
             if np.linalg.norm(beta - theta) > gap:
                 brute = min(brute, dist)
         assert math.isinf(mine) == math.isinf(brute)
@@ -178,12 +161,7 @@ def test_regular_checks_agree_with_float_oracle():
         except ValueError:
             continue
         ok, _ = hyperkahler_regular_check(dims, tri)
-        comps = tri.as_floats()
-        float_ok = all(
-            any(abs(sum(c * v for c, v in zip(comp, w))) > 1e-9 for comp in comps)
-            for w in regular_walls(dims)
-        )
-        assert ok == float_ok
+        assert ok == _float_regular_check(dims, tri)
         checked += 1
 
 

@@ -3,8 +3,10 @@ import pytest
 
 from quivermoment import (
     LieAlgebraElement,
+    Quiver,
     Representation,
     act,
+    extend,
     hyperkahler_rotation,
     moment_complex,
     moment_hyperkahler,
@@ -21,7 +23,12 @@ from quivermoment.moment import (
     complex_vs_real_identity,
     quaternion_conjugate_triple,
 )
-from quivermoment.sampling import random_instance, random_unitary, random_uv_element
+from quivermoment.sampling import (
+    random_instance,
+    random_representation,
+    random_unitary,
+    random_uv_element,
+)
 
 STRUCTURES = ("I", "J", "K")
 
@@ -169,6 +176,16 @@ def test_proportionality_examples(a2, a2_rep):
     zero = Representation.zero(a2, (1, 1))
     c, resid = complex_vs_real_identity(zero)
     assert c is None and resid == 0.0
+
+    # loops at a one-dimensional vertex commute, so mu_C vanishes exactly;
+    # the rounding left over must not be read as a constant
+    rng = np.random.default_rng(29)
+    for loops in range(2, 7):
+        quiver = extend(Quiver(1, [(0, 0)] * loops))
+        x = random_representation(rng, quiver, (1,), scale=10.0)
+        c, resid = complex_vs_real_identity(x)
+        assert c is None
+        assert resid <= 1e-12 * norm_sq(x)
 
     rng = np.random.default_rng(28)
     values = []

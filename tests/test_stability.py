@@ -107,6 +107,21 @@ def test_hm_filtration_levels_are_subreps():
     assert found > 0  # e.g. zero-ish couplings or single-level spectra occur
 
 
+def test_eigen_levels_match_linear_scan():
+    from quivermoment.stability import _eigen_levels
+
+    gap = 1e-8
+    # eigenvalues of iY: near-ties inside and just outside the clustering gap
+    spectra = ([0.0, 5e-9, 1.0], [1.0 + 9e-9, 1.0 + 2e-8, -3.0], [1.0 + 1.5e-8])
+    y = LieAlgebraElement([-1j * np.diag(w) for w in spectra], check=False)
+    _, levels, level_of = _eigen_levels(y, gap)
+    assert levels == [-3.0, 0.0, 1.0, 1.0 + 1.5e-8]
+    for w, got in zip(spectra, level_of):
+        scan = [next((k for k, lam in enumerate(levels) if v <= lam + gap), len(levels) - 1)
+                for v in sorted(w)]
+        assert list(got) == scan
+
+
 def test_hm_witness_examples(a2_rep, theta11):
     x = a2_rep(1, 0)
     y = y11(-1, 1)
