@@ -121,3 +121,98 @@ def test_cli_exit_code_pins(tmp_path):
         codes.append(main([command, "--input", str(path), "--output", str(tmp_path / "out.json")]))
     assert codes == [0, 0, 3, 0, 0, 0, 0, 0, 3, 2, 2]
 
+
+
+def test_flow_outcome_pins(a2_rep, theta11):
+    """Classification, limit value, flow time and sample count of whole flows,
+    compared as exact reprs: the integrator's arithmetic must not move."""
+    runs = []
+    rng = np.random.default_rng(31)
+    for _ in range(4):
+        _, dims, x = S.random_stable_instance(rng)
+        runs.append(flow_integrate(S.random_chamber_theta(rng, dims), x))
+    rng = np.random.default_rng(32)
+    for _ in range(4):
+        _, dims, x = S.random_instance(rng, max_vertices=3, max_dim=2)
+        runs.append(flow_integrate(S.random_theta(rng, dims), x, FlowOptions(max_time=10.0)))
+    runs.append(flow_integrate(theta11(-1, 1), a2_rep(1, 0)))
+    runs.append(flow_integrate(theta11(2, -2), a2_rep(1, 0.5)))
+    runs.append(flow_integrate(theta11(0, 0), a2_rep(0.3, 0.2)))
+    got = [(o.classification, repr(o.h_value), repr(o.time), len(o.trajectory_summary)) for o in runs]
+    S_, H, U = "analytically_semistable", "higher_stratum", "undecided"
+    assert got == [
+        (S_, "5.147336774400001e-19", "0.9750000000000001", 51),
+        (S_, "6.148972489874723e-20", "0.27499999999999997", 13),
+        (S_, "9.461615190148342e-19", "1.2437499999999984", 119),
+        (S_, "8.93342525616653e-19", "2.7499999999999982", 57),
+        (H, "1.0038402252081202", "0.6375000000000003", 40),
+        (S_, "7.005698093826936e-19", "0.03125000000000001", 22),
+        (U, "1.5478634445801045", "0.5849197387695309", 74),
+        (S_, "0.0", "0.0", 2),
+        (H, "2.0", "1435.1500000000003", 30),
+        (S_, "6.704788197216781e-19", "3.274999999999997", 68),
+        (S_, "3.9766989039124767e-19", "21.55000000000001", 32),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# per-edge reference loops: the moment, action and infinitesimal action
+# written block by block, in edge order, exactly as their definitions read
+
+def _ref_moment(x):
+    q = x.quiver
+    blocks = [np.zeros((d, d), dtype=complex) for d in x.dims]
+    for e in range(q.num_edges):
+        b = x.blocks[e]
+        blocks[q.head(e)] += b @ b.conj().T
+        blocks[q.tail(e)] -= b.conj().T @ b
+    return [-1j * b for b in blocks]
+
+
+def _ref_act(g, x):
+    q = x.quiver
+    inv = [np.linalg.inv(b) for b in g.blocks]
+    return [g.blocks[q.head(e)] @ x.blocks[e] @ inv[q.tail(e)] for e in range(q.num_edges)]
+
+
+def _ref_infinitesimal_action(y, x):
+    q = x.quiver
+    return [
+        y.blocks[q.head(e)] @ x.blocks[e] - x.blocks[e] @ y.blocks[q.tail(e)]
+        for e in range(q.num_edges)
+    ]
+
+
+KERNEL_CASES = [
+    ((2, [(0, 0), (0, 1), (1, 1)]), (2, 3)),  # loops at both vertices
+    ((2, [(0, 1), (0, 1), (1, 0)]), (2, 1)),  # parallel and antiparallel edges
+    ((3, [(0, 1), (1, 2), (2, 0)]), (1, 0, 2)),  # a zero-dimension vertex
+    ((3, [(0, 1), (1, 0)]), (2, 2, 3)),  # vertex 2 is isolated with d > 0
+    ((2, []), (1, 2)),  # no edges at all
+    ((4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 1)]), (1, 3, 2, 3)),  # mixed dims 1-3
+]
+
+
+def _same(got, want):
+    return len(got) == len(want) and all(
+        a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, want)
+    )
+
+
+def test_kernels_match_per_edge_loops_bit_for_bit():
+    from quivermoment import GroupElement, Quiver, Representation, act, extend
+    from quivermoment import infinitesimal_action, moment_real
+
+    rng = np.random.default_rng(33)
+    for (n, edges), dims in KERNEL_CASES:
+        quiver = extend(Quiver(n, edges))
+        for _ in range(5):
+            x = S.random_representation(rng, quiver, dims)
+            assert _same(moment_real(x).blocks, _ref_moment(x)), (edges, dims)
+            y = S.random_uv_element(rng, dims)
+            assert _same(infinitesimal_action(y, x).blocks, _ref_infinitesimal_action(y, x))
+            for g in (GroupElement.exp_i(y, 0.7), S.random_unitary(rng, dims)):
+                assert _same(act(g, x).blocks, _ref_act(g, x)), (edges, dims)
+            # a point built from another point's output, as the solver does
+            moved = act(GroupElement.exp_i(y), x)
+            assert _same(moment_real(moved).blocks, _ref_moment(Representation(quiver, dims, moved.blocks)))
