@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -112,6 +113,18 @@ def _require(spec, key, path="spec"):
     return spec[key]
 
 
+def _number(value, path, integer=False):
+    """A finite JSON number, or an integer when ``integer``; true/false are neither."""
+    kinds = int if integer else (int, float)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, kinds)
+        or (isinstance(value, float) and not math.isfinite(value))
+    ):
+        raise SpecError(f"{path}: expected {'an integer' if integer else 'a finite number'}")
+    return value
+
+
 def parse_quiver(spec):
     q = _require(spec, "quiver")
     if not isinstance(q, dict):
@@ -209,11 +222,13 @@ def _solve_options(spec, args):
     if not isinstance(opts, dict):
         raise SpecError("solve: expected an object")
     kwargs = {}
-    for key in ("max_iterations", "gradient_tolerance", "step_control", "divergence_norm_bound"):
+    for key in ("max_iterations", "gradient_tolerance", "divergence_norm_bound"):
         if key in opts:
-            kwargs[key] = opts[key]
+            kwargs[key] = _number(opts[key], f"solve.{key}", integer=key == "max_iterations")
+    if "step_control" in opts:
+        kwargs["step_control"] = opts["step_control"]
     if args.tolerance is not None:
-        kwargs["gradient_tolerance"] = args.tolerance
+        kwargs["gradient_tolerance"] = _number(args.tolerance, "--tolerance")
     try:
         return SolveOptions(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -247,9 +262,13 @@ def cmd_flow(spec, args, rng):
     opts_data = spec.get("flow", {})
     if not isinstance(opts_data, dict):
         raise SpecError("flow: expected an object")
-    kwargs = {k: opts_data[k] for k in ("initial_step", "max_time", "stall_tolerance") if k in opts_data}
+    kwargs = {
+        k: _number(opts_data[k], f"flow.{k}")
+        for k in ("initial_step", "max_time", "stall_tolerance")
+        if k in opts_data
+    }
     if args.tolerance is not None:
-        kwargs["stall_tolerance"] = args.tolerance
+        kwargs["stall_tolerance"] = _number(args.tolerance, "--tolerance")
     try:
         opts = FlowOptions(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -266,6 +285,7 @@ def cmd_flow(spec, args, rng):
         "grad_norm": outcome.grad_norm,
         "time": outcome.time,
         "events": list(outcome.events),
+        "stop_reason": outcome.stop_reason,
         "limit_point": blocks_to_json(outcome.limit_point),
         "trajectory_samples": len(outcome.trajectory_summary),
     }, EXIT_OK
@@ -278,7 +298,10 @@ def cmd_stability(spec, args, rng):
     stability_opts = spec.get("stability", {})
     if not isinstance(stability_opts, dict):
         raise SpecError("stability: expected an object")
-    budget = args.budget if args.budget is not None else stability_opts.get("search_budget", 64)
+    if args.budget is not None:
+        budget = _number(args.budget, "--budget")
+    else:
+        budget = _number(stability_opts.get("search_budget", 64), "stability.search_budget")
     king = king_stable_test(x, theta, search_budget=int(budget), seed=args.seed)
     numeric = certify_stable_numerical(x, theta, opts=_solve_options(spec, args))
     return {
@@ -334,11 +357,13 @@ def cmd_transport(spec, args, rng):
     mode = tspec.get("mode", "real")
     plan_kwargs = {}
     if "max_subdivision_depth" in tspec:
-        plan_kwargs["max_subdivision_depth"] = tspec["max_subdivision_depth"]
+        plan_kwargs["max_subdivision_depth"] = _number(
+            tspec["max_subdivision_depth"], "transport.max_subdivision_depth", integer=True
+        )
     if args.tolerance is not None:
-        plan_kwargs["tolerance"] = args.tolerance
+        plan_kwargs["tolerance"] = _number(args.tolerance, "--tolerance")
     elif "tolerance" in tspec:
-        plan_kwargs["tolerance"] = tspec["tolerance"]
+        plan_kwargs["tolerance"] = _number(tspec["tolerance"], "transport.tolerance")
     if "leg_order" in tspec:
         if not isinstance(tspec["leg_order"], list):
             raise SpecError("transport.leg_order: expected a list of structures")
@@ -347,9 +372,10 @@ def cmd_transport(spec, args, rng):
     try:
         if mode == "real":
             target = parse_theta(tspec, dims, "target_theta")
-            waypoints = tuple(
-                parse_theta({"w": w}, dims, "w") for w in tspec.get("waypoints", [])
-            )
+            waypoints = tspec.get("waypoints", [])
+            if not isinstance(waypoints, list):
+                raise SpecError("transport.waypoints: expected a list of theta vectors")
+            waypoints = tuple(parse_theta({"w": w}, dims, "w") for w in waypoints)
             result = transport_real(x, target, TransportPlan(waypoints=waypoints, **plan_kwargs))
         elif mode == "hyperkahler":
             data = _require(tspec, "target_triple", "transport")
@@ -378,9 +404,14 @@ def cmd_transport(spec, args, rng):
                 "residual": 0.0,
             }, EXIT_OK
         elif mode == "replay":
+            entries = _require(tspec, "log", "transport")
+            if not isinstance(entries, list):
+                raise SpecError("transport.log: expected a list of [structure, y] pairs")
             log = []
-            for k, entry in enumerate(_require(tspec, "log", "transport")):
-                structure, y_data = entry[0], entry[1]
+            for k, entry in enumerate(entries):
+                if not isinstance(entry, list) or len(entry) != 2:
+                    raise SpecError(f"transport.log[{k}]: expected a [structure, y] pair")
+                structure, y_data = entry
                 log.append((structure, algebra_element_from_json(y_data, dims, f"transport.log[{k}]")))
             image = replay_transport(x, log)
             return {

@@ -17,16 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cones import SubsetCapError, d_theta, theta_coordinates, torus_weights
-from .lie import (
-    GroupElement,
-    StabilityParameter,
-    act,
-    infinitesimal_action,
-    pairing,
-    theta_to_center,
+from .layout import (
+    act_stacks,
+    exp_i_stacks,
+    infinitesimal_action_stacks,
+    moment_stacks,
+    sq_norm_stacks,
 )
-from .moment import moment_real
-from .quiver import Representation, apply_structure, norm_sq
+from .lie import StabilityParameter, theta_to_center
+from .quiver import Representation
 
 logger = logging.getLogger(__name__)
 
@@ -62,7 +61,10 @@ class FlowOutcome:
 
     classification is "analytically_semistable" when the defect reached the
     stall tolerance squared, "higher_stratum" when the gradient stalled at a
-    defect past the certified radius, "undecided" otherwise.
+    defect past the certified radius, "undecided" otherwise.  stop_reason
+    says why the integration ended: "reached" (the zero level), "stalled"
+    (a vanishing gradient or descent), "step_underflow" (no step down to
+    min_step decreased h) or "max_time".
     """
 
     limit_point: Representation
@@ -72,12 +74,46 @@ class FlowOutcome:
     time: float = 0.0
     grad_norm: float = 0.0
     events: tuple = ()
+    stop_reason: str = "max_time"
+
+
+# The flow runs on the per-shape stacks of ``layout.EdgeLayout``: a point is
+# its edge stacks, a defect mu_I(x) - theta its vertex-class stacks.  Each
+# helper repeats, stack for stack, the arithmetic of the object-level
+# expression in its docstring, so the flow's results are bit-identical to
+# evaluating those expressions on Representation objects.
+
+def _negated_center(theta, x):
+    """Stacks of -1.0 * theta_to_center(theta), the offset of the defect."""
+    center = theta_to_center(theta)
+    if center.dims != x.dims:
+        raise ValueError("elements have mismatched dimension vectors")
+    return [-1.0 * s for s in x.layout.vertices.stack(center.blocks)]
+
+
+def _defect(layout, stacks, offset):
+    """moment_real(x, "I") - theta_to_center(theta)."""
+    return [m + c for m, c in zip(moment_stacks(layout, stacks), offset)]
+
+
+def _h(layout, defect):
+    """pairing(defect, defect)."""
+    return layout.vertices.ordered_sum(sq_norm_stacks(defect))
+
+
+def _gradient(layout, defect, stacks):
+    """4.0 * apply_structure("I", infinitesimal_action(defect, x))."""
+    return [4.0 * (1j * b) for b in infinitesimal_action_stacks(layout, defect, stacks)]
+
+
+def _grad_norm(layout, defect, stacks):
+    """sqrt(norm_sq(grad_h(theta, x)))."""
+    return math.sqrt(layout.ordered_sum(sq_norm_stacks(_gradient(layout, defect, stacks))))
 
 
 def h_value(theta: StabilityParameter, x: Representation) -> float:
     """Squared pairing-norm of mu_I(x) - theta."""
-    defect = moment_real(x, "I") - theta_to_center(theta)
-    return pairing(defect, defect)
+    return _h(x.layout, _defect(x.layout, x.stacks, _negated_center(theta, x)))
 
 
 def grad_h(theta: StabilityParameter, x: Representation) -> Representation:
@@ -87,8 +123,8 @@ def grad_h(theta: StabilityParameter, x: Representation) -> Representation:
     4 I.(infinitesimal action of (mu - theta) at x); the constant is pinned by
     the central-difference oracle on h.
     """
-    defect = moment_real(x, "I") - theta_to_center(theta)
-    return 4.0 * apply_structure("I", infinitesimal_action(defect, x))
+    defect = _defect(x.layout, x.stacks, _negated_center(theta, x))
+    return x.replace_stacks(_gradient(x.layout, defect, x.stacks))
 
 
 def flow_integrate(theta: StabilityParameter, x0: Representation, opts=None) -> FlowOutcome:
@@ -101,15 +137,20 @@ def flow_integrate(theta: StabilityParameter, x0: Representation, opts=None) -> 
     vector-space increment: same flow to first order, but iterates stay on the
     group orbit exactly, preserving orbit invariants at machine precision.
     Terminates on reaching the zero level, on a persistent gradient stall, on
-    step underflow, or at max_time.
+    step underflow, or at max_time.  The integration runs on the point's
+    edge stacks (see layout.py) and builds no objects per trial step.
     """
     opts = opts or FlowOptions()
-    x = x0
+    layout = x0.layout
+    offset = _negated_center(theta, x0)
+    stacks = x0.stacks
+    defect = _defect(layout, stacks, offset)
+    h = _h(layout, defect)
+    gnorm = _grad_norm(layout, defect, stacks)
     t = 0.0
-    h = h_value(theta, x)
     reach_tol = opts.stall_tolerance ** 2
     dt = opts.initial_step
-    samples = [(0.0, h, _grad_norm(theta, x))]
+    samples = [(0.0, h, gnorm)]
     stride = 1
     accepted = 0
     stall_count = 0
@@ -118,9 +159,6 @@ def flow_integrate(theta: StabilityParameter, x0: Representation, opts=None) -> 
     reason = "max_time"
 
     while t < opts.max_time:
-        defect = moment_real(x, "I") - theta_to_center(theta)
-        grad = 4.0 * apply_structure("I", infinitesimal_action(defect, x))
-        gnorm = math.sqrt(norm_sq(grad))
         if h <= reach_tol:
             reason = "reached"
             break
@@ -139,12 +177,16 @@ def flow_integrate(theta: StabilityParameter, x0: Representation, opts=None) -> 
         # without contracting.  The floor keeps sub-ulp descent steps alive.
         moved = False
         while dt >= opts.min_step:
-            x_new = _group_step(defect, dt, x)
-            h_new = h_value(theta, x_new) if x_new is not None else math.inf
+            trial = _group_step(layout, defect, dt, stacks)
+            if trial is not None:
+                trial_defect = _defect(layout, trial, offset)
+                h_new = _h(layout, trial_defect)
+            else:
+                h_new = math.inf
             wanted = h - 0.1 * dt * gnorm * gnorm + 1e-15 * (1.0 + h)
             if math.isfinite(h_new) and h_new <= min(h, wanted):
                 frozen_count = frozen_count + 1 if h - h_new <= 1e-16 * h else 0
-                x, h = x_new, h_new
+                stacks, defect, h = trial, trial_defect, h_new
                 t += dt
                 accepted += 1
                 dt *= opts.step_growth
@@ -155,14 +197,15 @@ def flow_integrate(theta: StabilityParameter, x0: Representation, opts=None) -> 
             events.append("step_underflow")
             reason = "step_underflow"
             break
+        gnorm = _grad_norm(layout, defect, stacks)
         if accepted % stride == 0:
-            samples.append((t, h, _grad_norm(theta, x)))
+            samples.append((t, h, gnorm))
             if len(samples) > 400:
                 samples = samples[::2]
                 stride *= 2
 
-    gnorm = _grad_norm(theta, x)
     samples.append((t, h, gnorm))
+    x = x0.replace_stacks(stacks)
     classification = _classify(theta, x, h, reason, opts, events)
     return FlowOutcome(
         limit_point=x,
@@ -172,24 +215,21 @@ def flow_integrate(theta: StabilityParameter, x0: Representation, opts=None) -> 
         time=t,
         grad_norm=gnorm,
         events=tuple(events),
+        stop_reason=reason,
     )
 
 
-def _group_step(defect, dt, x):
+def _group_step(layout, defect, dt, stacks):
     """One trial step along exp(-4 dt i defect); None when the exponential
     overflows, which the caller treats as a rejected step."""
     with np.errstate(over="ignore", invalid="ignore"):
-        g = GroupElement.exp_i(defect, -4.0 * dt)
-        if not all(np.all(np.isfinite(b)) for b in g.blocks):
+        g = exp_i_stacks(defect, -4.0 * dt)
+        if not all(np.all(np.isfinite(b)) for b in g):
             return None
         try:
-            return act(g, x, "I")
+            return act_stacks(layout, g, stacks)
         except (ValueError, np.linalg.LinAlgError):
             return None
-
-
-def _grad_norm(theta, x):
-    return math.sqrt(norm_sq(grad_h(theta, x)))
 
 
 def _classify(theta, x, h, reason, opts, events):

@@ -17,6 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .layout import act_stacks, exp_i_stacks, infinitesimal_action_stacks, vertex_layout
 from .quiver import Representation, rotate_to_I
 
 SKEW_TOL = 1e-12
@@ -167,6 +168,8 @@ class StabilityParameter:
         dims = tuple(int(d) for d in self.dims)
         if len(values) != len(dims):
             raise ValueError("theta and dimension vector have different lengths")
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("theta must be finite")
         scale = 1.0 + max((abs(v) for v in values), default=0.0) * max(sum(dims), 1)
         if abs(sum(v * d for v, d in zip(values, dims))) > 1e-12 * scale:
             raise ValueError("sum_j theta_j v_j must vanish")
@@ -253,7 +256,9 @@ class GroupElement:
     @classmethod
     def exp_i(cls, y: LieAlgebraElement, t=1.0) -> "GroupElement":
         """exp(i t Y): hermitian-positive blocks from unitary diagonalization."""
-        return cls(_exp_i_blocks(y, t), copy=False, check=False)
+        vertices = vertex_layout(y.dims)
+        blocks = vertices.unstack(exp_i_stacks(vertices.stack(y.blocks), t))
+        return cls(blocks, copy=False, check=False)
 
     def det_product(self) -> complex:
         det = 1.0 + 0.0j
@@ -289,16 +294,9 @@ class GroupElement:
         return f"GroupElement(dims={self.dims})"
 
 
-def _exp_i_blocks(y: LieAlgebraElement, t):
-    out = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for b in y.blocks:
-            if b.size == 0:
-                out.append(np.zeros_like(b))
-                continue
-            w, u = np.linalg.eigh(1j * b)
-            out.append((u * np.exp(t * w)) @ u.conj().T)
-    return out
+def _check_same_dims(elem, x: Representation):
+    if elem.dims != x.dims:
+        raise ValueError("dimension vectors of the block element and the representation differ")
 
 
 def act(g: GroupElement, x: Representation, structure="I") -> Representation:
@@ -309,16 +307,9 @@ def act(g: GroupElement, x: Representation, structure="I") -> Representation:
     """
     if structure != "I":
         return rotate_to_I(structure, act(g, rotate_to_I(structure, x)), back=True)
-    q = x.quiver
-    try:
-        inv = [np.linalg.inv(b) for b in g.blocks]
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("singular block in group element") from exc
-    blocks = [
-        g.blocks[q.head(e)] @ x.blocks[e] @ inv[q.tail(e)]
-        for e in range(q.num_edges)
-    ]
-    return x.replace_blocks(blocks)
+    _check_same_dims(g, x)
+    layout = x.layout
+    return x.replace_stacks(act_stacks(layout, layout.vertices.stack(g.blocks), x.stacks))
 
 
 def exp_action(y: LieAlgebraElement, t, structure, x: Representation) -> Representation:
@@ -332,12 +323,11 @@ def infinitesimal_action(y: VertexMatrices, x: Representation) -> Representation
 
     Accepts any block-algebra element, not only skew-hermitian ones.
     """
-    q = x.quiver
-    blocks = [
-        y.blocks[q.head(e)] @ x.blocks[e] - x.blocks[e] @ y.blocks[q.tail(e)]
-        for e in range(q.num_edges)
-    ]
-    return x.replace_blocks(blocks)
+    _check_same_dims(y, x)
+    layout = x.layout
+    return x.replace_stacks(
+        infinitesimal_action_stacks(layout, layout.vertices.stack(y.blocks), x.stacks)
+    )
 
 
 def character_log_modulus(theta: StabilityParameter, g: GroupElement) -> float:

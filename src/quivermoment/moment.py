@@ -24,6 +24,7 @@ from .lie import (
     pairing_norm,
     theta_to_center,
 )
+from .layout import moment_stacks
 from .quiver import Representation, inner_product, norm_sq, rotate_to_I
 
 
@@ -36,13 +37,9 @@ def moment_real(x: Representation, structure="I") -> LieAlgebraElement:
     are evaluated at the rotated point.
     """
     x = rotate_to_I(structure, x)
-    q = x.quiver
-    blocks = [np.zeros((d, d), dtype=complex) for d in x.dims]
-    for e in range(q.num_edges):
-        b = x.blocks[e]
-        blocks[q.head(e)] += b @ b.conj().T
-        blocks[q.tail(e)] -= b.conj().T @ b
-    return LieAlgebraElement([-1j * b for b in blocks], copy=False, check=False)
+    layout = x.layout
+    blocks = layout.vertices.unstack(moment_stacks(layout, x.stacks))
+    return LieAlgebraElement(blocks, copy=False, check=False)
 
 
 def moment_pairing_fd_oracle(x, y, structure="I", h=1e-4) -> float:

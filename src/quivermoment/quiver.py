@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .layout import EdgeLayout, edge_layout, sq_norm_stacks
+
 DimVector = tuple  # per-vertex nonnegative integers, one entry per vertex
 
 STRUCTURES = ("I", "J", "K")
@@ -112,10 +114,13 @@ class Representation:
     """A point of representation space: one complex matrix per extended edge.
 
     The block of edge e has shape (dims[head(e)], dims[tail(e)]).  Instances
-    are immutable values; all operations return new objects.
+    are immutable values; all operations return new objects.  ``stacks`` is
+    the same data stacked by block shape (see ``layout.EdgeLayout``), which
+    the array kernels run on; it is built on first use, after which
+    ``blocks`` are views into it, so the data is held once.
     """
 
-    __slots__ = ("quiver", "dims", "blocks")
+    __slots__ = ("quiver", "dims", "_blocks", "_stacks", "_layout")
 
     def __init__(self, quiver: ExtendedQuiver, dims, blocks, copy=True):
         dims = validate_dims(quiver, dims)
@@ -133,7 +138,42 @@ class Representation:
             stored.append(b)
         object.__setattr__(self, "quiver", quiver)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "blocks", tuple(stored))
+        object.__setattr__(self, "_blocks", tuple(stored))
+        object.__setattr__(self, "_stacks", None)
+        object.__setattr__(self, "_layout", None)
+
+    @property
+    def layout(self) -> EdgeLayout:
+        if self._layout is None:
+            object.__setattr__(self, "_layout", edge_layout(self.quiver, self.dims))
+        return self._layout
+
+    @property
+    def blocks(self):
+        if self._blocks is None:
+            object.__setattr__(self, "_blocks", tuple(self._layout.unstack(self._stacks)))
+        return self._blocks
+
+    @property
+    def stacks(self):
+        if self._stacks is None:
+            stacks = tuple(self.layout.stack(self._blocks))
+            object.__setattr__(self, "_stacks", stacks)
+            object.__setattr__(self, "_blocks", tuple(self._layout.unstack(stacks)))
+        return self._stacks
+
+    def replace_stacks(self, stacks) -> "Representation":
+        """A point of the same space from per-shape stacks, trusted as they
+        come from the kernels: no copy and no shape check."""
+        out = object.__new__(Representation)
+        for a in stacks:
+            a.flags.writeable = False
+        object.__setattr__(out, "quiver", self.quiver)
+        object.__setattr__(out, "dims", self.dims)
+        object.__setattr__(out, "_blocks", None)
+        object.__setattr__(out, "_stacks", tuple(stacks))
+        object.__setattr__(out, "_layout", self.layout)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("Representation is immutable")
@@ -200,7 +240,7 @@ def inner_product(x: Representation, y: Representation) -> complex:
 
 def norm_sq(x: Representation) -> float:
     """Squared hermitian norm, sum over edges of tr(phi phi^dagger)."""
-    return float(sum(np.vdot(b, b).real for b in x.blocks))
+    return x.layout.ordered_sum(sq_norm_stacks(x.stacks))
 
 
 def _check_structure(structure):

@@ -90,7 +90,11 @@ def random_unitary(rng, dims) -> GroupElement:
         q = q * (diag / np.abs(diag))
         blocks.append(q)
     det = np.prod([np.linalg.det(b) for b in blocks])
-    blocks[0] = blocks[0] * det ** (-1.0 / dims[0])
+    # the phase goes on the first vertex that has one; zero-dimensional
+    # blocks have determinant one
+    j = next((j for j, d in enumerate(dims) if d > 0), None)
+    if j is not None:
+        blocks[j] = blocks[j] * det ** (-1.0 / dims[j])
     return GroupElement(blocks, copy=False, check=False)
 
 

@@ -78,6 +78,7 @@ def test_flow_command_with_csv(tmp_path):
     code, report = run_cli(tmp_path, "flow", spec, "--csv", str(csv_path))
     assert code == EXIT_OK
     assert report["result"]["classification"] == "analytically_semistable"
+    assert report["result"]["stop_reason"] == "reached"
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "t,h,grad_norm"
     assert len(lines) > 2
@@ -163,6 +164,17 @@ def test_malformed_input_exit_code(tmp_path):
         ("stability", dict(A2_SPEC, stability=5)),
         ("transport", dict(A2_SPEC, transport={"target_theta": [2.0, -2.0], "leg_order": ["X"]})),
         ("transport", dict(A2_SPEC, transport={"target_theta": [2.0, -2.0], "leg_order": 5})),
+        ("solve", dict(A2_SPEC, theta=[float("nan"), float("nan")])),
+        ("flow", dict(A2_SPEC, theta=[float("nan"), float("nan")])),
+        ("flow", dict(A2_SPEC, theta=[float("inf"), float("-inf")])),
+        ("stability", dict(A2_SPEC, stability={"search_budget": "x"})),
+        ("solve", dict(A2_SPEC, solve={"max_iterations": 1.5})),
+        ("solve", dict(A2_SPEC, solve={"gradient_tolerance": "tight"})),
+        ("transport", dict(A2_SPEC, transport={"target_theta": [2.0, -2.0], "waypoints": 5})),
+        ("transport", dict(A2_SPEC, transport={"mode": "replay", "log": [["I"]]})),
+        ("transport", dict(A2_SPEC, transport={"mode": "replay", "log": [5]})),
+        ("transport", dict(A2_SPEC, transport={"mode": "replay", "log": 5})),
+        ("transport", dict(A2_SPEC, transport={"target_theta": [2.0, -2.0], "max_subdivision_depth": "a"})),
     ]
     for command, spec in bad:
         path.write_text(json.dumps(spec))

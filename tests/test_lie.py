@@ -58,6 +58,18 @@ def test_theta_constraint_enforced():
     with pytest.raises(ValueError):
         StabilityParameter((1.0, 1.0), (1, 1))
     StabilityParameter((1.0, -2.0), (2, 1))  # balanced for dims (2, 1)
+    for bad in ((float("nan"), 0.0), (float("inf"), float("-inf")), (0.0, float("nan"))):
+        with pytest.raises(ValueError, match="finite"):
+            StabilityParameter(bad, (1, 1))
+
+
+def test_random_unitary_with_zero_dimensional_vertices():
+    rng = np.random.default_rng(6)
+    for dims in ((0, 2, 1), (0, 0, 3), (0,), (2, 0)):
+        u = random_unitary(rng, dims)
+        assert u.dims == dims
+        assert u.is_unitary()
+        assert abs(u.det_product() - 1.0) <= 1e-12
 
 
 def test_center_to_theta_round_trip():

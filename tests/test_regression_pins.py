@@ -139,6 +139,9 @@ def test_flow_outcome_pins(a2_rep, theta11):
     runs.append(flow_integrate(theta11(2, -2), a2_rep(1, 0.5)))
     runs.append(flow_integrate(theta11(0, 0), a2_rep(0.3, 0.2)))
     got = [(o.classification, repr(o.h_value), repr(o.time), len(o.trajectory_summary)) for o in runs]
+    assert [o.stop_reason for o in runs] == (
+        ["reached"] * 4 + ["stalled", "reached", "step_underflow", "reached", "stalled", "reached", "reached"]
+    )
     S_, H, U = "analytically_semistable", "higher_stratum", "undecided"
     assert got == [
         (S_, "5.147336774400001e-19", "0.9750000000000001", 51),
@@ -183,6 +186,21 @@ def _ref_infinitesimal_action(y, x):
     ]
 
 
+def _ref_exp_i(y, t):
+    out = []
+    for b in y.blocks:
+        if b.size == 0:
+            out.append(np.zeros_like(b))
+            continue
+        w, u = np.linalg.eigh(1j * b)
+        out.append((u * np.exp(t * w)) @ u.conj().T)
+    return out
+
+
+def _ref_norm_sq(x):
+    return float(sum(np.vdot(b, b).real for b in x.blocks))
+
+
 KERNEL_CASES = [
     ((2, [(0, 0), (0, 1), (1, 1)]), (2, 3)),  # loops at both vertices
     ((2, [(0, 1), (0, 1), (1, 0)]), (2, 1)),  # parallel and antiparallel edges
@@ -194,14 +212,15 @@ KERNEL_CASES = [
 
 
 def _same(got, want):
+    # byte equality: array_equal would let -0.0 stand for 0.0
     return len(got) == len(want) and all(
-        a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, want)
+        a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want)
     )
 
 
 def test_kernels_match_per_edge_loops_bit_for_bit():
     from quivermoment import GroupElement, Quiver, Representation, act, extend
-    from quivermoment import infinitesimal_action, moment_real
+    from quivermoment import infinitesimal_action, moment_real, norm_sq
 
     rng = np.random.default_rng(33)
     for (n, edges), dims in KERNEL_CASES:
@@ -209,8 +228,10 @@ def test_kernels_match_per_edge_loops_bit_for_bit():
         for _ in range(5):
             x = S.random_representation(rng, quiver, dims)
             assert _same(moment_real(x).blocks, _ref_moment(x)), (edges, dims)
+            assert repr(norm_sq(x)) == repr(_ref_norm_sq(x))
             y = S.random_uv_element(rng, dims)
             assert _same(infinitesimal_action(y, x).blocks, _ref_infinitesimal_action(y, x))
+            assert _same(GroupElement.exp_i(y, -0.3).blocks, _ref_exp_i(y, -0.3))
             for g in (GroupElement.exp_i(y, 0.7), S.random_unitary(rng, dims)):
                 assert _same(act(g, x).blocks, _ref_act(g, x)), (edges, dims)
             # a point built from another point's output, as the solver does
