@@ -38,12 +38,11 @@ class VertexLayout:
     vertices in increasing order; vertex v sits at ``slots[v] = (c, i)``.
     """
 
-    __slots__ = ("dims", "class_dims", "members", "slots", "_class_of_dim", "_vertex_order")
+    __slots__ = ("dims", "class_dims", "members", "slots", "_vertex_order")
 
     def __init__(self, dims):
         self.dims = tuple(int(d) for d in dims)
         self.class_dims = tuple(dict.fromkeys(self.dims))
-        self._class_of_dim = {d: c for c, d in enumerate(self.class_dims)}
         self.members = tuple(
             [v for v, dv in enumerate(self.dims) if dv == d] for d in self.class_dims
         )
@@ -54,9 +53,6 @@ class VertexLayout:
         self.slots = tuple(slots)
         # position of each vertex in the concatenation of the classes
         self._vertex_order = np.argsort(np.array([v for m in self.members for v in m], dtype=np.intp))
-
-    def class_of_dim(self, d):
-        return self._class_of_dim[d]
 
     def stack(self, blocks):
         """Per-class stacks (n_c, d, d) of per-vertex blocks."""
@@ -116,8 +112,8 @@ class EdgeLayout:
                 ShapeGroup(
                     shape,
                     tuple(edges),
-                    vl.class_of_dim(shape[0]),
-                    vl.class_of_dim(shape[1]),
+                    vl.class_dims.index(shape[0]),
+                    vl.class_dims.index(shape[1]),
                     [vl.slots[v][1] for v in heads],
                     [vl.slots[v][1] for v in tails],
                 )

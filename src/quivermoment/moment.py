@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .layout import moment_stacks
 from .lie import (
     LieAlgebraElement,
     StabilityParameter,
@@ -24,7 +25,6 @@ from .lie import (
     pairing_norm,
     theta_to_center,
 )
-from .layout import moment_stacks
 from .quiver import Representation, inner_product, norm_sq, rotate_to_I
 
 
