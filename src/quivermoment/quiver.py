@@ -116,8 +116,10 @@ class Representation:
     The block of edge e has shape (dims[head(e)], dims[tail(e)]).  Instances
     are immutable values; all operations return new objects.  ``stacks`` is
     the same data stacked by block shape (see ``layout.EdgeLayout``), which
-    the array kernels run on; it is built on first use, after which
-    ``blocks`` are views into it, so the data is held once.
+    the array kernels run on.  A point made from blocks stacks them on each
+    access and keeps nothing, so long-lived inputs hold their data once; a
+    point made by the kernels (``replace_stacks``) keeps its stacks and
+    makes ``blocks`` views into them on first use.
     """
 
     __slots__ = ("quiver", "dims", "_blocks", "_stacks", "_layout")
@@ -144,9 +146,7 @@ class Representation:
 
     @property
     def layout(self) -> EdgeLayout:
-        if self._layout is None:
-            object.__setattr__(self, "_layout", edge_layout(self.quiver, self.dims))
-        return self._layout
+        return self._layout if self._layout is not None else edge_layout(self.quiver, self.dims)
 
     @property
     def blocks(self):
@@ -157,9 +157,7 @@ class Representation:
     @property
     def stacks(self):
         if self._stacks is None:
-            stacks = tuple(self.layout.stack(self._blocks))
-            object.__setattr__(self, "_stacks", stacks)
-            object.__setattr__(self, "_blocks", tuple(self._layout.unstack(stacks)))
+            return tuple(self.layout.stack(self._blocks))
         return self._stacks
 
     def replace_stacks(self, stacks) -> "Representation":
