@@ -113,7 +113,8 @@ def _grad_norm(layout, defect, stacks):
 
 def h_value(theta: StabilityParameter, x: Representation) -> float:
     """Squared pairing-norm of mu_I(x) - theta."""
-    return _h(x.layout, _defect(x.layout, x.stacks, _negated_center(theta, x)))
+    layout = x.layout
+    return _h(layout, _defect(layout, x.stacks, _negated_center(theta, x)))
 
 
 def grad_h(theta: StabilityParameter, x: Representation) -> Representation:
@@ -123,8 +124,9 @@ def grad_h(theta: StabilityParameter, x: Representation) -> Representation:
     4 I.(infinitesimal action of (mu - theta) at x); the constant is pinned by
     the central-difference oracle on h.
     """
-    defect = _defect(x.layout, x.stacks, _negated_center(theta, x))
-    return x.replace_stacks(_gradient(x.layout, defect, x.stacks))
+    layout, stacks = x.layout, x.stacks
+    defect = _defect(layout, stacks, _negated_center(theta, x))
+    return x.replace_stacks(_gradient(layout, defect, stacks))
 
 
 def flow_integrate(theta: StabilityParameter, x0: Representation, opts=None) -> FlowOutcome:

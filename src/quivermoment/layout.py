@@ -71,10 +71,15 @@ class ShapeGroup:
     """The edges whose blocks share one shape (d_head, d_tail).
 
     ``head_pos``/``tail_pos`` are the positions of the edges' heads and tails
-    inside their vertex classes ``head_class``/``tail_class``.
+    inside their vertex classes ``head_class``/``tail_class``; the reversed
+    edges all lie in group ``reverse_group`` at ``reverse_pos``, and
+    ``epsilon`` holds the edges' signs.
     """
 
-    __slots__ = ("shape", "edges", "head_class", "tail_class", "head_pos", "tail_pos")
+    __slots__ = (
+        "shape", "edges", "head_class", "tail_class", "head_pos", "tail_pos",
+        "epsilon", "reverse_group", "reverse_pos",
+    )
 
     def __init__(self, shape, edges, head_class, tail_class, head_pos, tail_pos):
         self.shape = shape
@@ -89,12 +94,13 @@ class EdgeLayout:
     """Edges of one extended quiver with one dimension vector, grouped by block shape.
 
     ``slots[e] = (g, i)`` locates edge e in shape group g.  ``moment_plans[c]``
-    says how the per-edge moment terms reach the vertices of class c: which
-    groups contribute head and tail terms, and the order and targets that
-    replay the edge loop.
+    says how the per-edge terms of the real moment map reach the vertices of
+    class c: which groups contribute head and tail terms, and the order and
+    targets that replay the edge loop.  ``complex_moment_plans`` does the same
+    for the complex moment map, which has head terms only.
     """
 
-    __slots__ = ("vertices", "groups", "slots", "moment_plans", "_edge_order")
+    __slots__ = ("vertices", "groups", "slots", "moment_plans", "complex_moment_plans", "_edge_order")
 
     def __init__(self, quiver, dims):
         self.vertices = vl = vertex_layout(dims)
@@ -118,14 +124,21 @@ class EdgeLayout:
                     [vl.slots[v][1] for v in tails],
                 )
             )
+        for grp in groups:
+            reversed_edges = [quiver.reversal[e] for e in grp.edges]
+            grp.epsilon = np.array([quiver.epsilon[e] for e in grp.edges], dtype=np.intp)
+            grp.reverse_group = slots[reversed_edges[0]][0]
+            grp.reverse_pos = np.array([slots[r][1] for r in reversed_edges], dtype=np.intp)
         self.groups = tuple(groups)
         self.slots = tuple(slots)
         self._edge_order = np.argsort(np.array([e for g in groups for e in g.edges], dtype=np.intp))
-        self.moment_plans = tuple(self._moment_plan(c) for c in range(len(vl.class_dims)))
+        classes = range(len(vl.class_dims))
+        self.moment_plans = tuple(self._scatter_plan(c, tails=True) for c in classes)
+        self.complex_moment_plans = tuple(self._scatter_plan(c, tails=False) for c in classes)
 
-    def _moment_plan(self, c):
+    def _scatter_plan(self, c, tails):
         head_groups = [g for g, grp in enumerate(self.groups) if grp.head_class == c]
-        tail_groups = [g for g, grp in enumerate(self.groups) if grp.tail_class == c]
+        tail_groups = [g for g, grp in enumerate(self.groups) if tails and grp.tail_class == c]
         # one key per term: the edge, then 0 for its head term and 1 for its tail term
         keys, targets = [], []
         for g in head_groups:
@@ -178,6 +191,21 @@ def _dagger(s):
 # kernels: lists of stacks in, lists of stacks out
 
 
+def _vertex_sums(layout: EdgeLayout, plans, head_terms, tail_terms):
+    """Per vertex class, the sum from zero of each vertex's head and tail
+    terms, added in the order the plans replay."""
+    vl = layout.vertices
+    out = []
+    for c, (head_groups, tail_groups, order, targets) in enumerate(plans):
+        d = vl.class_dims[c]
+        acc = np.zeros((len(vl.members[c]), d, d), dtype=complex)
+        if targets.size:
+            terms = np.concatenate([head_terms[g] for g in head_groups] + [tail_terms[g] for g in tail_groups])
+            np.add.at(acc, targets, terms[order])
+        out.append(acc)
+    return out
+
+
 def moment_stacks(layout: EdgeLayout, stacks):
     """Real moment map of structure I per vertex class:
     -i (sum over edges into j of phi phi^dagger - sum over edges out of j of
@@ -186,17 +214,18 @@ def moment_stacks(layout: EdgeLayout, stacks):
     for b in stacks:
         bh = _dagger(b)
         heads.append(b @ bh)
-        tails.append(bh @ b)
-    vl = layout.vertices
-    out = []
-    for c, (head_groups, tail_groups, order, targets) in enumerate(layout.moment_plans):
-        d = vl.class_dims[c]
-        acc = np.zeros((len(vl.members[c]), d, d), dtype=complex)
-        if targets.size:
-            terms = np.concatenate([heads[g] for g in head_groups] + [-tails[g] for g in tail_groups])
-            np.add.at(acc, targets, terms[order])
-        out.append(-1j * acc)
-    return out
+        tails.append(-(bh @ b))
+    return [-1j * acc for acc in _vertex_sums(layout, layout.moment_plans, heads, tails)]
+
+
+def complex_moment_stacks(layout: EdgeLayout, stacks):
+    """Complex moment map per vertex class: sum over edges into j of
+    epsilon(e) phi_e phi_ebar, terms added in edge order."""
+    heads = [
+        g.epsilon[:, None, None] * (b @ stacks[g.reverse_group][g.reverse_pos])
+        for g, b in zip(layout.groups, stacks)
+    ]
+    return _vertex_sums(layout, layout.complex_moment_plans, heads, None)
 
 
 def infinitesimal_action_stacks(layout: EdgeLayout, y_stacks, stacks):

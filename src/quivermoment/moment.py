@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layout import moment_stacks
+from .layout import complex_moment_stacks, moment_stacks
 from .lie import (
     LieAlgebraElement,
     StabilityParameter,
@@ -67,10 +67,8 @@ def moment_complex(x: Representation) -> VertexMatrices:
     """Complex moment map: at vertex j, sum over incoming edges of
     epsilon(e) phi_e phi_ebar.  Equivariant for the adjoint action; the trace
     sum vanishes identically."""
-    q = x.quiver
-    blocks = [np.zeros((d, d), dtype=complex) for d in x.dims]
-    for e in range(q.num_edges):
-        blocks[q.head(e)] += q.epsilon[e] * (x.blocks[e] @ x.blocks[q.reverse(e)])
+    layout = x.layout
+    blocks = layout.vertices.unstack(complex_moment_stacks(layout, x.stacks))
     return VertexMatrices(blocks, copy=False)
 
 

@@ -8,7 +8,18 @@ import json
 
 import numpy as np
 
-from quivermoment import exp_action
+from quivermoment import (
+    GroupElement,
+    Quiver,
+    Representation,
+    act,
+    exp_action,
+    extend,
+    infinitesimal_action,
+    moment_complex,
+    moment_real,
+    norm_sq,
+)
 from quivermoment import sampling as S
 from quivermoment.cli import main
 from quivermoment.flow import FlowOptions, flow_integrate
@@ -122,7 +133,6 @@ def test_cli_exit_code_pins(tmp_path):
     assert codes == [0, 0, 3, 0, 0, 0, 0, 0, 3, 2, 2]
 
 
-
 def test_flow_outcome_pins(a2_rep, theta11):
     """Classification, limit value, flow time and sample count of whole flows,
     compared as exact reprs: the integrator's arithmetic must not move."""
@@ -159,7 +169,7 @@ def test_flow_outcome_pins(a2_rep, theta11):
 
 
 # ---------------------------------------------------------------------------
-# per-edge reference loops: the moment, action and infinitesimal action
+# reference loops: the moment maps, action, infinitesimal action, exp_i and norm
 # written block by block, in edge order, exactly as their definitions read
 
 def _ref_moment(x):
@@ -170,6 +180,14 @@ def _ref_moment(x):
         blocks[q.head(e)] += b @ b.conj().T
         blocks[q.tail(e)] -= b.conj().T @ b
     return [-1j * b for b in blocks]
+
+
+def _ref_moment_complex(x):
+    q = x.quiver
+    blocks = [np.zeros((d, d), dtype=complex) for d in x.dims]
+    for e in range(q.num_edges):
+        blocks[q.head(e)] += q.epsilon[e] * (x.blocks[e] @ x.blocks[q.reverse(e)])
+    return blocks
 
 
 def _ref_act(g, x):
@@ -219,15 +237,13 @@ def _same(got, want):
 
 
 def test_kernels_match_per_edge_loops_bit_for_bit():
-    from quivermoment import GroupElement, Quiver, Representation, act, extend
-    from quivermoment import infinitesimal_action, moment_real, norm_sq
-
     rng = np.random.default_rng(33)
     for (n, edges), dims in KERNEL_CASES:
         quiver = extend(Quiver(n, edges))
         for _ in range(5):
             x = S.random_representation(rng, quiver, dims)
             assert _same(moment_real(x).blocks, _ref_moment(x)), (edges, dims)
+            assert _same(moment_complex(x).blocks, _ref_moment_complex(x)), (edges, dims)
             assert repr(norm_sq(x)) == repr(_ref_norm_sq(x))
             y = S.random_uv_element(rng, dims)
             assert _same(infinitesimal_action(y, x).blocks, _ref_infinitesimal_action(y, x))
