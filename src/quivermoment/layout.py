@@ -31,6 +31,10 @@ def _frozen(a):
     return a
 
 
+def _indices(values):
+    return np.array(list(values), dtype=np.intp)
+
+
 class VertexLayout:
     """Vertices grouped into classes of equal dimension.
 
@@ -52,7 +56,7 @@ class VertexLayout:
                 slots[v] = (c, i)
         self.slots = tuple(slots)
         # position of each vertex in the concatenation of the classes
-        self._vertex_order = np.argsort(np.array([v for m in self.members for v in m], dtype=np.intp))
+        self._vertex_order = np.argsort(_indices(v for m in self.members for v in m))
 
     def stack(self, blocks):
         """Per-class stacks (n_c, d, d) of per-vertex blocks."""
@@ -81,13 +85,17 @@ class ShapeGroup:
         "epsilon", "reverse_group", "reverse_pos",
     )
 
-    def __init__(self, shape, edges, head_class, tail_class, head_pos, tail_pos):
+    def __init__(self, quiver, shape, edges, vertices, slots):
         self.shape = shape
-        self.edges = edges
-        self.head_class = head_class
-        self.tail_class = tail_class
-        self.head_pos = np.array(head_pos, dtype=np.intp)
-        self.tail_pos = np.array(tail_pos, dtype=np.intp)
+        self.edges = tuple(edges)
+        self.head_class = vertices.class_dims.index(shape[0])
+        self.tail_class = vertices.class_dims.index(shape[1])
+        self.head_pos = _indices(vertices.slots[quiver.edges[e][1]][1] for e in edges)
+        self.tail_pos = _indices(vertices.slots[quiver.edges[e][0]][1] for e in edges)
+        self.epsilon = _indices(quiver.epsilon[e] for e in edges)
+        reversed_edges = [quiver.reversal[e] for e in edges]
+        self.reverse_group = slots[reversed_edges[0]][0]
+        self.reverse_pos = _indices(slots[r][1] for r in reversed_edges)
 
 
 class EdgeLayout:
@@ -104,34 +112,18 @@ class EdgeLayout:
 
     def __init__(self, quiver, dims):
         self.vertices = vl = vertex_layout(dims)
-        dims = vl.dims
         by_shape = {}
         for e, (t, h) in enumerate(quiver.edges):
-            by_shape.setdefault((dims[h], dims[t]), []).append(e)
-        groups, slots = [], [None] * quiver.num_edges
-        for g, (shape, edges) in enumerate(by_shape.items()):
+            by_shape.setdefault((vl.dims[h], vl.dims[t]), []).append(e)
+        slots = [None] * quiver.num_edges
+        for g, edges in enumerate(by_shape.values()):
             for i, e in enumerate(edges):
                 slots[e] = (g, i)
-            heads = [quiver.edges[e][1] for e in edges]
-            tails = [quiver.edges[e][0] for e in edges]
-            groups.append(
-                ShapeGroup(
-                    shape,
-                    tuple(edges),
-                    vl.class_dims.index(shape[0]),
-                    vl.class_dims.index(shape[1]),
-                    [vl.slots[v][1] for v in heads],
-                    [vl.slots[v][1] for v in tails],
-                )
-            )
-        for grp in groups:
-            reversed_edges = [quiver.reversal[e] for e in grp.edges]
-            grp.epsilon = np.array([quiver.epsilon[e] for e in grp.edges], dtype=np.intp)
-            grp.reverse_group = slots[reversed_edges[0]][0]
-            grp.reverse_pos = np.array([slots[r][1] for r in reversed_edges], dtype=np.intp)
-        self.groups = tuple(groups)
         self.slots = tuple(slots)
-        self._edge_order = np.argsort(np.array([e for g in groups for e in g.edges], dtype=np.intp))
+        self.groups = tuple(
+            ShapeGroup(quiver, shape, edges, vl, slots) for shape, edges in by_shape.items()
+        )
+        self._edge_order = np.argsort(_indices(e for g in self.groups for e in g.edges))
         classes = range(len(vl.class_dims))
         self.moment_plans = tuple(self._scatter_plan(c, tails=True) for c in classes)
         self.complex_moment_plans = tuple(self._scatter_plan(c, tails=False) for c in classes)
@@ -147,8 +139,8 @@ class EdgeLayout:
         for g in tail_groups:
             keys += [2 * e + 1 for e in self.groups[g].edges]
             targets += self.groups[g].tail_pos.tolist()
-        order = np.argsort(np.array(keys, dtype=np.intp))
-        return head_groups, tail_groups, order, np.array(targets, dtype=np.intp)[order]
+        order = np.argsort(_indices(keys))
+        return head_groups, tail_groups, order, _indices(targets)[order]
 
     def stack(self, blocks):
         """Per-shape stacks (n_g, d_head, d_tail) of per-edge blocks."""
