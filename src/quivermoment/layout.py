@@ -5,9 +5,10 @@ cached.  It stacks the edge blocks of a representation by shape
 (dims[head], dims[tail]) into one 3-d array per shape, and it stacks per-vertex
 matrices (group elements, Lie algebra elements, moment values) by dimension
 into one 3-d array per dimension class (``VertexLayout``).  The kernels below
-compute the real moment map of structure I, the infinitesimal action, the
-group action, exp(itY) and squared norms on those stacks with one batched
-numpy call per shape or class instead of one Python step per edge.
+compute the real moment map of structure I, the complex moment map, the
+infinitesimal action, the group action, exp(itY) and squared norms on those
+stacks with one batched numpy call per shape or class instead of one Python
+step per edge.
 
 Contract: every kernel is bit-for-bit equal to the per-edge definition it
 replaces.  Batched ``matmul``, ``inv`` and ``eigh`` run the same per-matrix
@@ -24,11 +25,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-
-
-def _frozen(a):
-    a.flags.writeable = False
-    return a
 
 
 def _indices(values):
@@ -60,7 +56,7 @@ class VertexLayout:
 
     def stack(self, blocks):
         """Per-class stacks (n_c, d, d) of per-vertex blocks."""
-        return [_frozen(np.array([blocks[v] for v in m], dtype=complex)) for m in self.members]
+        return [np.array([blocks[v] for v in m], dtype=complex) for m in self.members]
 
     def unstack(self, stacks):
         """Per-vertex views into per-class stacks, in vertex order."""
@@ -144,7 +140,7 @@ class EdgeLayout:
 
     def stack(self, blocks):
         """Per-shape stacks (n_g, d_head, d_tail) of per-edge blocks."""
-        return [_frozen(np.array([blocks[e] for e in g.edges], dtype=complex)) for g in self.groups]
+        return [np.array([blocks[e] for e in g.edges], dtype=complex) for g in self.groups]
 
     def unstack(self, stacks):
         """Per-edge views into per-shape stacks, in edge order."""
