@@ -4,6 +4,7 @@ These vectors record what the solvers decide, not how closely they hit a
 tolerance; a refactor that keeps the arithmetic must keep every entry.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -65,6 +66,80 @@ def test_solve_divergence_pin(a2_rep, theta11):
     outcome = solve_moment_equation(a2_rep(1, 0), theta11(-1, 1))
     assert outcome.status == "diverged"
     assert outcome.divergence_direction is not None
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def test_solve_outcome_pins(a2_rep, theta11):
+    """Status, iteration count, residual, objective trace and Y of whole
+    solves, compared as exact reprs and byte digests: the solver's arithmetic
+    must not move.  The status-pin seeds reach the noise-floor fallback of the
+    line search twice and the gradient-descent solve 39 times."""
+    runs = []
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        _, dims, x = S.random_stable_instance(rng)
+        theta = S.random_chamber_theta(rng, dims)
+        runs += [solve_moment_equation(x, theta, s) for s in "IJK"]
+    rng = np.random.default_rng(21)
+    opts = SolveOptions(max_iterations=30)
+    for _ in range(6):
+        _, dims, x = S.random_instance(rng, max_vertices=3, max_dim=2)
+        theta = S.random_theta(rng, dims)
+        runs += [solve_moment_equation(x, theta, s, opts) for s in "IJK"]
+    runs.append(solve_moment_equation(a2_rep(1, 0), theta11(-1, 1)))
+    rng = np.random.default_rng(12)
+    _, dims, x = S.random_stable_instance(rng)
+    theta = S.random_chamber_theta(rng, dims)
+    gd = SolveOptions(step_control="gradient-descent-armijo", max_iterations=200)
+    runs.append(solve_moment_equation(x, theta, "J", gd))
+    half = solve_moment_equation(x, theta, "I", SolveOptions(max_iterations=2))
+    runs.append(solve_moment_equation(x, theta, "I", SolveOptions(initial_y=half.y)))
+    got = [
+        (
+            o.status,
+            o.iterations,
+            repr(o.residual),
+            _digest(repr(o.objective_trace).encode()),
+            _digest(b"".join(b.tobytes() for b in o.y.blocks)),
+        )
+        for o in runs
+    ]
+    C, M, D = "converged", "max_iterations", "diverged"
+    assert got == [
+        (C, 4, "7.426537329574255e-14", "698af1ea2bcc2adf", "2ce6cc6b772c2ad8"),
+        (C, 6, "3.510833468576701e-16", "75ee2c43359882ca", "bb3a4afab50ad023"),
+        (C, 4, "3.278415857467667e-11", "136104445c4f766f", "7671c316176f02b0"),
+        (C, 4, "1.787596980229968e-15", "b4328aa42fa6d50a", "e1fc31d1aa290582"),
+        (C, 5, "1.5592607100143473e-15", "ee527ffacad6b9e3", "6056c580260afaec"),
+        (C, 6, "2.254873622441467e-15", "21ee6185a30b74f6", "b32ce764abfced46"),
+        (C, 4, "2.0175840826237853e-15", "b2e46ad266601adc", "ef755976e1417480"),
+        (C, 5, "1.1206678596018482e-13", "2fa7f1ea62ae2cf2", "73ff15813bb88a2f"),
+        (C, 4, "4.644727856941466e-15", "0a71d281fad76c7f", "3cf43eb4c233904d"),
+        (C, 0, "0.0", "f119fa115ac3b0bb", "374708fff7719dd5"),
+        (C, 0, "0.0", "f33615d3e98b526f", "374708fff7719dd5"),
+        (C, 0, "0.0", "f33615d3e98b526f", "374708fff7719dd5"),
+        (C, 3, "1.1801832636420706e-15", "6a38321491a8837c", "00fcdaf5b6c18cbc"),
+        (C, 4, "8.968100940422724e-16", "8f8b60b608ea1be2", "fdfd373c3210d38d"),
+        (C, 4, "2.401779625492033e-15", "77f075f4c4c18af8", "8bae75c437d256c3"),
+        (M, 30, "0.48556430709571075", "f008c632251622ff", "7adb3a3920ca7684"),
+        (M, 30, "0.996257344638458", "e0b36f1ccf8f6846", "54fee735ed48fa63"),
+        (M, 30, "1.8737411906961867", "a60597b4a9ad25eb", "6fd1ba209e6f550d"),
+        (C, 4, "1.8552687127769033e-15", "5acaffef1c807f74", "af5c30aab3c8c17f"),
+        (C, 4, "6.965267092588211e-15", "f30adfa1d3aac3a6", "2da5696c5aaf8806"),
+        (C, 4, "3.5755150067371996e-14", "24c71be81c715379", "b65b290af27c5b0d"),
+        (M, 30, "1.6742747735513102", "00fb0c10fb48da2f", "0dedd7e6d671f98a"),
+        (M, 30, "2.6927967985835783", "2be80f8d75d1f0c1", "a61c1ec69bf37269"),
+        (M, 30, "2.5149944496649086", "5a4a9cf085f3fae1", "6c6781929b6eeaa3"),
+        (C, 0, "0.0", "722e8b789db5803c", "374708fff7719dd5"),
+        (C, 0, "0.0", "722e8b789db5803c", "374708fff7719dd5"),
+        (C, 0, "0.0", "722e8b789db5803c", "374708fff7719dd5"),
+        (D, 12, "1.4142135623730951", "8897fe62a993b8ca", "966c27d5c7a1efc6"),
+        (M, 200, "6.613326070738796e-08", "ab2725dc87237dda", "8f07b9b4ff9f3c6c"),
+        (C, 1, "6.25575869196927e-12", "436c63d2ae708d0e", "d829390c78e4bcd6"),
+    ]
 
 
 def test_king_verdict_pins():
