@@ -172,6 +172,16 @@ def parse_theta(spec, dims, key="theta"):
         raise SpecError(f"{key}: {exc}") from exc
 
 
+def parse_pairs(values, dims, path, parse):
+    """One [re, im] pair per vertex, each part read by ``parse``."""
+    if not isinstance(values, list) or len(values) != len(dims):
+        raise SpecError(f"{path}: expected one [re, im] pair per vertex")
+    try:
+        return [(parse(p[0]), parse(p[1])) for p in values]
+    except (ValueError, TypeError, IndexError, ZeroDivisionError) as exc:
+        raise SpecError(f"{path}: {exc}") from exc
+
+
 def parse_rational_triple(data, dims, path):
     if not isinstance(data, dict):
         raise SpecError(f"{path}: expected an object with theta_I/theta_J/theta_K")
@@ -335,13 +345,7 @@ def cmd_regular(spec, args, rng):
             "violating_w": list(witness) if witness is not None else None,
         }
     if "xi" in spec:
-        xi = spec["xi"]
-        if not isinstance(xi, list) or len(xi) != len(dims):
-            raise SpecError("xi: expected one [re, im] rational pair per vertex")
-        try:
-            pairs = [(parse_rational(p[0]), parse_rational(p[1])) for p in xi]
-        except (ValueError, TypeError, IndexError, ZeroDivisionError) as exc:
-            raise SpecError(f"xi: {exc}") from exc
+        pairs = parse_pairs(spec["xi"], dims, "xi", parse_rational)
         report["complex"] = {"in_regular_locus": complex_regular_check(dims, pairs)}
     if not report:
         raise SpecError("regular: provide theta_triple and/or xi")
@@ -379,10 +383,10 @@ def cmd_transport(spec, args, rng):
             result = transport_real(x, target, TransportPlan(waypoints=waypoints, **plan_kwargs))
         elif mode == "hyperkahler":
             data = _require(tspec, "target_triple", "transport")
-            target = tuple(
-                tuple(float(v) for v in _require(data, name, "transport.target_triple"))
-                for name in ("theta_I", "theta_J", "theta_K")
-            )
+            if not isinstance(data, dict):
+                raise SpecError("transport.target_triple: expected an object")
+            names = ("theta_I", "theta_J", "theta_K")
+            target = tuple(parse_theta(data, dims, name).values for name in names)
             gate = tuple(
                 parse_rational_triple(g, dims, "transport.regular_gate")
                 for g in tspec.get("regular_gate", [])
@@ -391,12 +395,17 @@ def cmd_transport(spec, args, rng):
                 x, target, TransportPlan(regular_gate=gate, **plan_kwargs)
             )
         elif mode == "complex":
-            xi_start = [complex(float(p[0]), float(p[1])) for p in _require(tspec, "xi_start", "transport")]
-            xi_target = [complex(float(p[0]), float(p[1])) for p in _require(tspec, "xi_target", "transport")]
+            xi_start, xi_target = (
+                [complex(*p) for p in parse_pairs(_require(tspec, k, "transport"), dims, k, float)]
+                for k in ("xi_start", "xi_target")
+            )
             result = transport_complex(x, xi_start, xi_target, TransportPlan(**plan_kwargs))
         elif mode == "quaternion":
-            q = tuple(float(v) for v in _require(tspec, "q", "transport"))
-            t = float(tspec.get("t", 1.0))
+            q = _require(tspec, "q", "transport")
+            if not isinstance(q, list):
+                raise SpecError("transport.q: expected a list of four numbers")
+            q = tuple(float(_number(v, "transport.q")) for v in q)
+            t = float(_number(tspec.get("t", 1.0), "transport.t"))
             image = quaternion_transport(x, q, t)
             return {
                 "mode": mode,
@@ -484,7 +493,10 @@ def _run_one(command, spec, args):
     if not isinstance(spec, dict):
         raise SpecError("spec: expected a JSON object")
     rng = np.random.default_rng(args.seed)
-    result, code = COMMANDS[command](spec, args, rng)
+    try:
+        result, code = COMMANDS[command](spec, args, rng)
+    except FloatingPointError as exc:  # a solve left the representable range
+        result, code = {"error": str(exc)}, EXIT_NO_CONVERGENCE
     report = {
         "command": command,
         "version": __version__,
@@ -497,6 +509,16 @@ def _run_one(command, spec, args):
         "result": result,
     }
     return report, code
+
+
+def _nulled(report):
+    """The report as strict JSON holds it: a report with NaN or infinite
+    floats gets them as null and "non_finite": true."""
+    try:
+        json.dumps(report, allow_nan=False)
+    except ValueError:
+        return dict(json.loads(json.dumps(report), parse_constant=lambda _: None), non_finite=True)
+    return report
 
 
 def build_parser():
@@ -535,7 +557,12 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
-    text = json.dumps(out, indent=2, sort_keys=True, allow_nan=True)
+    try:
+        text = json.dumps(out, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        out = [_nulled(r) for r in out] if isinstance(out, list) else _nulled(out)
+        text = json.dumps(out, indent=2, sort_keys=True, allow_nan=False)
+        code = max(code, EXIT_NO_CONVERGENCE)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -9,25 +9,24 @@ on a higher stratum.
 
 from __future__ import annotations
 
-import logging
 import math
 import warnings
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .cones import SubsetCapError, d_theta, theta_coordinates, torus_weights
-from .layout import (
-    act_stacks,
-    exp_i_stacks,
-    infinitesimal_action_stacks,
-    moment_stacks,
-    sq_norm_stacks,
-)
-from .lie import StabilityParameter, theta_to_center
+from .layout import infinitesimal_action_stacks, sq_norm_stacks
+from .lie import StabilityParameter, exp_action_stacks
+from .moment import defect_offset, defect_sq_norm, defect_stacks
 from .quiver import Representation
 
-logger = logging.getLogger(__name__)
+# step-size controller: grow an accepted step, shrink a rejected one, give up
+# below MIN_STEP; STALL_WINDOW steps of vanishing gradient or descent stop the flow
+STEP_GROWTH = 2.0
+STEP_SHRINK = 0.5
+STALL_WINDOW = 20
+MIN_STEP = 1e-18
+# largest subset enumeration d_theta may run to certify a higher stratum
+D_THETA_SUBSET_CAP = 2 ** 14
 
 
 @dataclass
@@ -37,21 +36,9 @@ class FlowOptions:
     initial_step: float = 0.05
     max_time: float = 1e4
     stall_tolerance: float = 1e-9
-    step_growth: float = 2.0
-    step_shrink: float = 0.5
-    stall_window: int = 20
-    min_step: float = 1e-18
-    d_theta_subset_cap: int = 2 ** 14
 
     def __post_init__(self):
-        if min(
-            self.initial_step,
-            self.max_time,
-            self.stall_tolerance,
-            self.step_growth,
-            self.step_shrink,
-            self.min_step,
-        ) <= 0:
+        if min(self.initial_step, self.max_time, self.stall_tolerance) <= 0:
             raise ValueError("flow options must be positive")
 
 
@@ -64,7 +51,7 @@ class FlowOutcome:
     defect past the certified radius, "undecided" otherwise.  stop_reason
     says why the integration ended: "reached" (the zero level), "stalled"
     (a vanishing gradient or descent), "step_underflow" (no step down to
-    min_step decreased h) or "max_time".
+    MIN_STEP decreased h) or "max_time".
     """
 
     limit_point: Representation
@@ -77,29 +64,8 @@ class FlowOutcome:
     stop_reason: str = "max_time"
 
 
-# The flow runs on the per-shape stacks of ``layout.EdgeLayout``: a point is
-# its edge stacks, a defect mu_I(x) - theta its vertex-class stacks.  Each
-# helper repeats, stack for stack, the arithmetic of the object-level
-# expression in its docstring, so the flow's results are bit-identical to
-# evaluating those expressions on Representation objects.
-
-def _negated_center(theta, x):
-    """Stacks of -1.0 * theta_to_center(theta), the offset of the defect."""
-    center = theta_to_center(theta)
-    if center.dims != x.dims:
-        raise ValueError("elements have mismatched dimension vectors")
-    return [-1.0 * s for s in x.layout.vertices.stack(center.blocks)]
-
-
-def _defect(layout, stacks, offset):
-    """moment_real(x, "I") - theta_to_center(theta)."""
-    return [m + c for m, c in zip(moment_stacks(layout, stacks), offset)]
-
-
-def _h(layout, defect):
-    """pairing(defect, defect)."""
-    return layout.vertices.ordered_sum(sq_norm_stacks(defect))
-
+# Like the defect helpers of moment.py, these repeat on stacks the arithmetic
+# of the expressions in their docstrings, bit for bit.
 
 def _gradient(layout, defect, stacks):
     """4.0 * apply_structure("I", infinitesimal_action(defect, x))."""
@@ -114,7 +80,7 @@ def _grad_norm(layout, defect, stacks):
 def h_value(theta: StabilityParameter, x: Representation) -> float:
     """Squared pairing-norm of mu_I(x) - theta."""
     layout = x.layout
-    return _h(layout, _defect(layout, x.stacks, _negated_center(theta, x)))
+    return defect_sq_norm(layout, defect_stacks(layout, x.stacks, defect_offset(theta, x)))
 
 
 def grad_h(theta: StabilityParameter, x: Representation) -> Representation:
@@ -125,7 +91,7 @@ def grad_h(theta: StabilityParameter, x: Representation) -> Representation:
     the central-difference oracle on h.
     """
     layout, stacks = x.layout, x.stacks
-    defect = _defect(layout, stacks, _negated_center(theta, x))
+    defect = defect_stacks(layout, stacks, defect_offset(theta, x))
     return x.replace_stacks(_gradient(layout, defect, stacks))
 
 
@@ -144,10 +110,10 @@ def flow_integrate(theta: StabilityParameter, x0: Representation, opts=None) -> 
     """
     opts = opts or FlowOptions()
     layout = x0.layout
-    offset = _negated_center(theta, x0)
+    offset = defect_offset(theta, x0)
     stacks = x0.stacks
-    defect = _defect(layout, stacks, offset)
-    h = _h(layout, defect)
+    defect = defect_stacks(layout, stacks, offset)
+    h = defect_sq_norm(layout, defect)
     gnorm = _grad_norm(layout, defect, stacks)
     t = 0.0
     reach_tol = opts.stall_tolerance ** 2
@@ -170,7 +136,7 @@ def flow_integrate(theta: StabilityParameter, x0: Representation, opts=None) -> 
             stall_count += 1
         else:
             stall_count = 0
-        if stall_count >= opts.stall_window or frozen_count >= opts.stall_window:
+        if stall_count >= STALL_WINDOW or frozen_count >= STALL_WINDOW:
             reason = "stalled"
             break
 
@@ -178,11 +144,11 @@ def flow_integrate(theta: StabilityParameter, x0: Representation, opts=None) -> 
         # controller sit at the stability boundary where Euler steps flip sign
         # without contracting.  The floor keeps sub-ulp descent steps alive.
         moved = False
-        while dt >= opts.min_step:
-            trial = _group_step(layout, defect, dt, stacks)
+        while dt >= MIN_STEP:
+            trial = exp_action_stacks(layout, defect, -4.0 * dt, stacks)
             if trial is not None:
-                trial_defect = _defect(layout, trial, offset)
-                h_new = _h(layout, trial_defect)
+                trial_defect = defect_stacks(layout, trial, offset)
+                h_new = defect_sq_norm(layout, trial_defect)
             else:
                 h_new = math.inf
             wanted = h - 0.1 * dt * gnorm * gnorm + 1e-15 * (1.0 + h)
@@ -191,10 +157,10 @@ def flow_integrate(theta: StabilityParameter, x0: Representation, opts=None) -> 
                 stacks, defect, h = trial, trial_defect, h_new
                 t += dt
                 accepted += 1
-                dt *= opts.step_growth
+                dt *= STEP_GROWTH
                 moved = True
                 break
-            dt *= opts.step_shrink
+            dt *= STEP_SHRINK
         if not moved:
             events.append("step_underflow")
             reason = "step_underflow"
@@ -221,26 +187,13 @@ def flow_integrate(theta: StabilityParameter, x0: Representation, opts=None) -> 
     )
 
 
-def _group_step(layout, defect, dt, stacks):
-    """One trial step along exp(-4 dt i defect); None when the exponential
-    overflows, which the caller treats as a rejected step."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = exp_i_stacks(defect, -4.0 * dt)
-        if not all(np.all(np.isfinite(b)) for b in g):
-            return None
-        try:
-            return act_stacks(layout, g, stacks)
-        except (ValueError, np.linalg.LinAlgError):
-            return None
-
-
 def _classify(theta, x, h, reason, opts, events):
     if h <= opts.stall_tolerance ** 2:
         return "analytically_semistable"
     if reason != "stalled":
         return "undecided"
     threshold = opts.stall_tolerance ** 2
-    radius = _certified_radius(theta, x, opts)
+    radius = _certified_radius(theta, x)
     if radius is not None:
         threshold = max(threshold, radius * (1.0 - 1e-9) - 1e-12)
     else:
@@ -248,13 +201,13 @@ def _classify(theta, x, h, reason, opts, events):
     return "higher_stratum" if h > threshold else "undecided"
 
 
-def _certified_radius(theta, x, opts):
+def _certified_radius(theta, x):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             weights = torus_weights(x.quiver, x.dims)
         coords = theta_coordinates(theta.values, x.dims)
-        radius = d_theta(weights, coords, subset_cap=opts.d_theta_subset_cap)
+        radius = d_theta(weights, coords, subset_cap=D_THETA_SUBSET_CAP)
     except SubsetCapError:
         return None
     return None if math.isinf(radius) else radius

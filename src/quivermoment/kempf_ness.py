@@ -20,12 +20,14 @@ from typing import Optional
 
 import numpy as np
 
+from .layout import sq_norm_stacks
 from .lie import (
     GroupElement,
     LieAlgebraElement,
     StabilityParameter,
     act,
     character_log_modulus,
+    exp_action_stacks,
     pairing,
     pairing_norm,
     polar_decompose,
@@ -33,7 +35,7 @@ from .lie import (
     theta_to_center,
     uv_basis,
 )
-from .moment import moment_real, moment_residual
+from .moment import defect_offset, defect_sq_norm, defect_stacks, moment_residual
 from .quiver import Representation, norm_sq, rotate_to_I
 
 logger = logging.getLogger(__name__)
@@ -114,12 +116,15 @@ def solve_moment_equation(
     re-centers at the current point, computes a Newton or gradient direction,
     backtracks on the functional value, and folds the step into a single Y via
     polar decomposition; the unitary polar factor is dropped, which changes
-    neither the residual nor the functional value.
+    neither the residual nor the functional value.  The residual and the line
+    search run on edge stacks, with the flow's defect and group step helpers.
     """
     opts = opts or SolveOptions()
     x0 = rotate_to_I(structure, x)
     basis = uv_basis(x.dims)
     target = theta_to_center(theta)
+    layout = x0.layout
+    offset = defect_offset(theta, x0)
 
     y = opts.initial_y if opts.initial_y is not None else LieAlgebraElement.zero(x.dims)
     x_cur = act(GroupElement.exp_i(y), x0, "I") if pairing_norm(y) > 0 else x0
@@ -127,10 +132,12 @@ def solve_moment_equation(
     trace = []
     norms = []
     for iteration in range(opts.max_iterations + 1):
+        stacks = x_cur.stacks
         with np.errstate(over="ignore", invalid="ignore"):
-            residual_el = moment_real(x_cur, "I") - target
-            residual = pairing_norm(residual_el)
-            value = norm_sq(x_cur) - 2.0 * pairing(target, y)
+            defect = defect_stacks(layout, stacks, offset)
+            residual = math.sqrt(defect_sq_norm(layout, defect))
+            shift = 2.0 * pairing(target, y)
+            value = layout.ordered_sum(sq_norm_stacks(stacks)) - shift
         y_norm = pairing_norm(y)
         trace.append(value)
         norms.append(y_norm)
@@ -151,6 +158,7 @@ def solve_moment_equation(
                 "max_iterations", y, residual, iteration, None, structure, tuple(trace)
             )
 
+        residual_el = LieAlgebraElement(layout.vertices.unstack(defect), copy=False, check=False)
         grad = 2.0 * basis.coords(residual_el)
         z_coords = _direction(x_cur, grad, opts)
         slope = float(grad @ z_coords)
@@ -165,29 +173,30 @@ def solve_moment_equation(
             z_coords = (cap / z_len) * z_coords
             slope *= cap / z_len
         z = basis.from_coords(z_coords)
+        z_stacks = layout.vertices.stack(z.blocks)
+        z_shift = pairing(target, z)
 
         # Armijo with a rounding floor: near the fiber the functional moves by
         # less than double precision resolves while the residual still
         # contracts quadratically, so steps that shrink the residual must not
-        # be rejected on sub-ulp functional comparisons.
+        # be rejected on sub-ulp functional comparisons.  A trial that
+        # overflows is None, and a non-finite value fails both comparisons.
         noise = 1e-13 * (1.0 + abs(value))
         step = 1.0
-        accepted = False
         for _ in range(MAX_BACKTRACKS):
-            value_trial = _trial_value(z, step, x_cur, target, y)
-            if value_trial <= value + ARMIJO_SLOPE * step * slope:
-                accepted = True
-                break
-            if value_trial <= value + noise:
-                trial_res = pairing_norm(
-                    moment_real(act(GroupElement.exp_i(z, step), x_cur, "I"), "I")
-                    - target
-                )
-                if trial_res <= 0.9 * residual:
-                    accepted = True
+            trial = exp_action_stacks(layout, z_stacks, step, stacks)
+            if trial is not None:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    trial_norm = layout.ordered_sum(sq_norm_stacks(trial))
+                value_trial = trial_norm - shift - 2.0 * step * z_shift
+                if value_trial <= value + ARMIJO_SLOPE * step * slope:
                     break
+                if value_trial <= value + noise:
+                    trial_defect = defect_stacks(layout, trial, offset)
+                    if math.sqrt(defect_sq_norm(layout, trial_defect)) <= 0.9 * residual:
+                        break
             step *= 0.5
-        if not accepted:
+        else:
             logger.debug("line search failed at iteration %d", iteration)
             return SolveOutcome(
                 "max_iterations", y, residual, iteration, None, structure, tuple(trace)
@@ -209,25 +218,6 @@ def solve_moment_equation(
             )
 
     raise AssertionError("unreachable")
-
-
-def _trial_value(z, step, x_cur, target, y):
-    """Functional value at exp(i step z) applied to the current point; +inf on
-    overflow so the backtracking line search rejects the step."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = GroupElement.exp_i(z, step)
-        if not all(np.all(np.isfinite(b)) for b in g.blocks):
-            return math.inf
-        try:
-            x_trial = act(g, x_cur, "I")
-        except (ValueError, np.linalg.LinAlgError):
-            return math.inf
-        value = (
-            norm_sq(x_trial)
-            - 2.0 * pairing(target, y)
-            - 2.0 * step * pairing(target, z)
-        )
-    return value if np.isfinite(value) else math.inf
 
 
 def _direction(x_cur, grad, opts):

@@ -318,6 +318,19 @@ def exp_action(y: LieAlgebraElement, t, structure, x: Representation) -> Represe
     return act(g, x, structure)
 
 
+def exp_action_stacks(layout, y_stacks, t, stacks):
+    """Stacks of exp(i t Y).x, or None when the exponential overflows or has a
+    singular block, which descent loops treat as a rejected step."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = exp_i_stacks(y_stacks, t)
+        if not all(np.all(np.isfinite(b)) for b in g):
+            return None
+        try:
+            return act_stacks(layout, g, stacks)
+        except ValueError:
+            return None
+
+
 def infinitesimal_action(y: VertexMatrices, x: Representation) -> Representation:
     """Derivative of the action: blocks Y_h phi - phi Y_t.
 

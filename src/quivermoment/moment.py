@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layout import complex_moment_stacks, moment_stacks
+from .layout import complex_moment_stacks, moment_stacks, sq_norm_stacks
 from .lie import (
     LieAlgebraElement,
     StabilityParameter,
@@ -151,21 +151,12 @@ def complex_vs_real_identity(x: Representation):
     """
     mu_c = moment_complex(x)
     lhs = moment_real(x, "J") + 1j * moment_real(x, "K")
-    num = 0.0
-    den = 0.0
-    for a, b in zip(lhs.blocks, mu_c.blocks):
-        num += np.vdot(b, a).real
-        den += np.vdot(b, b).real
+    den = pairing(mu_c, mu_c)
     # |mu_C|^2 has degree four in x; a fixed cutoff would read rounding as signal
     if den <= 1e-30 * inner_product(x, x).real ** 2:
-        resid = float(np.sqrt(sum(np.vdot(a, a).real for a in lhs.blocks)))
-        return None, resid
-    c = num / den
-    resid = 0.0
-    for a, b in zip(lhs.blocks, mu_c.blocks):
-        diff = a - c * b
-        resid += np.vdot(diff, diff).real
-    return float(c), float(np.sqrt(resid))
+        return None, pairing_norm(lhs)
+    c = pairing(lhs, mu_c) / den
+    return c, pairing_norm(lhs - c * mu_c)
 
 
 # mu_C = MU_C_FROM_JK * (mu_J + i mu_K) under the conventions of this package;
@@ -176,3 +167,25 @@ MU_C_FROM_JK = -0.5
 def moment_residual(x, theta: StabilityParameter, structure="I") -> float:
     """Pairing-norm distance between the moment value and the central target."""
     return pairing_norm(moment_real(x, structure) - theta_to_center(theta))
+
+
+# The defect mu_I(x) - theta on edge and vertex-class stacks, for the flow and
+# the solver: each helper repeats, stack for stack, the arithmetic of the
+# expression in its docstring, so results are bit-identical to the object forms.
+
+def defect_offset(theta: StabilityParameter, x: Representation):
+    """Stacks of -1.0 * theta_to_center(theta), the offset of the defect."""
+    center = theta_to_center(theta)
+    if center.dims != x.dims:
+        raise ValueError("elements have mismatched dimension vectors")
+    return [-1.0 * s for s in x.layout.vertices.stack(center.blocks)]
+
+
+def defect_stacks(layout, stacks, offset):
+    """moment_real(x, "I") - theta_to_center(theta)."""
+    return [m + c for m, c in zip(moment_stacks(layout, stacks), offset)]
+
+
+def defect_sq_norm(layout, defect) -> float:
+    """pairing(defect, defect)."""
+    return layout.vertices.ordered_sum(sq_norm_stacks(defect))

@@ -150,6 +150,9 @@ def test_transport_failure_exit_code(tmp_path):
     assert "error" in report["result"]
 
 
+COMPLEX_TRANSPORT = {"mode": "complex", "xi_start": [[0, 0], [0, 0]], "xi_target": [[0, 0], [0, 0]]}
+
+
 def test_malformed_input_exit_code(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -175,10 +178,52 @@ def test_malformed_input_exit_code(tmp_path):
         ("transport", dict(A2_SPEC, transport={"mode": "replay", "log": [5]})),
         ("transport", dict(A2_SPEC, transport={"mode": "replay", "log": 5})),
         ("transport", dict(A2_SPEC, transport={"target_theta": [2.0, -2.0], "max_subdivision_depth": "a"})),
+        ("transport", dict(A2_SPEC, transport=dict(COMPLEX_TRANSPORT, xi_start=[None, [0, 0]]))),
+        ("transport", dict(A2_SPEC, transport=dict(COMPLEX_TRANSPORT, xi_target=[[0, 0], None]))),
+        ("transport", dict(A2_SPEC, transport=dict(COMPLEX_TRANSPORT, xi_start=[[0, 0]]))),
+        ("transport", dict(A2_SPEC, transport={"mode": "quaternion", "q": [1, None, 0, 0]})),
+        ("transport", dict(A2_SPEC, transport={"mode": "quaternion", "q": [1, 0, 0, 0], "t": "x"})),
+        ("transport", dict(A2_SPEC, transport={"mode": "quaternion", "q": [1, 0, 0, 0], "t": None})),
+        ("transport", dict(A2_SPEC, transport={"mode": "hyperkahler", "target_triple": 5})),
+        ("transport", dict(A2_SPEC, transport={
+            "mode": "hyperkahler",
+            "target_triple": {"theta_I": [None, 1], "theta_J": [0, 0], "theta_K": [0, 0]},
+        })),
     ]
     for command, spec in bad:
         path.write_text(json.dumps(spec))
         assert main([command, "--input", str(path)]) == EXIT_BAD_INPUT, spec
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_non_finite_results_exit_3_with_strict_json(tmp_path):
+    """A representation too large to square: the moment report writes its
+    overflowed values as null with a flag, and the solve and stability
+    searches report the overflow, all as strict JSON with exit 3."""
+    big = dict(A2_SPEC, representation={"blocks": [[[[1e200, 0.0]]], [[[1.0, 0.0]]]]})
+    out = tmp_path / "out.json"
+    for command in ("moment", "solve", "stability"):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(big))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main([command, "--input", str(path), "--output", str(out)])
+        assert code == EXIT_NO_CONVERGENCE, command
+        report = json.loads(out.read_text(), parse_constant=_reject_constant)
+        if command == "moment":
+            assert report["non_finite"] is True
+            assert report["result"]["proportionality_residual"] is None
+        else:
+            assert "non_finite" not in report
+            assert "non-finite" in report["result"]["error"]
+    code, report = run_cli(tmp_path, "moment", A2_SPEC)
+    assert code == EXIT_OK and "non_finite" not in report
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, reports = run_cli(tmp_path, "moment", [big, A2_SPEC])
+    assert code == EXIT_NO_CONVERGENCE
+    assert [r.get("non_finite") for r in reports] == [True, None]
 
 
 def test_batch_input(tmp_path):
