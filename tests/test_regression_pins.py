@@ -14,12 +14,15 @@ from quivermoment import (
     Quiver,
     Representation,
     act,
+    apply_structure,
     exp_action,
     extend,
+    hyperkahler_rotation,
     infinitesimal_action,
     moment_complex,
     moment_real,
     norm_sq,
+    quaternion_act,
 )
 from quivermoment import sampling as S
 from quivermoment.cli import main
@@ -328,3 +331,70 @@ def test_kernels_match_per_edge_loops_bit_for_bit():
             # a point built from another point's output, as the solver does
             moved = act(GroupElement.exp_i(y), x)
             assert _same(moment_real(moved).blocks, _ref_moment(Representation(quiver, dims, moved.blocks)))
+
+
+# reference loops for the quaternionic structure maps and the vector-space
+# operations, block by block in edge order as their definitions read
+
+def _ref_structure(structure, x):
+    q = x.quiver
+    if structure == "I":
+        return [1j * b for b in x.blocks]
+    m = q.base.num_edges
+    out = [None] * (2 * m)
+    for e in range(m):
+        ebar = q.reverse(e)
+        if structure == "J":
+            out[e] = -x.blocks[ebar].conj().T
+            out[ebar] = x.blocks[e].conj().T
+        else:
+            out[e] = -1j * x.blocks[ebar].conj().T
+            out[ebar] = 1j * x.blocks[e].conj().T
+    return out
+
+
+def _ref_rotation(x, sign):
+    images = [_ref_structure(s, x) for s in "IJK"]
+    out = []
+    for e, b in enumerate(x.blocks):
+        acc = b
+        for image in images:
+            acc = acc + sign * image[e]
+        out.append(0.5 * acc)
+    return out
+
+
+def _ref_quaternion_act(q, x):
+    a, b, c, d = q
+    out = [a * blk for blk in x.blocks]
+    for coeff, s in ((b, "I"), (c, "J"), (d, "K")):
+        if coeff != 0.0:
+            out = [o + coeff * t for o, t in zip(out, _ref_structure(s, x))]
+    return out
+
+
+def test_structure_maps_match_per_edge_loops_bit_for_bit():
+    """I, J, K, both hyperkahler rotations, the quaternion action and the
+    vector-space operations, compared byte for byte (signed zeros included)
+    with their per-edge definitions."""
+    rng = np.random.default_rng(34)
+    quats = [(0.5, 0.5, 0.5, 0.5), (0.6, 0.0, 0.8, 0.0), (0.0, 0.0, 0.0, 1.0), (-1.0, 0.0, 0.0, 0.0)]
+    for (n, edges), dims in KERNEL_CASES:
+        quiver = extend(Quiver(n, edges))
+        for _ in range(3):
+            x = S.random_representation(rng, quiver, dims)
+            z = S.random_representation(rng, quiver, dims)
+            for u in (x, 0.0 * x, -(0.0 * x), x - x):
+                for s in "IJK":
+                    assert _same(apply_structure(s, u).blocks, _ref_structure(s, u)), (edges, dims, s)
+                assert _same(hyperkahler_rotation(u).blocks, _ref_rotation(u, 1.0))
+                assert _same(hyperkahler_rotation(u, "inverse").blocks, _ref_rotation(u, -1.0))
+                for q in quats:
+                    assert _same(quaternion_act(q, u).blocks, _ref_quaternion_act(q, u)), q
+                assert _same((u + z).blocks, [a + b for a, b in zip(u.blocks, z.blocks)])
+                assert _same((u - z).blocks, [a - b for a, b in zip(u.blocks, z.blocks)])
+                assert _same((z - u).blocks, [a - b for a, b in zip(z.blocks, u.blocks)])
+                for c in (2.5, -1.0, 0.0, -0.0, 1j, 0.3 - 0.7j):
+                    assert _same((c * u).blocks, [c * b for b in u.blocks]), c
+                    assert _same((u * c).blocks, [c * b for b in u.blocks]), c
+                assert _same((-u).blocks, [-b for b in u.blocks])
