@@ -216,6 +216,21 @@ def complex_moment_stacks(layout: EdgeLayout, stacks):
     return _vertex_sums(layout, layout.complex_moment_plans, heads, None)
 
 
+def structure_stacks(structure, layout: EdgeLayout, stacks):
+    """The complex structure I, J or K per shape group (see
+    ``quiver.apply_structure``).  J and K read each block from the dagger of
+    its reversed edge's block; the sign is selected, not multiplied in, so
+    signed zeros come out as negation leaves them."""
+    if structure == "I":
+        return [1j * b for b in stacks]
+    out = []
+    for g in layout.groups:
+        r = _dagger(stacks[g.reverse_group][g.reverse_pos])
+        base = (g.epsilon > 0)[:, None, None]
+        out.append(np.where(base, -r, r) if structure == "J" else np.where(base, -1j * r, 1j * r))
+    return out
+
+
 def infinitesimal_action_stacks(layout: EdgeLayout, y_stacks, stacks):
     """Blocks Y_head phi - phi Y_tail per shape group."""
     return [

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layout import EdgeLayout, edge_layout, sq_norm_stacks
+from .layout import EdgeLayout, edge_layout, sq_norm_stacks, structure_stacks
 
 DimVector = tuple  # per-vertex nonnegative integers, one entry per vertex
 
@@ -114,63 +114,52 @@ class Representation:
     """A point of representation space: one complex matrix per extended edge.
 
     The block of edge e has shape (dims[head(e)], dims[tail(e)]).  Instances
-    are immutable values; all operations return new objects.  ``stacks`` is
-    the same data stacked by block shape (see ``layout.EdgeLayout``), which
-    the array kernels run on.  A point made from blocks stacks them on each
-    access and keeps nothing, so long-lived inputs hold their data once; a
-    point made by the kernels (``replace_stacks``) keeps its stacks and
-    makes ``blocks`` views into them on first use.
+    are immutable values; all operations return new objects.  A point holds
+    its data once, as ``stacks``: the blocks stacked by shape (see
+    ``layout.EdgeLayout``), which the array kernels run on.  ``blocks`` are
+    read-only views into the stacks, made on first use.
     """
 
-    __slots__ = ("quiver", "dims", "_blocks", "_stacks", "_layout")
+    __slots__ = ("quiver", "dims", "stacks", "_blocks")
 
-    def __init__(self, quiver: ExtendedQuiver, dims, blocks, copy=True):
+    def __init__(self, quiver: ExtendedQuiver, dims, blocks):
         dims = validate_dims(quiver, dims)
         if len(blocks) != quiver.num_edges:
             raise ValueError(
                 f"expected {quiver.num_edges} blocks, got {len(blocks)}"
             )
-        stored = []
+        checked = []
         for e, b in enumerate(blocks):
-            b = np.array(b, dtype=complex) if copy else np.asarray(b, dtype=complex)
+            b = np.asarray(b, dtype=complex)
             want = (dims[quiver.head(e)], dims[quiver.tail(e)])
             if b.shape != want:
                 raise ValueError(f"block {e} has shape {b.shape}, expected {want}")
-            b.flags.writeable = False
-            stored.append(b)
+            checked.append(b)
+        self._hold(quiver, dims, edge_layout(quiver, dims).stack(checked))
+
+    def _hold(self, quiver, dims, stacks):
+        for a in stacks:
+            a.flags.writeable = False
         object.__setattr__(self, "quiver", quiver)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "_blocks", tuple(stored))
-        object.__setattr__(self, "_stacks", None)
-        object.__setattr__(self, "_layout", None)
+        object.__setattr__(self, "stacks", tuple(stacks))
+        object.__setattr__(self, "_blocks", None)
 
     @property
     def layout(self) -> EdgeLayout:
-        return self._layout if self._layout is not None else edge_layout(self.quiver, self.dims)
+        return edge_layout(self.quiver, self.dims)
 
     @property
     def blocks(self):
         if self._blocks is None:
-            object.__setattr__(self, "_blocks", tuple(self._layout.unstack(self._stacks)))
+            object.__setattr__(self, "_blocks", tuple(self.layout.unstack(self.stacks)))
         return self._blocks
-
-    @property
-    def stacks(self):
-        if self._stacks is None:
-            return tuple(self.layout.stack(self._blocks))
-        return self._stacks
 
     def replace_stacks(self, stacks) -> "Representation":
         """A point of the same space from per-shape stacks, trusted as they
         come from the kernels: no copy and no shape check."""
         out = object.__new__(Representation)
-        for a in stacks:
-            a.flags.writeable = False
-        object.__setattr__(out, "quiver", self.quiver)
-        object.__setattr__(out, "dims", self.dims)
-        object.__setattr__(out, "_blocks", None)
-        object.__setattr__(out, "_stacks", tuple(stacks))
-        object.__setattr__(out, "_layout", self.layout)
+        out._hold(self.quiver, self.dims, stacks)
         return out
 
     def __setattr__(self, name, value):
@@ -183,7 +172,7 @@ class Representation:
             np.zeros((dims[quiver.head(e)], dims[quiver.tail(e)]), dtype=complex)
             for e in range(quiver.num_edges)
         ]
-        return cls(quiver, dims, blocks, copy=False)
+        return cls(quiver, dims, blocks)
 
     def block(self, e):
         return self.blocks[e]
@@ -197,25 +186,22 @@ class Representation:
         if not isinstance(other, Representation) or not self.same_space(other):
             raise ValueError("representations live on different spaces")
 
-    def replace_blocks(self, blocks) -> "Representation":
-        return Representation(self.quiver, self.dims, blocks, copy=False)
-
     def __add__(self, other):
         self._check_space(other)
-        return self.replace_blocks([a + b for a, b in zip(self.blocks, other.blocks)])
+        return self.replace_stacks([a + b for a, b in zip(self.stacks, other.stacks)])
 
     def __sub__(self, other):
         self._check_space(other)
-        return self.replace_blocks([a - b for a, b in zip(self.blocks, other.blocks)])
+        return self.replace_stacks([a - b for a, b in zip(self.stacks, other.stacks)])
 
     def __mul__(self, scalar):
         # complex scalars act through the complex structure I
-        return self.replace_blocks([scalar * b for b in self.blocks])
+        return self.replace_stacks([scalar * s for s in self.stacks])
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return self.replace_blocks([-b for b in self.blocks])
+        return self.replace_stacks([-s for s in self.stacks])
 
     def __repr__(self):
         return (
@@ -255,20 +241,7 @@ def apply_structure(structure, x: Representation) -> Representation:
     and satisfy I^2 = J^2 = K^2 = IJK = -1.
     """
     _check_structure(structure)
-    if structure == "I":
-        return x.replace_blocks([1j * b for b in x.blocks])
-    q = x.quiver
-    m = q.base.num_edges
-    out = [None] * (2 * m)
-    for e in range(m):
-        ebar = q.reverse(e)
-        if structure == "J":
-            out[e] = -x.blocks[ebar].conj().T
-            out[ebar] = x.blocks[e].conj().T
-        else:  # K
-            out[e] = -1j * x.blocks[ebar].conj().T
-            out[ebar] = 1j * x.blocks[e].conj().T
-    return x.replace_blocks(out)
+    return x.replace_stacks(structure_stacks(structure, x.layout, x.stacks))
 
 
 def hyperkahler_rotation(x: Representation, direction="forward") -> Representation:

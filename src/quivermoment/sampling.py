@@ -60,7 +60,7 @@ def random_representation(rng, quiver: ExtendedQuiver, dims, scale=1.0) -> Repre
     for e in range(quiver.num_edges):
         shape = (dims[quiver.head(e)], dims[quiver.tail(e)])
         blocks.append(scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape)))
-    return Representation(quiver, dims, blocks, copy=False)
+    return Representation(quiver, dims, blocks)
 
 
 def random_instance(rng, max_vertices=4, max_dim=4, max_edges=6):
@@ -112,7 +112,7 @@ def random_stable_instance(rng, max_vertices=4, max_edges=6, min_block=0.1):
         while abs(z) < min_block:
             z = rng.normal() + 1j * rng.normal()
         blocks.append(np.array([[z]]))
-    return quiver, dims, Representation(quiver, dims, blocks, copy=False)
+    return quiver, dims, Representation(quiver, dims, blocks)
 
 
 def random_chamber_theta(rng, dims, margin=0.1, scale=1.0) -> StabilityParameter:
