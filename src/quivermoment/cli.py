@@ -17,6 +17,7 @@ import numpy as np
 
 from . import __version__, selftest
 from .cones import (
+    EnumerationCapError,
     RationalThetaTriple,
     complex_regular_check,
     hyperkahler_regular_check,
@@ -48,6 +49,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
+MAX_COUNT = int(np.iinfo(np.intp).max)
 
 
 class SpecError(ValueError):
@@ -66,7 +68,7 @@ def matrix_from_json(data, path):
     try:
         rows = [[complex(float(e[0]), float(e[1])) for e in row] for row in data]
         return np.array(rows, dtype=complex) if rows else np.zeros((0, 0), dtype=complex)
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
         raise SpecError(f"{path}: expected a matrix of [re, im] pairs") from exc
 
 
@@ -114,15 +116,21 @@ def _require(spec, key, path="spec"):
 
 
 def _number(value, path, integer=False):
-    """A finite JSON number, or an integer when ``integer``; true/false are neither."""
+    """A JSON number a float holds finitely, or an integer when ``integer``;
+    true/false are neither."""
     kinds = int if integer else (int, float)
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, kinds)
-        or (isinstance(value, float) and not math.isfinite(value))
-    ):
+    try:
+        ok = not isinstance(value, bool) and isinstance(value, kinds) and (integer or math.isfinite(value))
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
         raise SpecError(f"{path}: expected {'an integer' if integer else 'a finite number'}")
     return value
+
+
+def _is_count(value):
+    """A nonnegative integer that numpy can use as an array size."""
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value <= MAX_COUNT
 
 
 def parse_quiver(spec):
@@ -131,7 +139,7 @@ def parse_quiver(spec):
         raise SpecError("quiver: expected an object")
     vertices = q.get("vertices")
     edges = q.get("edges", [])
-    if not isinstance(vertices, int) or vertices < 0:
+    if not _is_count(vertices):
         raise SpecError("quiver.vertices: expected a nonnegative integer")
     try:
         quiver = extend(Quiver(vertices, [tuple(e) for e in edges]))
@@ -140,7 +148,7 @@ def parse_quiver(spec):
     dims = _require(spec, "dims")
     if not isinstance(dims, list) or len(dims) != vertices:
         raise SpecError("dims: expected one integer per vertex")
-    if any(not isinstance(d, int) or d < 0 for d in dims):
+    if not all(_is_count(d) for d in dims):
         raise SpecError("dims: entries must be nonnegative integers")
     return quiver, tuple(dims)
 
@@ -168,7 +176,7 @@ def parse_theta(spec, dims, key="theta"):
         raise SpecError(f"{key}: expected one real per vertex")
     try:
         return StabilityParameter(tuple(float(v) for v in values), dims)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SpecError(f"{key}: {exc}") from exc
 
 
@@ -337,16 +345,19 @@ def cmd_regular(spec, args, rng):
             "spans_torus": bool(ws.spans_torus),
             "kernel_warning": bool(caught),
         }
-    if "theta_triple" in spec:
-        triple = parse_rational_triple(spec["theta_triple"], dims, "theta_triple")
-        ok, witness = hyperkahler_regular_check(dims, triple)
-        report["hyperkahler"] = {
-            "in_regular_locus": ok,
-            "violating_w": list(witness) if witness is not None else None,
-        }
-    if "xi" in spec:
-        pairs = parse_pairs(spec["xi"], dims, "xi", parse_rational)
-        report["complex"] = {"in_regular_locus": complex_regular_check(dims, pairs)}
+    try:
+        if "theta_triple" in spec:
+            triple = parse_rational_triple(spec["theta_triple"], dims, "theta_triple")
+            ok, witness = hyperkahler_regular_check(dims, triple)
+            report["hyperkahler"] = {
+                "in_regular_locus": ok,
+                "violating_w": list(witness) if witness is not None else None,
+            }
+        if "xi" in spec:
+            pairs = parse_pairs(spec["xi"], dims, "xi", parse_rational)
+            report["complex"] = {"in_regular_locus": complex_regular_check(dims, pairs)}
+    except EnumerationCapError as exc:
+        raise SpecError(f"dims: {exc}") from exc
     if not report:
         raise SpecError("regular: provide theta_triple and/or xi")
     return report, EXIT_OK
@@ -473,6 +484,17 @@ COMMANDS = {
 # ---------------------------------------------------------------------------
 # driver
 
+def _reject_constant(name):
+    raise SpecError(f"invalid JSON: non-finite number {name}")
+
+
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise SpecError(f"invalid JSON: number {text} is out of range")
+    return value
+
+
 def _load_input(args):
     if args.input is None:
         if args.command == "selftest":
@@ -480,7 +502,7 @@ def _load_input(args):
         raise SpecError("--input is required for this command")
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
     except OSError as exc:
         raise SpecError(f"cannot read input: {exc}") from exc
     except json.JSONDecodeError as exc:

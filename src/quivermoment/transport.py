@@ -118,6 +118,8 @@ def transport_real(
 
 def _central_parameter(x, structure) -> StabilityParameter:
     mu = moment_real(x, structure)
+    if not all(np.isfinite(b).all() for b in mu.blocks):
+        raise FloatingPointError("moment value is not finite")
     theta = center_to_theta(mu)
     defect = pairing_norm(mu - theta_to_center(theta))
     if defect > FIBER_PRE_TOL * (1.0 + math.sqrt(norm_sq(x))):

@@ -150,6 +150,8 @@ def test_transport_failure_exit_code(tmp_path):
     assert "error" in report["result"]
 
 
+NAN = float("nan")
+HUGE = 10**400
 COMPLEX_TRANSPORT = {"mode": "complex", "xi_start": [[0, 0], [0, 0]], "xi_target": [[0, 0], [0, 0]]}
 
 
@@ -189,10 +191,41 @@ def test_malformed_input_exit_code(tmp_path):
             "mode": "hyperkahler",
             "target_triple": {"theta_I": [None, 1], "theta_J": [0, 0], "theta_K": [0, 0]},
         })),
+        # non-finite and overflowing numbers are rejected where the spec is read
+        *[(c, dict(A2_SPEC, representation={"blocks": [[[[NAN, 0.0]]], [[[1.0, 0.0]]]]}))
+          for c in ("moment", "solve", "flow", "stability")],
+        ("solve", dict(A2_SPEC, representation={"blocks": [[[[1.0, float("inf")]]], [[[1.0, 0.0]]]]})),
+        ("moment", dict(A2_SPEC, representation={"blocks": [[[[HUGE, 0.0]]], [[[1.0, 0.0]]]]})),
+        ("solve", dict(A2_SPEC, theta=[HUGE, -HUGE])),
+        ("transport", dict(A2_SPEC, transport={"mode": "quaternion", "q": [HUGE, 0, 0, 0]})),
+        ("moment", dict(A2_SPEC, dims=[True, 1])),
+        ("moment", dict(A2_SPEC, dims=[HUGE, 1], representation=None)),
+        ("regular", {
+            "quiver": {"vertices": 3, "edges": [[0, 1]]},
+            "dims": [300, 300, 300],
+            "theta_triple": {"theta_I": [1, -1, 0], "theta_J": [0, 0, 0], "theta_K": [0, 0, 0]},
+        }),
     ]
     for command, spec in bad:
         path.write_text(json.dumps(spec))
         assert main([command, "--input", str(path)]) == EXIT_BAD_INPUT, spec
+    path.write_text(json.dumps(A2_SPEC).replace("1.0", "1e999"))
+    assert main(["moment", "--input", str(path)]) == EXIT_BAD_INPUT
+
+
+def test_transport_overflow_exits_3(tmp_path):
+    """A point whose moment value overflows is a numerical failure of the
+    transport, not a malformed target."""
+    big = dict(A2_SPEC, representation={"blocks": [[[[1e200, 0.0]]], [[[1.0, 0.0]]]]})
+    zeros = [0.0, 0.0]
+    for transport in (
+        {"mode": "real", "target_theta": [2.0, -2.0]},
+        {"mode": "hyperkahler", "target_triple": {"theta_I": [2.0, -2.0], "theta_J": zeros, "theta_K": zeros}},
+    ):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, report = run_cli(tmp_path, "transport", dict(big, transport=transport))
+        assert code == EXIT_NO_CONVERGENCE, transport
+        assert "not finite" in report["result"]["error"]
 
 
 def _reject_constant(name):
