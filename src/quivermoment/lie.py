@@ -25,6 +25,18 @@ TRACE_TOL = 1e-12
 DET_TOL = 1e-10
 
 
+def _square_blocks(blocks, copy):
+    """Read-only complex square blocks (copied when ``copy``) and their sizes."""
+    stored = []
+    for j, b in enumerate(blocks):
+        b = np.array(b, dtype=complex) if copy else np.asarray(b, dtype=complex)
+        if b.ndim != 2 or b.shape[0] != b.shape[1]:
+            raise ValueError(f"block {j} is not square")
+        b.flags.writeable = False
+        stored.append(b)
+    return tuple(stored), tuple(b.shape[0] for b in stored)
+
+
 class VertexMatrices:
     """Per-vertex complex square matrices; element of the full block algebra.
 
@@ -36,17 +48,7 @@ class VertexMatrices:
     __slots__ = ("blocks", "dims")
 
     def __init__(self, blocks, copy=True):
-        stored = []
-        dims = []
-        for j, b in enumerate(blocks):
-            b = np.array(b, dtype=complex) if copy else np.asarray(b, dtype=complex)
-            if b.ndim != 2 or b.shape[0] != b.shape[1]:
-                raise ValueError(f"block {j} is not square")
-            b.flags.writeable = False
-            stored.append(b)
-            dims.append(b.shape[0])
-        self.blocks = tuple(stored)
-        self.dims = tuple(dims)
+        self.blocks, self.dims = _square_blocks(blocks, copy)
 
     @classmethod
     def zero(cls, dims):
@@ -231,17 +233,7 @@ class GroupElement:
     __slots__ = ("blocks", "dims")
 
     def __init__(self, blocks, copy=True, check=True):
-        stored = []
-        dims = []
-        for j, b in enumerate(blocks):
-            b = np.array(b, dtype=complex) if copy else np.asarray(b, dtype=complex)
-            if b.ndim != 2 or b.shape[0] != b.shape[1]:
-                raise ValueError(f"block {j} is not square")
-            b.flags.writeable = False
-            stored.append(b)
-            dims.append(b.shape[0])
-        self.blocks = tuple(stored)
-        self.dims = tuple(dims)
+        self.blocks, self.dims = _square_blocks(blocks, copy)
         if check:
             det = self.det_product()
             if not np.isfinite(det) or abs(det - 1.0) > DET_TOL * (1.0 + abs(det)):
