@@ -186,7 +186,7 @@ def parse_pairs(values, dims, path, parse):
         raise SpecError(f"{path}: expected one [re, im] pair per vertex")
     try:
         return [(parse(p[0]), parse(p[1])) for p in values]
-    except (ValueError, TypeError, IndexError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, IndexError, ZeroDivisionError, OverflowError) as exc:
         raise SpecError(f"{path}: {exc}") from exc
 
 

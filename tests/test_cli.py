@@ -198,6 +198,7 @@ def test_malformed_input_exit_code(tmp_path):
         ("moment", dict(A2_SPEC, representation={"blocks": [[[[HUGE, 0.0]]], [[[1.0, 0.0]]]]})),
         ("solve", dict(A2_SPEC, theta=[HUGE, -HUGE])),
         ("transport", dict(A2_SPEC, transport={"mode": "quaternion", "q": [HUGE, 0, 0, 0]})),
+        ("transport", dict(A2_SPEC, transport=dict(COMPLEX_TRANSPORT, xi_start=[[HUGE, 0], [0, 0]]))),
         ("moment", dict(A2_SPEC, dims=[True, 1])),
         ("moment", dict(A2_SPEC, dims=[HUGE, 1], representation=None)),
         ("regular", {
