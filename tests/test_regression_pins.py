@@ -6,11 +6,14 @@ tolerance; a refactor that keeps the arithmetic must keep every entry.
 
 import hashlib
 import json
+import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from quivermoment import (
     GroupElement,
+    LieAlgebraElement,
     Quiver,
     Representation,
     act,
@@ -22,10 +25,21 @@ from quivermoment import (
     moment_complex,
     moment_real,
     norm_sq,
+    pairing,
+    pairing_norm,
+    polar_decompose,
     quaternion_act,
+    theta_to_center,
 )
 from quivermoment import sampling as S
 from quivermoment.cli import main
+from quivermoment.lie import (
+    VertexMatrices,
+    center_to_theta,
+    character_log_modulus,
+    tangent_matrix,
+    uv_basis,
+)
 from quivermoment.flow import FlowOptions, flow_integrate
 from quivermoment.kempf_ness import SolveOptions, solve_moment_equation
 from quivermoment.stability import king_stable_test
@@ -398,3 +412,160 @@ def test_structure_maps_match_per_edge_loops_bit_for_bit():
                     assert _same((c * u).blocks, [c * b for b in u.blocks]), c
                     assert _same((u * c).blocks, [c * b for b in u.blocks]), c
                 assert _same((-u).blocks, [-b for b in u.blocks])
+
+
+# reference loops for the compact algebra and the group: every operation
+# written block by block in vertex order, exactly as its definition reads
+
+def _ref_pairing(y, z):
+    return float(sum(np.vdot(zb, yb).real for yb, zb in zip(y.blocks, z.blocks)))
+
+
+def _ref_trace_sum(y):
+    return complex(sum(np.trace(b) for b in y.blocks))
+
+
+def _ref_project(blocks):
+    skewed = [0.5 * (b - b.conj().T) for b in blocks]
+    tau = sum(np.trace(b) for b in skewed) / sum(b.shape[0] for b in skewed)
+    return [b - tau * np.eye(b.shape[0]) for b in skewed]
+
+
+def _ref_realify(blocks):
+    parts = [p for b in blocks for p in (b.real.ravel(), b.imag.ravel())]
+    return np.concatenate(parts) if parts else np.zeros(0)
+
+
+def _ref_basis(dims):
+    """The orthonormal basis of the compact algebra, one block list per element:
+    off-diagonal generators vertex by vertex, then the zero-sum diagonal."""
+    elements = []
+    for j, d in enumerate(dims):
+        for a in range(d):
+            for b in range(a + 1, d):
+                for upper, lower in ((1.0, -1.0), (1j, 1j)):
+                    blocks = [np.zeros((k, k), dtype=complex) for k in dims]
+                    blocks[j][a, b] = upper / math.sqrt(2.0)
+                    blocks[j][b, a] = lower / math.sqrt(2.0)
+                    elements.append(blocks)
+    total = sum(dims)
+    if total > 1:
+        for col in np.linalg.svd(np.ones((1, total)))[2][1:]:
+            bounds = np.cumsum((0,) + dims)
+            elements.append([1j * np.diag(col[p:q]) for p, q in zip(bounds[:-1], bounds[1:])])
+    return elements
+
+
+def _ref_basis_matrix(dims):
+    elements = _ref_basis(dims)
+    if not elements:
+        return np.zeros((0, sum(2 * d * d for d in dims)))
+    return np.array([_ref_realify(e) for e in elements])
+
+
+def _ref_from_coords(dims, c):
+    flat = c @ _ref_basis_matrix(dims)
+    blocks, pos = [], 0
+    for d in dims:
+        n = d * d
+        blocks.append(flat[pos:pos + n].reshape(d, d) + 1j * flat[pos + n:pos + 2 * n].reshape(d, d))
+        pos += 2 * n
+    return blocks
+
+
+def _ref_tangent_matrix(x):
+    return np.array([
+        _ref_realify(_ref_infinitesimal_action(SimpleNamespace(blocks=e), x))
+        for e in _ref_basis(x.dims)
+    ])
+
+
+def _ref_det_product(g):
+    det = 1.0 + 0.0j
+    for b in g.blocks:
+        det *= np.linalg.det(b)
+    return complex(det)
+
+
+def _ref_character_log_modulus(theta, g):
+    total = 0.0
+    for t, b in zip(theta.values, g.blocks):
+        if b.size:
+            total -= 2.0 * t * np.linalg.slogdet(b)[1]
+    return float(total)
+
+
+def _ref_polar(g):
+    y_blocks, h_blocks = [], []
+    for b in g.blocks:
+        if b.size == 0:
+            y_blocks.append(np.zeros_like(b))
+            h_blocks.append(np.zeros_like(b))
+            continue
+        w, u = np.linalg.eigh(b.conj().T @ b)
+        y_blocks.append(-1j * ((u * (0.5 * np.log(w))) @ u.conj().T))
+        h_blocks.append(b @ ((u * (1.0 / np.sqrt(w))) @ u.conj().T))
+    return h_blocks, _ref_project(y_blocks)
+
+
+def _ref_center_to_theta(mu):
+    values = np.asarray([
+        float((np.trace(b) / (1j * b.shape[0])).real) if b.shape[0] else 0.0 for b in mu.blocks
+    ])
+    d = np.asarray(mu.dims, dtype=float)
+    return tuple(values - (values @ d) / (d @ d) * d)
+
+
+def test_algebra_and_group_ops_match_per_block_loops_bit_for_bit():
+    """Vector-space operations, pairing, trace sum, projection, basis
+    coordinates, the tangent matrix, the group operations, the polar
+    decomposition and the central elements, compared byte for byte (signed
+    zeros included) with their per-block definitions."""
+    rng = np.random.default_rng(35)
+    for (n, edges), dims in KERNEL_CASES:
+        quiver = extend(Quiver(n, edges))
+        basis = uv_basis(dims)
+        ref_matrix = _ref_basis_matrix(dims)
+        for _ in range(3):
+            x = S.random_representation(rng, quiver, dims)
+            y = S.random_uv_element(rng, dims)
+            z = S.random_uv_element(rng, dims)
+            m = moment_complex(x)
+            c = rng.normal(size=basis.dim)
+            assert _same(basis.from_coords(c).blocks, _ref_from_coords(dims, c))
+            assert basis.coords(y).tobytes() == (ref_matrix @ _ref_realify(y.blocks)).tobytes()
+            assert basis.coords(m).tobytes() == (ref_matrix @ _ref_realify(m.blocks)).tobytes()
+            if basis.dim:
+                assert tangent_matrix(x).tobytes() == _ref_tangent_matrix(x).tobytes(), dims
+            for u in (y, 0.0 * y, -(0.0 * y), y - y):
+                assert type(u) is LieAlgebraElement
+                assert _same((u + z).blocks, [a + b for a, b in zip(u.blocks, z.blocks)])
+                assert _same((u - z).blocks, [a + (-1.0 * b) for a, b in zip(u.blocks, z.blocks)])
+                assert _same((u + m).blocks, [a + b for a, b in zip(u.blocks, m.blocks)])
+                assert _same((m - u).blocks, [a - b for a, b in zip(m.blocks, u.blocks)])
+                for s in (2.5, -1.0, 0.0, -0.0, 1j, 0.3 - 0.7j):
+                    assert _same((s * u).blocks, [s * b for b in u.blocks]), s
+                    assert _same((u * s).blocks, [s * b for b in u.blocks]), s
+                    assert _same((s * m).blocks, [s * b for b in m.blocks]), s
+                assert _same((-u).blocks, [-b for b in u.blocks])
+                for a, b in ((u, z), (z, u), (u, m), (m, u), (u, u)):
+                    assert repr(pairing(a, b)) == repr(_ref_pairing(a, b))
+                assert repr(pairing_norm(u)) == repr(math.sqrt(max(_ref_pairing(u, u), 0.0)))
+                assert repr(u.trace_sum()) == repr(_ref_trace_sum(u))
+                assert _same(LieAlgebraElement.project((u + m).blocks).blocks, _ref_project((u + m).blocks))
+            assert repr(m.trace_sum()) == repr(_ref_trace_sum(m))
+            assert type(m + y) is VertexMatrices and type(1j * y) is VertexMatrices
+
+            theta = S.random_theta(rng, dims)
+            center = theta_to_center(theta)
+            assert _same(center.blocks, [1j * t * np.eye(d) for t, d in zip(theta.values, dims)])
+            assert center_to_theta(moment_real(x)).values == _ref_center_to_theta(moment_real(x))
+            g = GroupElement.exp_i(y, 0.7).compose(S.random_unitary(rng, dims))
+            h = S.random_unitary(rng, dims)
+            assert _same(g.compose(h).blocks, [a @ b for a, b in zip(g.blocks, h.blocks)])
+            assert _same(g.inverse().blocks, [np.linalg.inv(b) for b in g.blocks])
+            assert repr(g.det_product()) == repr(_ref_det_product(g))
+            assert repr(character_log_modulus(theta, g)) == repr(_ref_character_log_modulus(theta, g))
+            unitary, log = polar_decompose(g)
+            ref_unitary, ref_log = _ref_polar(g)
+            assert _same(unitary.blocks, ref_unitary) and _same(log.blocks, ref_log), dims
