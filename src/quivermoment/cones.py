@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +25,10 @@ MEMBERSHIP_TOL = 1e-9
 KKT_TOL = 1e-10
 DEFAULT_SUBSET_CAP = 2 ** 20
 ENUMERATION_CAP = 10 ** 7
+# Fraction expands a decimal exponent exactly ("1e10000000" takes seconds), so
+# rational strings are bounded in length and in the size of their exponent
+RATIONAL_MAX_CHARS = 1000
+RATIONAL_MAX_EXPONENT = 1000
 
 
 class SubsetCapError(RuntimeError):
@@ -233,7 +238,13 @@ def parse_rational(text) -> Fraction:
         return text
     if isinstance(text, int):
         return Fraction(text)
-    return Fraction(str(text))
+    text = str(text)
+    if len(text) > RATIONAL_MAX_CHARS:
+        raise ValueError(f"rational string longer than {RATIONAL_MAX_CHARS} characters")
+    exponent = re.search(r"e([-+]?[\d_]+)\s*$", text, re.IGNORECASE)
+    if exponent and abs(int(exponent.group(1))) > RATIONAL_MAX_EXPONENT:
+        raise ValueError(f"rational exponent beyond {RATIONAL_MAX_EXPONENT} in size")
+    return Fraction(text)
 
 
 @dataclass(frozen=True)

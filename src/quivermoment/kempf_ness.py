@@ -158,8 +158,7 @@ def solve_moment_equation(
                 "max_iterations", y, residual, iteration, None, structure, tuple(trace)
             )
 
-        residual_el = LieAlgebraElement(layout.vertices.unstack(defect), copy=False, check=False)
-        grad = 2.0 * basis.coords(residual_el)
+        grad = 2.0 * basis.coords(LieAlgebraElement.from_stacks(x.dims, defect))
         z_coords = _direction(x_cur, grad, opts)
         slope = float(grad @ z_coords)
         if slope >= -1e-16 * (np.linalg.norm(grad) * np.linalg.norm(z_coords) + 1e-300):
@@ -173,7 +172,6 @@ def solve_moment_equation(
             z_coords = (cap / z_len) * z_coords
             slope *= cap / z_len
         z = basis.from_coords(z_coords)
-        z_stacks = layout.vertices.stack(z.blocks)
         z_shift = pairing(target, z)
 
         # Armijo with a rounding floor: near the fiber the functional moves by
@@ -184,7 +182,7 @@ def solve_moment_equation(
         noise = 1e-13 * (1.0 + abs(value))
         step = 1.0
         for _ in range(MAX_BACKTRACKS):
-            trial = exp_action_stacks(layout, z_stacks, step, stacks)
+            trial = exp_action_stacks(layout, z.stacks, step, stacks)
             if trial is not None:
                 with np.errstate(over="ignore", invalid="ignore"):
                     trial_norm = layout.ordered_sum(sq_norm_stacks(trial))
@@ -205,7 +203,7 @@ def solve_moment_equation(
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 g_new = GroupElement.exp_i(z, step).compose(GroupElement.exp_i(y))
-                if not all(np.all(np.isfinite(b)) for b in g_new.blocks):
+                if not all(np.all(np.isfinite(s)) for s in g_new.stacks):
                     raise OverflowError
                 _, y = polar_decompose(g_new)
                 x_cur = act(GroupElement.exp_i(y), x0, "I")
@@ -229,11 +227,11 @@ def _direction(x_cur, grad, opts):
     m = tangent_matrix(x_cur)
     # second derivative of the functional along exp(itZ) is 4 ||B_Z x||^2
     hessian = 4.0 * (m @ m.T)
-    scale = np.linalg.norm(hessian, 2) if hessian.size else 0.0
-    if scale == 0.0:
-        return -0.5 * grad
-    if np.linalg.cond(hessian) > NEWTON_COND_LIMIT:
-        return -0.5 * grad
+    # one SVD gives the 2-norm s[0] and the condition number s[0] / s[-1]
+    s = np.linalg.svd(hessian, compute_uv=False) if hessian.size else np.zeros(1)
+    with np.errstate(all="ignore"):
+        if s[0] == 0.0 or s[0] / s[-1] > NEWTON_COND_LIMIT:
+            return -0.5 * grad
     z, *_ = np.linalg.lstsq(hessian, -grad, rcond=None)
     if np.linalg.norm(z) > 100.0 * (1.0 + np.linalg.norm(grad)):
         return -0.5 * grad

@@ -4,20 +4,22 @@ An ``EdgeLayout`` is built once per (extended quiver, dimension vector) and
 cached.  It stacks the edge blocks of a representation by shape
 (dims[head], dims[tail]) into one 3-d array per shape, and it stacks per-vertex
 matrices (group elements, Lie algebra elements, moment values) by dimension
-into one 3-d array per dimension class (``VertexLayout``).  The kernels below
-compute the real moment map of structure I, the complex moment map, the
-infinitesimal action, the group action, exp(itY) and squared norms on those
-stacks with one batched numpy call per shape or class instead of one Python
-step per edge.
+into one 3-d array per dimension class (``VertexLayout``); these stacks are
+the only storage of points and of algebra and group elements.  The kernels
+below compute the moment maps, the infinitesimal action (also over a leading
+basis axis), the group action, exp(itY), pairings and real coordinates on
+those stacks with one batched numpy call per shape or class instead of one
+Python step per edge or vertex.
 
 Contract: every kernel is bit-for-bit equal to the per-edge definition it
-replaces.  Batched ``matmul``, ``inv`` and ``eigh`` run the same per-matrix
-routine on each stacked matrix, and elementwise operations act entry by
-entry.  Sums over edges or vertices are where order matters, so they are
-kept in the definition's order: a vertex sum scatters the edge-ordered
-contributions with ``np.add.at`` (head term before tail term for each edge,
-starting from zero), and a norm is a batched row-times-column product per
-block (equal to ``np.vdot``) summed left to right in edge or vertex order.
+replaces.  Batched ``matmul``, ``inv``, ``det``, ``slogdet`` and ``eigh`` run
+the same per-matrix routine on each stacked matrix, and elementwise
+operations act entry by entry.  Sums over edges or vertices are where order
+matters, so they are kept in the definition's order: a vertex sum scatters
+the edge-ordered contributions with ``np.add.at`` (head term before tail term
+for each edge, starting from zero), and a pairing or norm is a batched
+row-times-column product per block (equal to ``np.vdot``) summed left to
+right in edge or vertex order.
 """
 
 from __future__ import annotations
@@ -36,9 +38,11 @@ class VertexLayout:
 
     ``class_dims[c]`` is the dimension of class c and ``members[c]`` its
     vertices in increasing order; vertex v sits at ``slots[v] = (c, i)``.
+    ``real_order`` takes real coordinates, flattened class by class, to
+    vertex order (see ``real_coordinates``).
     """
 
-    __slots__ = ("dims", "class_dims", "members", "slots", "_vertex_order")
+    __slots__ = ("dims", "class_dims", "members", "slots", "real_order", "_vertex_order")
 
     def __init__(self, dims):
         self.dims = tuple(int(d) for d in dims)
@@ -52,7 +56,8 @@ class VertexLayout:
                 slots[v] = (c, i)
         self.slots = tuple(slots)
         # position of each vertex in the concatenation of the classes
-        self._vertex_order = np.argsort(_indices(v for m in self.members for v in m))
+        self._vertex_order = _item_order(self.members, [1] * len(self.members))
+        self.real_order = _item_order(self.members, [2 * d * d for d in self.class_dims])
 
     def stack(self, blocks):
         """Per-class stacks (n_c, d, d) of per-vertex blocks."""
@@ -61,6 +66,10 @@ class VertexLayout:
     def unstack(self, stacks):
         """Per-vertex views into per-class stacks, in vertex order."""
         return [stacks[c][i] for c, i in self.slots]
+
+    def zeros(self, lead=()):
+        """Per-class zero stacks (*lead, n_c, d, d)."""
+        return [np.zeros(lead + (len(m), d, d), dtype=complex) for d, m in zip(self.class_dims, self.members)]
 
     def ordered_sum(self, per_class):
         """Left-to-right sum in vertex order of per-class scalar arrays."""
@@ -101,10 +110,11 @@ class EdgeLayout:
     says how the per-edge terms of the real moment map reach the vertices of
     class c: which groups contribute head and tail terms, and the order and
     targets that replay the edge loop.  ``complex_moment_plans`` does the same
-    for the complex moment map, which has head terms only.
+    for the complex moment map, which has head terms only.  ``real_order``
+    takes real coordinates flattened group by group to edge order.
     """
 
-    __slots__ = ("vertices", "groups", "slots", "moment_plans", "complex_moment_plans", "_edge_order")
+    __slots__ = ("vertices", "groups", "slots", "moment_plans", "complex_moment_plans", "real_order", "_edge_order")
 
     def __init__(self, quiver, dims):
         self.vertices = vl = vertex_layout(dims)
@@ -119,7 +129,9 @@ class EdgeLayout:
         self.groups = tuple(
             ShapeGroup(quiver, shape, edges, vl, slots) for shape, edges in by_shape.items()
         )
-        self._edge_order = np.argsort(_indices(e for g in self.groups for e in g.edges))
+        edges = [g.edges for g in self.groups]
+        self._edge_order = _item_order(edges, [1] * len(edges))
+        self.real_order = _item_order(edges, [2 * g.shape[0] * g.shape[1] for g in self.groups])
         classes = range(len(vl.class_dims))
         self.moment_plans = tuple(self._scatter_plan(c, tails=True) for c in classes)
         self.complex_moment_plans = tuple(self._scatter_plan(c, tails=False) for c in classes)
@@ -163,6 +175,13 @@ def edge_layout(quiver, dims) -> EdgeLayout:
     return EdgeLayout(quiver, dims)
 
 
+def _item_order(members, sizes):
+    """Index that takes per-class arrays with ``sizes[c]`` entries per member,
+    concatenated class by class, to member order."""
+    keys = [np.repeat(_indices(m), size) for m, size in zip(members, sizes)]
+    return np.argsort(np.concatenate(keys), kind="stable") if keys else _indices(())
+
+
 def _ordered_sum(parts, order):
     total = 0.0
     if order.size:
@@ -171,8 +190,9 @@ def _ordered_sum(parts, order):
     return total
 
 
-def _dagger(s):
-    return s.conj().transpose(0, 2, 1)
+def dagger(s):
+    """Conjugate transpose of every matrix in a stack."""
+    return s.conj().swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +220,7 @@ def moment_stacks(layout: EdgeLayout, stacks):
     phi^dagger phi), terms added in edge order as the edge loop adds them."""
     heads, tails = [], []
     for b in stacks:
-        bh = _dagger(b)
+        bh = dagger(b)
         heads.append(b @ bh)
         tails.append(-(bh @ b))
     return [-1j * acc for acc in _vertex_sums(layout, layout.moment_plans, heads, tails)]
@@ -225,16 +245,17 @@ def structure_stacks(structure, layout: EdgeLayout, stacks):
         return [1j * b for b in stacks]
     out = []
     for g in layout.groups:
-        r = _dagger(stacks[g.reverse_group][g.reverse_pos])
+        r = dagger(stacks[g.reverse_group][g.reverse_pos])
         base = (g.epsilon > 0)[:, None, None]
         out.append(np.where(base, -r, r) if structure == "J" else np.where(base, -1j * r, 1j * r))
     return out
 
 
 def infinitesimal_action_stacks(layout: EdgeLayout, y_stacks, stacks):
-    """Blocks Y_head phi - phi Y_tail per shape group."""
+    """Blocks Y_head phi - phi Y_tail per shape group; a leading batch axis of
+    the vertex stacks carries over to the result."""
     return [
-        y_stacks[g.head_class][g.head_pos] @ b - b @ y_stacks[g.tail_class][g.tail_pos]
+        y_stacks[g.head_class][..., g.head_pos, :, :] @ b - b @ y_stacks[g.tail_class][..., g.tail_pos, :, :]
         for g, b in zip(layout.groups, stacks)
     ]
 
@@ -261,14 +282,23 @@ def exp_i_stacks(y_stacks, t):
                 out.append(np.zeros_like(s))
                 continue
             w, u = np.linalg.eigh(1j * s)
-            out.append((u * np.exp(t * w)[:, None, :]) @ _dagger(u))
+            out.append((u * np.exp(t * w)[:, None, :]) @ dagger(u))
     return out
+
+
+def vdot_real_stacks(a_stacks, b_stacks):
+    """Per pair of stacked blocks, np.vdot(a, b).real."""
+    pairs = zip(a_stacks, b_stacks)
+    return [(a.reshape(len(a), 1, -1).conj() @ b.reshape(len(b), -1, 1)).reshape(-1).real for a, b in pairs]
 
 
 def sq_norm_stacks(stacks):
     """Per stacked block, Re <b, b> as np.vdot(b, b).real computes it."""
-    out = []
-    for s in stacks:
-        flat = s.reshape(s.shape[0], 1, s.shape[1] * s.shape[2])
-        out.append((flat.conj() @ flat.transpose(0, 2, 1)).reshape(-1).real)
-    return out
+    return vdot_real_stacks(stacks, stacks)
+
+
+def real_coordinates(layout, stacks):
+    """Real then imaginary part of each block, block after block in vertex
+    (or edge) order, along the last axis; a nonempty leading axis is kept."""
+    parts = [np.stack((s.real, s.imag), -3).reshape(s.shape[:-3] + (-1,)) for s in stacks]
+    return np.ascontiguousarray(np.concatenate(parts, axis=-1)[..., layout.real_order]) if parts else np.zeros(0)

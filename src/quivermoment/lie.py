@@ -17,7 +17,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .layout import act_stacks, exp_i_stacks, infinitesimal_action_stacks, vertex_layout
+from .layout import (
+    act_stacks,
+    dagger,
+    exp_i_stacks,
+    infinitesimal_action_stacks,
+    real_coordinates,
+    vdot_real_stacks,
+    vertex_layout,
+)
 from .quiver import Representation, rotate_to_I
 
 SKEW_TOL = 1e-12
@@ -25,19 +33,55 @@ TRACE_TOL = 1e-12
 DET_TOL = 1e-10
 
 
-def _square_blocks(blocks, copy):
-    """Read-only complex square blocks (copied when ``copy``) and their sizes."""
-    stored = []
+def _square_blocks(blocks):
+    """Complex square blocks and their sizes."""
+    checked = []
     for j, b in enumerate(blocks):
-        b = np.array(b, dtype=complex) if copy else np.asarray(b, dtype=complex)
+        b = np.asarray(b, dtype=complex)
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError(f"block {j} is not square")
-        b.flags.writeable = False
-        stored.append(b)
-    return tuple(stored), tuple(b.shape[0] for b in stored)
+        checked.append(b)
+    return checked, tuple(b.shape[0] for b in checked)
 
 
-class VertexMatrices:
+class _VertexStacks:
+    """One square matrix per vertex, held once as ``stacks``: the blocks
+    stacked by dimension class (see ``layout.VertexLayout``), read-only.
+    ``blocks`` are read-only views into the stacks, made on first use."""
+
+    __slots__ = ("dims", "stacks", "_blocks")
+
+    def __init__(self, blocks):
+        blocks, dims = _square_blocks(blocks)
+        self._hold(dims, vertex_layout(dims).stack(blocks))
+
+    def _hold(self, dims, stacks):
+        for s in stacks:
+            s.flags.writeable = False
+        self.dims = dims
+        self.stacks = tuple(stacks)
+        self._blocks = None
+
+    @classmethod
+    def from_stacks(cls, dims, stacks):
+        """An element from per-class stacks, trusted as they come from the
+        kernels: no copy and no check."""
+        out = object.__new__(cls)
+        out._hold(tuple(dims), stacks)
+        return out
+
+    @property
+    def layout(self):
+        return vertex_layout(self.dims)
+
+    @property
+    def blocks(self):
+        if self._blocks is None:
+            self._blocks = tuple(self.layout.unstack(self.stacks))
+        return self._blocks
+
+
+class VertexMatrices(_VertexStacks):
     """Per-vertex complex square matrices; element of the full block algebra.
 
     Carries the real-vector-space operations shared by Lie algebra elements
@@ -45,43 +89,38 @@ class VertexMatrices:
     skew-hermitian.
     """
 
-    __slots__ = ("blocks", "dims")
-
-    def __init__(self, blocks, copy=True):
-        self.blocks, self.dims = _square_blocks(blocks, copy)
+    __slots__ = ()
 
     @classmethod
     def zero(cls, dims):
-        return cls([np.zeros((d, d), dtype=complex) for d in dims], copy=False)
-
-    def block(self, j):
-        return self.blocks[j]
+        layout = vertex_layout(tuple(int(d) for d in dims))
+        return cls.from_stacks(layout.dims, layout.zeros())
 
     def trace_sum(self) -> complex:
-        return complex(sum(np.trace(b) for b in self.blocks))
+        return complex(self.layout.ordered_sum([np.trace(s, axis1=1, axis2=2) for s in self.stacks]))
 
     def _check_dims(self, other):
         if self.dims != other.dims:
             raise ValueError("elements have mismatched dimension vectors")
 
-    def _new(self, blocks):
-        return type(self)(blocks, copy=False)
+    def _new(self, stacks):
+        return type(self).from_stacks(self.dims, stacks)
 
     def __add__(self, other):
         self._check_dims(other)
-        return self._new([a + b for a, b in zip(self.blocks, other.blocks)])
+        return self._new([a + b for a, b in zip(self.stacks, other.stacks)])
 
     def __sub__(self, other):
         self._check_dims(other)
-        return self._new([a - b for a, b in zip(self.blocks, other.blocks)])
+        return self._new([a - b for a, b in zip(self.stacks, other.stacks)])
 
     def __mul__(self, scalar):
-        return self._new([scalar * b for b in self.blocks])
+        return self._new([scalar * s for s in self.stacks])
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return self._new([-b for b in self.blocks])
+        return self._new([-s for s in self.stacks])
 
     def __repr__(self):
         return f"{type(self).__name__}(dims={self.dims}, norm={pairing_norm(self):.6g})"
@@ -92,42 +131,28 @@ class LieAlgebraElement(VertexMatrices):
 
     __slots__ = ()
 
-    def __init__(self, blocks, copy=True, check=True):
-        super().__init__(blocks, copy=copy)
-        if check:
-            scale = 1.0 + max((np.abs(b).max() if b.size else 0.0) for b in self.blocks) \
-                if self.blocks else 1.0
-            for j, b in enumerate(self.blocks):
-                if b.size and np.abs(b + b.conj().T).max() > SKEW_TOL * scale:
-                    raise ValueError(f"block {j} is not skew-hermitian")
-            if abs(self.trace_sum()) > TRACE_TOL * scale * max(1, sum(self.dims)):
-                raise ValueError("trace sum does not vanish")
+    def __init__(self, blocks):
+        super().__init__(blocks)
+        scale = 1.0 + max((np.abs(s).max() for s in self.stacks if s.size), default=0.0)
+        for j, b in enumerate(self.blocks):
+            if b.size and np.abs(b + b.conj().T).max() > SKEW_TOL * scale:
+                raise ValueError(f"block {j} is not skew-hermitian")
+        if abs(self.trace_sum()) > TRACE_TOL * scale * max(1, sum(self.dims)):
+            raise ValueError("trace sum does not vanish")
 
     def __mul__(self, scalar):
-        if complex(scalar).imag != 0.0:
-            return VertexMatrices([scalar * b for b in self.blocks], copy=False)
-        return LieAlgebraElement(
-            [scalar * b for b in self.blocks], copy=False, check=False
-        )
+        cls = VertexMatrices if complex(scalar).imag != 0.0 else LieAlgebraElement
+        return cls.from_stacks(self.dims, [scalar * s for s in self.stacks])
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return LieAlgebraElement([-b for b in self.blocks], copy=False, check=False)
-
     def __add__(self, other):
         self._check_dims(other)
-        blocks = [a + b for a, b in zip(self.blocks, other.blocks)]
-        if isinstance(other, LieAlgebraElement):
-            return LieAlgebraElement(blocks, copy=False, check=False)
-        return VertexMatrices(blocks, copy=False)
+        cls = LieAlgebraElement if isinstance(other, LieAlgebraElement) else VertexMatrices
+        return cls.from_stacks(self.dims, [a + b for a, b in zip(self.stacks, other.stacks)])
 
     def __sub__(self, other):
         return self.__add__(-1.0 * other) if isinstance(other, VertexMatrices) else NotImplemented
-
-    @classmethod
-    def zero(cls, dims):
-        return cls([np.zeros((d, d), dtype=complex) for d in dims], copy=False, check=False)
 
     @classmethod
     def project(cls, blocks) -> "LieAlgebraElement":
@@ -137,12 +162,16 @@ class LieAlgebraElement(VertexMatrices):
         used to clean float dust off quantities that are in the algebra up to
         rounding (polar factors, solver updates).
         """
-        skewed = [np.asarray(b, dtype=complex) for b in blocks]
-        skewed = [0.5 * (b - b.conj().T) for b in skewed]
-        total = sum(b.shape[0] for b in skewed)
-        tau = sum(np.trace(b) for b in skewed) / total
-        fixed = [b - tau * np.eye(b.shape[0]) for b in skewed]
-        return cls(fixed, copy=False, check=False)
+        m = VertexMatrices(blocks)
+        return cls.from_stacks(m.dims, _projected(m.layout, m.stacks))
+
+
+def _projected(layout, stacks):
+    """Stacks of the orthogonal projection onto the compact algebra (see
+    ``LieAlgebraElement.project``)."""
+    skewed = [0.5 * (s - dagger(s)) for s in stacks]
+    tau = np.complex128(layout.ordered_sum([np.trace(s, axis1=1, axis2=2) for s in skewed])) / sum(layout.dims)
+    return [s - tau * np.eye(d) for s, d in zip(skewed, layout.class_dims)]
 
 
 def pairing(y: VertexMatrices, z: VertexMatrices) -> float:
@@ -151,7 +180,7 @@ def pairing(y: VertexMatrices, z: VertexMatrices) -> float:
     Symmetric, Ad-invariant under the unitary blocks, and positive definite.
     """
     y._check_dims(z)
-    return float(sum(np.vdot(zb, yb).real for yb, zb in zip(y.blocks, z.blocks)))
+    return float(y.layout.ordered_sum(vdot_real_stacks(z.stacks, y.stacks)))
 
 
 def pairing_norm(y: VertexMatrices) -> float:
@@ -210,8 +239,10 @@ def theta_to_center(theta: StabilityParameter) -> LieAlgebraElement:
     differential, equivalently for which the norm-derivative oracle of the
     moment map holds with the pairing above.
     """
-    blocks = [1j * t * np.eye(d) for t, d in zip(theta.values, theta.dims)]
-    return LieAlgebraElement(blocks, copy=False, check=False)
+    layout = vertex_layout(theta.dims)
+    values = 1j * np.asarray(theta.values)
+    stacks = [values[m][:, None, None] * np.eye(d) for d, m in zip(layout.class_dims, layout.members)]
+    return LieAlgebraElement.from_stacks(theta.dims, stacks)
 
 
 def center_to_theta(mu: VertexMatrices) -> StabilityParameter:
@@ -227,60 +258,48 @@ def center_to_theta(mu: VertexMatrices) -> StabilityParameter:
     return StabilityParameter(tuple(values), mu.dims)
 
 
-class GroupElement:
+class GroupElement(_VertexStacks):
     """Per-vertex invertible blocks with determinant product one."""
 
-    __slots__ = ("blocks", "dims")
+    __slots__ = ()
 
-    def __init__(self, blocks, copy=True, check=True):
-        self.blocks, self.dims = _square_blocks(blocks, copy)
-        if check:
-            det = self.det_product()
-            if not np.isfinite(det) or abs(det - 1.0) > DET_TOL * (1.0 + abs(det)):
-                raise ValueError(
-                    f"determinant product {det:.6g} is not 1; not a group element"
-                )
+    def __init__(self, blocks):
+        super().__init__(blocks)
+        det = self.det_product()
+        if not np.isfinite(det) or abs(det - 1.0) > DET_TOL * (1.0 + abs(det)):
+            raise ValueError(f"determinant product {det:.6g} is not 1; not a group element")
 
     @classmethod
     def identity(cls, dims):
-        return cls([np.eye(d, dtype=complex) for d in dims], copy=False, check=False)
+        zero = VertexMatrices.zero(dims)
+        return cls.from_stacks(zero.dims, [s + np.eye(s.shape[1]) for s in zero.stacks])
 
     @classmethod
     def exp_i(cls, y: LieAlgebraElement, t=1.0) -> "GroupElement":
         """exp(i t Y): hermitian-positive blocks from unitary diagonalization."""
-        vertices = vertex_layout(y.dims)
-        blocks = vertices.unstack(exp_i_stacks(vertices.stack(y.blocks), t))
-        return cls(blocks, copy=False, check=False)
+        return cls.from_stacks(y.dims, exp_i_stacks(y.stacks, t))
 
     def det_product(self) -> complex:
+        dets = [np.linalg.det(s) for s in self.stacks]
         det = 1.0 + 0.0j
-        for b in self.blocks:
-            det *= np.linalg.det(b)
+        for c, i in self.layout.slots:
+            det *= dets[c][i]
         return complex(det)
-
-    def block(self, j):
-        return self.blocks[j]
 
     def compose(self, other: "GroupElement") -> "GroupElement":
         if self.dims != other.dims:
             raise ValueError("mismatched dimension vectors")
-        return GroupElement(
-            [a @ b for a, b in zip(self.blocks, other.blocks)], copy=False, check=False
-        )
+        return GroupElement.from_stacks(self.dims, [a @ b for a, b in zip(self.stacks, other.stacks)])
 
     def inverse(self) -> "GroupElement":
         try:
-            inv = [np.linalg.inv(b) for b in self.blocks]
+            inv = [np.linalg.inv(s) for s in self.stacks]
         except np.linalg.LinAlgError as exc:
             raise ValueError("singular block in group element") from exc
-        return GroupElement(inv, copy=False, check=False)
+        return GroupElement.from_stacks(self.dims, inv)
 
     def is_unitary(self, tol=1e-10) -> bool:
-        return all(
-            np.abs(b @ b.conj().T - np.eye(b.shape[0])).max() <= tol
-            for b in self.blocks
-            if b.size
-        )
+        return all(np.abs(s @ dagger(s) - np.eye(s.shape[1])).max() <= tol for s in self.stacks if s.size)
 
     def __repr__(self):
         return f"GroupElement(dims={self.dims})"
@@ -300,14 +319,12 @@ def act(g: GroupElement, x: Representation, structure="I") -> Representation:
     if structure != "I":
         return rotate_to_I(structure, act(g, rotate_to_I(structure, x)), back=True)
     _check_same_dims(g, x)
-    layout = x.layout
-    return x.replace_stacks(act_stacks(layout, layout.vertices.stack(g.blocks), x.stacks))
+    return x.replace_stacks(act_stacks(x.layout, g.stacks, x.stacks))
 
 
 def exp_action(y: LieAlgebraElement, t, structure, x: Representation) -> Representation:
     """Flow x along exp(t s Y) for the chosen complex structure s."""
-    g = GroupElement.exp_i(y, t)
-    return act(g, x, structure)
+    return act(GroupElement.exp_i(y, t), x, structure)
 
 
 def exp_action_stacks(layout, y_stacks, t, stacks):
@@ -329,23 +346,20 @@ def infinitesimal_action(y: VertexMatrices, x: Representation) -> Representation
     Accepts any block-algebra element, not only skew-hermitian ones.
     """
     _check_same_dims(y, x)
-    layout = x.layout
-    return x.replace_stacks(
-        infinitesimal_action_stacks(layout, layout.vertices.stack(y.blocks), x.stacks)
-    )
+    return x.replace_stacks(infinitesimal_action_stacks(x.layout, y.stacks, x.stacks))
 
 
 def character_log_modulus(theta: StabilityParameter, g: GroupElement) -> float:
     """log of the squared modulus of the character: -2 sum theta_j log|det g_j|."""
-    total = 0.0
-    for t, b in zip(theta.values, g.blocks):
-        if b.size == 0:
-            continue
-        sign, logabsdet = np.linalg.slogdet(b)
-        if sign == 0 or not np.isfinite(logabsdet):
+    values, terms = np.asarray(theta.values), []
+    for s, m in zip(g.stacks, g.layout.members):
+        sign, logabsdet = np.linalg.slogdet(s)
+        if np.any(sign == 0) or not np.all(np.isfinite(logabsdet)):
             raise ValueError("singular block in group element")
-        total -= 2.0 * t * logabsdet
-    return float(total)
+        terms.append(-(2.0 * values[m]) * logabsdet)
+    # adding -(2 t log|det|) is subtracting 2 t log|det|; a zero-dimension
+    # vertex adds 2 t * 0.0, which leaves the total as it is
+    return float(g.layout.ordered_sum(terms))
 
 
 class UvBasis:
@@ -353,78 +367,50 @@ class UvBasis:
 
     Off-diagonal generators (E_ab - E_ba)/sqrt2 and i(E_ab + E_ba)/sqrt2 per
     vertex, plus i*diag directions spanning the zero-sum diagonal subspace.
+    The basis is held as vertex-class stacks with a leading basis axis,
+    ``stacks[c]`` of shape (dim, n_c, d, d); coordinates are taken against
+    the real coordinates of the blocks (``layout.real_coordinates``).
     """
 
     def __init__(self, dims):
         self.dims = tuple(int(d) for d in dims)
-        elements = []
-        for j, d in enumerate(self.dims):
-            for a in range(d):
-                for b in range(a + 1, d):
-                    m = np.zeros((d, d), dtype=complex)
-                    m[a, b] = 1.0 / math.sqrt(2.0)
-                    m[b, a] = -1.0 / math.sqrt(2.0)
-                    elements.append(self._embed(j, m))
-                    m2 = np.zeros((d, d), dtype=complex)
-                    m2[a, b] = 1j / math.sqrt(2.0)
-                    m2[b, a] = 1j / math.sqrt(2.0)
-                    elements.append(self._embed(j, m2))
+        vertices = vertex_layout(self.dims)
         total = sum(self.dims)
+        self.dim = sum(d * (d - 1) for d in self.dims) + max(total - 1, 0)
+        stacks = vertices.zeros((self.dim,))
+        k = 0
+        for (c, i), d in zip(vertices.slots, self.dims):
+            a, b = np.triu_indices(d, 1)
+            first = k + 2 * np.arange(a.size)
+            stacks[c][first, i, a, b] = 1.0 / math.sqrt(2.0)
+            stacks[c][first, i, b, a] = -1.0 / math.sqrt(2.0)
+            stacks[c][first + 1, i, a, b] = 1j / math.sqrt(2.0)
+            stacks[c][first + 1, i, b, a] = 1j / math.sqrt(2.0)
+            k += 2 * a.size
         if total > 1:
-            for col in _zero_sum_basis(total):
-                blocks = []
-                pos = 0
-                for d in self.dims:
-                    blocks.append(1j * np.diag(col[pos:pos + d]))
-                    pos += d
-                elements.append(
-                    LieAlgebraElement(blocks, copy=False, check=False)
-                )
-        self.elements = elements
-        self.dim = len(elements)
-        flat_size = sum(2 * d * d for d in self.dims)
-        self._matrix = (
-            np.array([_realify(e) for e in elements])
-            if elements
-            else np.zeros((0, flat_size))
-        )
-
-    def _embed(self, j, m):
-        blocks = [
-            m if k == j else np.zeros((d, d), dtype=complex)
-            for k, d in enumerate(self.dims)
-        ]
-        return LieAlgebraElement(blocks, copy=False, check=False)
+            # orthonormal rows spanning the zero-sum hyperplane of R^total
+            diagonal = 1j * np.linalg.svd(np.ones((1, total)))[2][1:]
+            bounds = np.cumsum((0,) + self.dims)
+            for (c, i), d, pos in zip(vertices.slots, self.dims, bounds):
+                stacks[c][k:, i, range(d), range(d)] = diagonal[:, pos:pos + d]
+        for s in stacks:
+            s.flags.writeable = False
+        self.stacks = tuple(stacks)
+        self._vertices = vertices
+        self._by_class = np.argsort(vertices.real_order)
+        self._matrix = real_coordinates(vertices, stacks) if self.dim else np.zeros((0, vertices.real_order.size))
 
     def coords(self, y: VertexMatrices) -> np.ndarray:
-        return self._matrix @ _realify(y)
+        return self._matrix @ real_coordinates(self._vertices, y.stacks)
 
     def from_coords(self, c) -> LieAlgebraElement:
-        c = np.asarray(c, dtype=float)
-        flat = c @ self._matrix
-        blocks = []
-        pos = 0
-        for d in self.dims:
-            n = d * d
-            re = flat[pos:pos + n].reshape(d, d)
-            im = flat[pos + n:pos + 2 * n].reshape(d, d)
-            blocks.append(re + 1j * im)
-            pos += 2 * n
-        return LieAlgebraElement(blocks, copy=False, check=False)
-
-
-def _zero_sum_basis(n):
-    """Orthonormal rows spanning the zero-sum hyperplane of R^n (via SVD)."""
-    _, _, vt = np.linalg.svd(np.ones((1, n)))
-    return vt[1:]
-
-
-def _realify(y: VertexMatrices) -> np.ndarray:
-    parts = []
-    for b in y.blocks:
-        parts.append(b.real.ravel())
-        parts.append(b.imag.ravel())
-    return np.concatenate(parts) if parts else np.zeros(0)
+        flat = (np.asarray(c, dtype=float) @ self._matrix)[self._by_class]
+        stacks, pos = [], 0
+        for d, m in zip(self._vertices.class_dims, self._vertices.members):
+            part = flat[pos:pos + 2 * len(m) * d * d].reshape(len(m), 2, d, d)
+            stacks.append(part[:, 0] + 1j * part[:, 1])
+            pos += part.size
+        return LieAlgebraElement.from_stacks(self.dims, stacks)
 
 
 @lru_cache(maxsize=None)
@@ -435,7 +421,11 @@ def uv_basis(dims) -> UvBasis:
 def tangent_matrix(x: Representation) -> np.ndarray:
     """Real matrix of Y -> infinitesimal_action(Y, x): one row per basis
     element of the compact algebra, flattened as real then imaginary parts."""
-    return np.array([_realify(infinitesimal_action(e, x)) for e in uv_basis(x.dims).elements])
+    basis = uv_basis(x.dims)
+    layout = x.layout
+    if not (basis.dim and layout.groups):
+        return np.zeros((basis.dim, layout.real_order.size))
+    return real_coordinates(layout, infinitesimal_action_stacks(layout, basis.stacks, x.stacks))
 
 
 def stabilizer_lie_dim(x: Representation) -> int:
@@ -463,20 +453,18 @@ def polar_decompose(g: GroupElement):
     iY is half the hermitian logarithm of g^dagger g; the trace-sum constraint
     on Y holds automatically when g has determinant product one.
     """
-    y_blocks = []
-    h_blocks = []
-    for b in g.blocks:
-        if b.size == 0:
-            y_blocks.append(np.zeros_like(b))
-            h_blocks.append(np.zeros_like(b))
+    y_stacks, h_stacks = [], []
+    for s in g.stacks:
+        if s.shape[1] == 0:
+            y_stacks.append(np.zeros_like(s))
+            h_stacks.append(np.zeros_like(s))
             continue
-        gram = b.conj().T @ b
-        w, u = np.linalg.eigh(gram)
-        if w[0] <= 0 or not np.all(np.isfinite(w)):
+        w, u = np.linalg.eigh(dagger(s) @ s)
+        if np.any(w[:, 0] <= 0) or not np.all(np.isfinite(w)):
             raise ValueError("singular block in group element")
         # iY = log(gram)/2, exp(-iY) = gram^{-1/2}
-        y_blocks.append(-1j * ((u * (0.5 * np.log(w))) @ u.conj().T))
-        h_blocks.append(b @ ((u * (1.0 / np.sqrt(w))) @ u.conj().T))
-    y = LieAlgebraElement.project(y_blocks)
-    h = GroupElement(h_blocks, copy=False, check=False)
-    return h, y
+        u_dagger = dagger(u)
+        y_stacks.append(-1j * ((u * (0.5 * np.log(w))[:, None, :]) @ u_dagger))
+        h_stacks.append(s @ ((u * (1.0 / np.sqrt(w))[:, None, :]) @ u_dagger))
+    y = LieAlgebraElement.from_stacks(g.dims, _projected(g.layout, y_stacks))
+    return GroupElement.from_stacks(g.dims, h_stacks), y

@@ -37,9 +37,7 @@ def moment_real(x: Representation, structure="I") -> LieAlgebraElement:
     are evaluated at the rotated point.
     """
     x = rotate_to_I(structure, x)
-    layout = x.layout
-    blocks = layout.vertices.unstack(moment_stacks(layout, x.stacks))
-    return LieAlgebraElement(blocks, copy=False, check=False)
+    return LieAlgebraElement.from_stacks(x.dims, moment_stacks(x.layout, x.stacks))
 
 
 def moment_pairing_fd_oracle(x, y, structure="I", h=1e-4) -> float:
@@ -67,9 +65,7 @@ def moment_complex(x: Representation) -> VertexMatrices:
     """Complex moment map: at vertex j, sum over incoming edges of
     epsilon(e) phi_e phi_ebar.  Equivariant for the adjoint action; the trace
     sum vanishes identically."""
-    layout = x.layout
-    blocks = layout.vertices.unstack(complex_moment_stacks(layout, x.stacks))
-    return VertexMatrices(blocks, copy=False)
+    return VertexMatrices.from_stacks(x.dims, complex_moment_stacks(x.layout, x.stacks))
 
 
 @dataclass(frozen=True)
@@ -106,12 +102,6 @@ def moment_hyperkahler(x: Representation) -> MomentTriple:
     """All three real moment maps; homogeneous of degree two in x."""
     return MomentTriple(
         moment_real(x, "I"), moment_real(x, "J"), moment_real(x, "K")
-    )
-
-
-def central_triple(theta_I, theta_J, theta_K) -> MomentTriple:
-    return MomentTriple(
-        theta_to_center(theta_I), theta_to_center(theta_J), theta_to_center(theta_K)
     )
 
 
@@ -178,7 +168,7 @@ def defect_offset(theta: StabilityParameter, x: Representation):
     center = theta_to_center(theta)
     if center.dims != x.dims:
         raise ValueError("elements have mismatched dimension vectors")
-    return [-1.0 * s for s in x.layout.vertices.stack(center.blocks)]
+    return [-1.0 * s for s in center.stacks]
 
 
 def defect_stacks(layout, stacks, offset):

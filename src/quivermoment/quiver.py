@@ -174,9 +174,6 @@ class Representation:
         ]
         return cls(quiver, dims, blocks)
 
-    def block(self, e):
-        return self.blocks[e]
-
     def same_space(self, other: "Representation"):
         if self.dims != other.dims:
             return False

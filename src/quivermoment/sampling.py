@@ -95,7 +95,7 @@ def random_unitary(rng, dims) -> GroupElement:
     j = next((j for j, d in enumerate(dims) if d > 0), None)
     if j is not None:
         blocks[j] = blocks[j] * det ** (-1.0 / dims[j])
-    return GroupElement(blocks, copy=False, check=False)
+    return GroupElement(blocks)
 
 
 def random_stable_instance(rng, max_vertices=4, max_edges=6, min_block=0.1):

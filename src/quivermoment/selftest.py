@@ -68,6 +68,11 @@ def run_selftest(seed=0, budget=1.0):
     return results
 
 
+def _adjoint(u, w):
+    """u w u^dagger block by block, projected onto the compact algebra."""
+    return LieAlgebraElement.project([ub @ wb @ ub.conj().T for ub, wb in zip(u.blocks, w.blocks)])
+
+
 def _random_xs(rng, count, **kw):
     for _ in range(count):
         quiver, dims, x = sampling.random_instance(rng, **kw)
@@ -148,10 +153,7 @@ def check_pairing_properties(rng, budget):
         if pairing(y, y) <= 0 and uv_basis(dims).dim > 0:
             return False, "pairing not positive on a nonzero element"
         u = sampling.random_unitary(rng, dims)
-        ad = lambda w: LieAlgebraElement.project(
-            [ub @ wb @ ub.conj().T for ub, wb in zip(u.blocks, w.blocks)]
-        )
-        num = abs(pairing(ad(y), ad(z)) - pairing(y, z))
+        num = abs(pairing(_adjoint(u, y), _adjoint(u, z)) - pairing(y, z))
         worst = max(worst, num / (1.0 + abs(pairing(y, z))))
     return worst <= 1e-12, f"max Ad-invariance defect {worst:.2e}"
 
@@ -245,10 +247,7 @@ def check_moment_equivariance(rng, budget):
         u = sampling.random_unitary(rng, dims)
         mu = moment.moment_real(x, "I")
         lhs = moment.moment_real(act(u, x), "I")
-        rhs = LieAlgebraElement.project(
-            [ub @ mb @ ub.conj().T for ub, mb in zip(u.blocks, mu.blocks)]
-        )
-        worst = max(worst, pairing_norm(lhs - rhs) / (1.0 + pairing_norm(mu)))
+        worst = max(worst, pairing_norm(lhs - _adjoint(u, mu)) / (1.0 + pairing_norm(mu)))
     return worst <= 1e-10, f"max equivariance defect {worst:.2e}"
 
 
@@ -361,10 +360,7 @@ def check_solver_equivariance_inverse(rng, budget):
             return False, "solve failed"
         u = sampling.random_unitary(rng, dims)
         moved = kempf_ness.solve_moment_equation(act(u, x), theta)
-        expected = LieAlgebraElement.project(
-            [ub @ yb @ ub.conj().T for ub, yb in zip(u.blocks, outcome.y.blocks)]
-        )
-        worst = max(worst, pairing_norm(moved.y - expected))
+        worst = max(worst, pairing_norm(moved.y - _adjoint(u, outcome.y)))
         image = exp_action(outcome.y, 1.0, "I", x)
         theta_back = center_to_theta(moment.moment_real(x, "I"))
         if pairing_norm(

@@ -152,6 +152,8 @@ def test_transport_failure_exit_code(tmp_path):
 
 NAN = float("nan")
 HUGE = 10**400
+HUGE_EXPONENT = "1e10000000"  # an exact rational of ten million digits
+HUGE_PAIR = [HUGE_EXPONENT, "-" + HUGE_EXPONENT]  # balanced for dims [1, 1]
 COMPLEX_TRANSPORT = {"mode": "complex", "xi_start": [[0, 0], [0, 0]], "xi_target": [[0, 0], [0, 0]]}
 
 
@@ -206,6 +208,15 @@ def test_malformed_input_exit_code(tmp_path):
             "dims": [300, 300, 300],
             "theta_triple": {"theta_I": [1, -1, 0], "theta_J": [0, 0, 0], "theta_K": [0, 0, 0]},
         }),
+        ("regular", dict(A2_SPEC, theta_triple={
+            "theta_I": HUGE_PAIR, "theta_J": [0, 0], "theta_K": [0, 0],
+        })),
+        ("regular", dict(A2_SPEC, xi=[[HUGE_PAIR[0], "0"], [HUGE_PAIR[1], "0"]])),
+        ("transport", dict(A2_SPEC, transport={
+            "mode": "hyperkahler",
+            "target_triple": {"theta_I": [1.0, -1.0], "theta_J": [0, 0], "theta_K": [0, 0]},
+            "regular_gate": [{"theta_I": HUGE_PAIR, "theta_J": [0, 0], "theta_K": [0, 0]}],
+        })),
     ]
     for command, spec in bad:
         path.write_text(json.dumps(spec))

@@ -5,6 +5,7 @@ from quivermoment import (
     GradedSubspace,
     LieAlgebraElement,
     Representation,
+    VertexMatrices,
     certify_stable_numerical,
     generated_subrep,
     hm_limit_filtration,
@@ -113,7 +114,7 @@ def test_eigen_levels_match_linear_scan():
     gap = 1e-8
     # eigenvalues of iY: near-ties inside and just outside the clustering gap
     spectra = ([0.0, 5e-9, 1.0], [1.0 + 9e-9, 1.0 + 2e-8, -3.0], [1.0 + 1.5e-8])
-    y = LieAlgebraElement([-1j * np.diag(w) for w in spectra], check=False)
+    y = VertexMatrices([-1j * np.diag(w) for w in spectra])
     _, levels, level_of = _eigen_levels(y, gap)
     assert levels == [-3.0, 0.0, 1.0, 1.0 + 1.5e-8]
     for w, got in zip(spectra, level_of):
