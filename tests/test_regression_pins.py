@@ -173,6 +173,56 @@ def test_king_verdict_pins():
     ]
 
 
+def _king_pin_certificates():
+    """The 200 criterion-8 King calls (same draws and seeds as the acceptance
+    test), then 60 generic draws with dimensions up to 3."""
+    rng = np.random.default_rng(1008)
+    for k in range(200):
+        if k % 4 != 0:
+            _, dims, x = S.random_stable_instance(rng)
+            theta = S.random_chamber_theta(rng, dims)
+        else:
+            _, dims, x = S.random_instance(rng, max_dim=2)
+            theta = S.balanced_theta(rng.normal(size=len(dims)), dims)
+        yield king_stable_test(x, theta, seed=int(rng.integers(2 ** 31)))
+    rng = np.random.default_rng(31)
+    for k in range(60):
+        _, dims, x = S.random_instance(rng, max_vertices=4, max_dim=3)
+        yield king_stable_test(x, S.random_theta(rng, dims), seed=k)
+
+
+def test_king_certificate_pins():
+    """Verdict, candidate count, residuals, diagnostics and witness bytes of
+    whole King searches: a change to the candidate families or to the closure
+    arithmetic must keep every certificate."""
+    verdicts, tested = [], []
+    h = hashlib.sha256()
+    for cert in _king_pin_certificates():
+        verdicts.append(cert.verdict[0])
+        tested.append(cert.diagnostics.get("candidates_tested"))
+        h.update(repr(sorted(cert.residuals.items())).encode())
+        h.update(repr(sorted(cert.diagnostics.items())).encode())
+        if cert.witness_subspace is not None:
+            h.update(b"".join(b.tobytes() for b in cert.witness_subspace.bases))
+        if cert.witness_direction is not None:
+            h.update(b"".join(b.tobytes() for b in cert.witness_direction.blocks))
+    assert "".join(verdicts) == (
+        "ssssssssssssssssssssssssusssssssssssssssssssusssssss"
+        "ssssusssusssusssusssssssssssssssssssssssssssssssusss"
+        "ssssssssssssssssssssssssusssssssusssssssssssusssssss"
+        "ssssusssssssssssssssssssusssssssusssussssssssssussss"
+        "suusssuuussuusssuussuuuususuususuussssssuussssssssuu"
+    )
+    nonzero = {
+        24: 1, 44: 1, 56: 13, 60: 1, 64: 1, 68: 2, 100: 1, 128: 1, 136: 1, 148: 3, 160: 3,
+        180: 1, 188: 22, 192: 5, 203: 1, 209: 1, 210: 6, 214: 2, 215: 1, 216: 32, 219: 27,
+        220: 1, 224: 1, 225: 1, 228: 1, 229: 1, 230: 7, 231: 6, 233: 1, 235: 1, 236: 1,
+        238: 5, 240: 1, 241: 29, 248: 1, 249: 3, 258: 1, 259: 22,
+    }
+    assert tested == [nonzero.get(i, 0) for i in range(260)]
+    assert h.hexdigest()[:16] == "43fe9536db654025"
+
+
 def test_flow_classification_pins(a2_rep, theta11):
     rng = np.random.default_rng(23)
     classes = []
