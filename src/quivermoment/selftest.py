@@ -437,6 +437,20 @@ def _brute_force_projection(vectors, theta):
     return best
 
 
+def _brute_force_d_theta(vectors, theta):
+    """d_theta by exhaustion: the least projection distance over every subset
+    cone whose projection stays away from theta; inf when there is none."""
+    k = len(vectors)
+    brute = math.inf
+    gap = 1e-9 * (1.0 + float(np.linalg.norm(theta)))
+    for mask in range(2 ** k):
+        subset = vectors[[i for i in range(k) if mask >> i & 1]]
+        beta, dist = _brute_force_projection(subset, theta)
+        if np.linalg.norm(beta - theta) > gap:
+            brute = min(brute, dist)
+    return brute
+
+
 def check_d_theta_brute_force(rng, budget):
     worst = 0.0
     for _ in range(_scaled(12, budget)):
@@ -446,13 +460,7 @@ def check_d_theta_brute_force(rng, budget):
         ws = cones.WeightSet(vectors=vectors, multiplicities=np.ones(k, dtype=int), num_coords=n)
         theta = rng.normal(size=n)
         mine = cones.d_theta(ws, theta)
-        brute = math.inf
-        gap = 1e-9 * (1.0 + float(np.linalg.norm(theta)))
-        for mask in range(2 ** k):
-            subset = vectors[[i for i in range(k) if mask >> i & 1]]
-            beta, dist = _brute_force_projection(subset, theta)
-            if np.linalg.norm(beta - theta) > gap:
-                brute = min(brute, dist)
+        brute = _brute_force_d_theta(vectors, theta)
         if math.isinf(mine) != math.isinf(brute):
             return False, "d_theta finiteness disagrees with brute force"
         if not math.isinf(mine):

@@ -8,11 +8,11 @@ nonnegative pairing).  Stable verdicts are certified through the moment
 solver: the orbit meets the central fiber and the stabilizer is trivial.
 Exhaustive subrepresentation enumeration is a variety-level problem, so the
 search is a budgeted heuristic; soundness lives in the witness verification.
+One-parameter witnesses come only from the escape direction of the solver.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -26,11 +26,8 @@ from .lie import (
     pairing,
     stabilizer_lie_dim,
     theta_to_center,
-    uv_basis,
 )
 from .quiver import Representation
-
-logger = logging.getLogger(__name__)
 
 SLOPE_TIE_TOL = 1e-9
 WITNESS_TOL = 1e-10
@@ -40,15 +37,15 @@ class GradedSubspace:
     """Per-vertex subspaces given by basis columns.
 
     ``bases[j]`` is a dims[j] x k_j complex matrix whose columns are linearly
-    independent (k_j may be zero).
+    independent (k_j may be zero).  The constructor copies and checks them.
     """
 
     __slots__ = ("bases", "dims")
 
-    def __init__(self, bases, dims=None, copy=True):
+    def __init__(self, bases, dims=None):
         stored = []
         for j, b in enumerate(bases):
-            b = np.array(b, dtype=complex) if copy else np.asarray(b, dtype=complex)
+            b = np.array(b, dtype=complex)
             if b.ndim != 2:
                 raise ValueError(f"basis {j} must be a matrix of column vectors")
             stored.append(b)
@@ -63,12 +60,21 @@ class GradedSubspace:
                     raise ValueError(f"basis {j} is rank deficient")
 
     @classmethod
+    def from_orthonormal(cls, bases, dims):
+        """Bases made inside the package: complex, orthonormal columns of the
+        right lengths.  Stored as given, with no copy and no check."""
+        w = cls.__new__(cls)
+        w.bases = tuple(bases)
+        w.dims = tuple(dims)
+        return w
+
+    @classmethod
     def zero(cls, dims):
-        return cls([np.zeros((d, 0)) for d in dims], dims=dims, copy=False)
+        return cls.from_orthonormal([np.zeros((d, 0), dtype=complex) for d in dims], dims)
 
     @classmethod
     def full(cls, dims):
-        return cls([np.eye(d, dtype=complex) for d in dims], dims=dims, copy=False)
+        return cls.from_orthonormal([np.eye(d, dtype=complex) for d in dims], dims)
 
     def sub_dims(self):
         return tuple(b.shape[1] for b in self.bases)
@@ -128,16 +134,17 @@ def generated_subrep(x: Representation, seeds) -> GradedSubspace:
     """Smallest subrepresentation containing the seed vectors.
 
     Closure of the seed span under all edge maps, grown by projecting images
-    onto the orthogonal complement until the dimensions stop moving.
+    onto the orthogonal complement until the dimensions stop moving or every
+    vertex space is full.
     """
     dims = x.dims
     bases = [np.zeros((d, 0), dtype=complex) for d in dims]
 
     def absorb(j, vecs):
-        if vecs.shape[1] == 0:
-            return False
         cur = bases[j]
-        residual = vecs - cur @ (cur.conj().T @ vecs) if cur.shape[1] else vecs.copy()
+        if cur.shape[1] == dims[j]:
+            return False
+        residual = vecs - cur @ (cur.conj().T @ vecs) if cur.shape[1] else vecs
         u, s, _ = np.linalg.svd(residual, full_matrices=False)
         scale = max(1.0, float(np.linalg.norm(vecs)))
         keep = u[:, s > 1e-10 * scale]
@@ -157,15 +164,13 @@ def generated_subrep(x: Representation, seeds) -> GradedSubspace:
 
     quiver = x.quiver
     changed = True
-    while changed:
+    while changed and any(b.shape[1] < d for b, d in zip(bases, dims)):
         changed = False
         for e in range(quiver.num_edges):
             src = bases[quiver.tail(e)]
-            if src.shape[1] == 0:
-                continue
-            if absorb(quiver.head(e), x.blocks[e] @ src):
+            if src.shape[1] and absorb(quiver.head(e), x.blocks[e] @ src):
                 changed = True
-    return GradedSubspace(bases, dims=dims, copy=False)
+    return GradedSubspace.from_orthonormal(bases, dims)
 
 
 def hm_limit_filtration(x: Representation, y: LieAlgebraElement, tol=WITNESS_TOL):
@@ -205,8 +210,8 @@ def filtration_subspaces(x, y):
     """Sublevel graded subspaces of iY, one per distinct eigenvalue level."""
     eigvecs, levels, level_of = _eigen_levels(y)
     return [
-        GradedSubspace(
-            [u[:, lv <= k] for u, lv in zip(eigvecs, level_of)], dims=x.dims, copy=False
+        GradedSubspace.from_orthonormal(
+            [u[:, lv <= k] for u, lv in zip(eigvecs, level_of)], x.dims
         )
         for k in range(len(levels))
     ]
@@ -264,16 +269,19 @@ def king_stable_test(
 ) -> StabilityCertificate:
     """Slope test over a budgeted family of candidate subrepresentations.
 
-    Candidates: closures of coordinate and random seed vectors, closures of
-    eigenvectors of random two-step edge-word operators, and sublevel spaces
-    of random compact directions.  A verified proper nonzero candidate with
-    positive slope is an unstable witness.  With no witness found, stability
-    is certified through the moment solver; slope ties within tolerance make
-    the verdict inconclusive rather than guessing at the boundary.
+    Candidates, in order: closures of coordinate vectors, closures of
+    ``max(search_budget // 3, 1)`` random seed vectors, and closures of
+    eigenvectors of random two-step edge-word operators (as many rounds).
+    A verified proper nonzero candidate with positive slope is an unstable
+    witness.  With no witness found, ``certify_stable_numerical`` decides, and
+    a divergent solve's escape direction is its one-parameter witness.  Slope
+    ties within tolerance make the verdict inconclusive rather than guessing
+    at the boundary.  An overflowing word operator raises FloatingPointError.
     """
     rng = np.random.default_rng(seed)
     dims = x.dims
-    tie = SLOPE_TIE_TOL * (1.0 + max(abs(t) for t in theta.values) * max(sum(dims), 1))
+    largest = max((abs(t) for t in theta.values), default=0.0)
+    tie = SLOPE_TIE_TOL * (1.0 + largest * max(sum(dims), 1))
     boundary_found = False
     tested = 0
 
@@ -335,33 +343,20 @@ def _candidate_subreps(x, rng, budget):
             e = np.zeros(dims[j], dtype=complex)
             e[a] = 1.0
             yield generated_subrep(x, [(j, e)])
-    produced = 0
     third = max(budget // 3, 1)
-    while produced < third:
+    for _ in range(third if n else 0):
         j = int(rng.integers(n))
-        if dims[j] == 0:
-            produced += 1
-            continue
-        v = rng.normal(size=dims[j]) + 1j * rng.normal(size=dims[j])
-        yield generated_subrep(x, [(j, v)])
-        produced += 1
+        if dims[j]:
+            v = rng.normal(size=dims[j]) + 1j * rng.normal(size=dims[j])
+            yield generated_subrep(x, [(j, v)])
     for _ in range(third):
-        for w in _word_eigenvector_subreps(x, rng):
-            yield w
-    basis = uv_basis(dims)
-    if basis.dim:
-        for _ in range(third):
-            y = basis.from_coords(rng.normal(size=basis.dim))
-            for w in filtration_subspaces(x, y)[:-1]:
-                yield w
+        yield from _word_eigenvector_subreps(x, rng)
 
 
 def _word_eigenvector_subreps(x, rng):
     """Closures of eigenvectors of random vertex-returning two-step words."""
     quiver = x.quiver
-    n = len(x.dims)
-    for j in range(n):
-        d = x.dims[j]
+    for j, d in enumerate(x.dims):
         if d == 0:
             continue
         op = np.zeros((d, d), dtype=complex)
@@ -373,13 +368,15 @@ def _word_eigenvector_subreps(x, rng):
             for e2 in range(quiver.num_edges):
                 if quiver.tail(e2) == mid and quiver.head(e2) == j:
                     c = rng.normal() + 1j * rng.normal()
-                    op += c * (x.blocks[e2] @ x.blocks[e1])
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        op += c * (x.blocks[e2] @ x.blocks[e1])
                     nonzero = True
         if not nonzero:
             continue
-        vals, vecs = np.linalg.eig(op)
-        for k in range(min(len(vals), x.dims[j])):
-            yield generated_subrep(x, [(j, vecs[:, k])])
+        if not np.isfinite(op).all():
+            raise FloatingPointError("non-finite word operator in the King search")
+        for v in np.linalg.eig(op)[1].T:
+            yield generated_subrep(x, [(j, v)])
 
 
 def certify_stable_numerical(

@@ -12,7 +12,6 @@ directly with an exactly known effect on the moment triple.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -38,8 +37,6 @@ from .moment import (
     quaternion_conjugate_triple,
 )
 from .quiver import STRUCTURES, Representation, _check_structure, norm_sq, quaternion_act
-
-logger = logging.getLogger(__name__)
 
 FIBER_PRE_TOL = 1e-7
 

@@ -247,12 +247,15 @@ def _reject_constant(name):
 def test_non_finite_results_exit_3_with_strict_json(tmp_path):
     """A representation too large to square: the moment report writes its
     overflowed values as null with a flag, and the solve and stability
-    searches report the overflow, all as strict JSON with exit 3."""
+    searches report the overflow, all as strict JSON with exit 3.  Blocks of
+    1e155 overflow only in the King search's two-step word operator."""
     big = dict(A2_SPEC, representation={"blocks": [[[[1e200, 0.0]]], [[[1.0, 0.0]]]]})
+    words = dict(A2_SPEC, representation={"blocks": [[[[1e155, 0.0]]], [[[1e155, 0.0]]]]})
     out = tmp_path / "out.json"
-    for command in ("moment", "solve", "stability"):
+    cases = [("moment", big), ("solve", big), ("stability", big), ("stability", words)]
+    for command, spec in cases:
         path = tmp_path / "in.json"
-        path.write_text(json.dumps(big))
+        path.write_text(json.dumps(spec))
         with np.errstate(over="ignore", invalid="ignore"):
             code = main([command, "--input", str(path), "--output", str(out)])
         assert code == EXIT_NO_CONVERGENCE, command
@@ -269,6 +272,17 @@ def test_non_finite_results_exit_3_with_strict_json(tmp_path):
         code, reports = run_cli(tmp_path, "moment", [big, A2_SPEC])
     assert code == EXIT_NO_CONVERGENCE
     assert [r.get("non_finite") for r in reports] == [True, None]
+
+
+def test_empty_quiver_exits_0(tmp_path):
+    """A quiver with no vertices has nothing to solve and no proper
+    subrepresentation: every command succeeds and both certificates say stable."""
+    spec = {"quiver": {"vertices": 0, "edges": []}, "dims": [], "theta": []}
+    for command in ("moment", "solve", "flow", "stability"):
+        code, report = run_cli(tmp_path, command, spec)
+        assert code == EXIT_OK, command
+    assert report["result"]["king"]["verdict"] == "stable"
+    assert report["result"]["numerical"]["verdict"] == "stable"
 
 
 def test_batch_input(tmp_path):

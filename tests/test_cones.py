@@ -18,7 +18,11 @@ from quivermoment import (
 )
 from quivermoment.cones import SubsetCapError, WeightSet, theta_coordinates
 from quivermoment.sampling import random_rational_triple
-from quivermoment.selftest import _brute_force_projection, _float_regular_check
+from quivermoment.selftest import (
+    _brute_force_d_theta,
+    _brute_force_projection,
+    _float_regular_check,
+)
 
 ALPHA = np.array([1.0, -1.0])
 
@@ -98,13 +102,7 @@ def test_d_theta_brute_force_agreement():
         ws = WeightSet(vectors=vectors, multiplicities=np.ones(k, dtype=int), num_coords=n)
         theta = rng.normal(size=n)
         mine = d_theta(ws, theta)
-        gap = 1e-9 * (1 + np.linalg.norm(theta))
-        brute = math.inf
-        for mask in range(2 ** k):
-            subset = vectors[[i for i in range(k) if mask >> i & 1]]
-            beta, dist = _brute_force_projection(subset, theta)
-            if np.linalg.norm(beta - theta) > gap:
-                brute = min(brute, dist)
+        brute = _brute_force_d_theta(vectors, theta)
         assert math.isinf(mine) == math.isinf(brute)
         if not math.isinf(mine):
             assert mine == pytest.approx(brute, abs=1e-12)
