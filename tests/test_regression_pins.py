@@ -275,6 +275,63 @@ def test_cli_exit_code_pins(tmp_path):
     assert codes == [0, 0, 3, 0, 0, 0, 0, 0, 3, 2, 2]
 
 
+
+TRIANGLE = {"quiver": {"vertices": 3, "edges": [[0, 1], [1, 2], [2, 0]]}, "dims": [2, 1, 2]}
+REPLAY_Y = {"blocks": [[[[0.0, 0.3]]], [[[0.0, -0.3]]]]}
+
+
+def test_cli_report_pins(tmp_path):
+    """Exit codes and report bytes of every command on fixed seeds: all five
+    transport modes and a failing leg, a batch, option overrides, the flow
+    CSV and a small selftest.  A change to how specs are read must keep
+    every byte."""
+    zeros = [0.0, 0.0]
+    runs = [
+        ("moment", {"quiver": {"vertices": 2, "edges": [[0, 1], [1, 1]]}, "dims": [2, 2]}, "--seed", "5"),
+        ("moment", TRIANGLE, "--seed", "3"),
+        ("solve", dict(A2_SPEC, structure="J")),
+        ("solve", dict(TRIANGLE, theta=[1.0, 0.0, -1.0], solve={"max_iterations": 40}), "--seed", "2"),
+        ("solve", dict(A2_SPEC, solve={"step_control": "gradient-descent-armijo"}), "--tolerance", "1e-6"),
+        ("solve", [A2_SPEC, dict(A2_SPEC, theta=[-1.0, 1.0])]),
+        ("flow", dict(A2_SPEC, theta=[0.5, -0.5], flow={"initial_step": 0.1, "max_time": 50.0})),
+        ("flow", dict(TRIANGLE, theta=[1.0, 0.0, -1.0]), "--seed", "4", "--tolerance", "1e-6"),
+        ("stability", dict(TRIANGLE, theta=[1.0, 0.0, -1.0], solve={"max_iterations": 50},
+                           stability={"search_budget": 16}), "--seed", "6"),
+        ("stability", dict(A2_SPEC, theta=[-1.0, 1.0]), "--budget", "8"),
+        ("regular", dict(A2_SPEC, export_weights=True, xi=[["1", "0"], ["-1", "0"]], theta_triple={
+            "theta_I": ["1", "-1"], "theta_J": ["1/2", "-1/2"], "theta_K": ["0", "0"]})),
+        ("transport", dict(A2_SPEC, transport={
+            "target_theta": [6.0, -6.0], "waypoints": [[2.0, -2.0]], "max_subdivision_depth": 4})),
+        ("transport", dict(A2_SPEC, transport={"target_theta": [-1.0, 1.0]})),
+        ("transport", dict(A2_SPEC, transport={
+            "mode": "hyperkahler", "leg_order": ["K", "J", "I"], "tolerance": 1e-8,
+            "target_triple": {"theta_I": [2.0, -2.0], "theta_J": [1.0, -1.0], "theta_K": zeros}})),
+        ("transport", dict(A2_SPEC, representation={"blocks": [[[[1.0, 0.0]]], [[[0.5, 0.0]]]]}, transport={
+            "mode": "complex", "xi_start": [[-0.5, 0.0], [0.5, 0.0]], "xi_target": [[-1.0, 0.5], [1.0, -0.5]]})),
+        ("transport", dict(A2_SPEC, transport={"mode": "quaternion", "q": [0.6, 0.0, 0.8, 0.0], "t": 0.5})),
+        ("transport", dict(A2_SPEC, transport={"mode": "replay", "log": [["J", REPLAY_Y], ["I", REPLAY_Y]]})),
+        ("selftest", None, "--budget", "0.05"),
+    ]
+    codes = []
+    h = hashlib.sha256()
+    csv = tmp_path / "flow.csv"
+    for k, (command, spec, *extra) in enumerate(runs):
+        out = tmp_path / f"out{k}.json"
+        argv = [command, "--output", str(out), *extra]
+        if spec is not None:
+            path = tmp_path / f"in{k}.json"
+            path.write_text(json.dumps(spec))
+            argv += ["--input", str(path)]
+        if command == "flow":
+            argv += ["--csv", str(csv)]
+        codes.append(main(argv))
+        h.update(out.read_bytes())
+        if command == "flow":
+            h.update(csv.read_bytes())
+    assert codes == [0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0]
+    assert h.hexdigest()[:16] == "8a3558d90d1674b3"
+
+
 def test_flow_outcome_pins(a2_rep, theta11):
     """Classification, limit value, flow time and sample count of whole flows,
     compared as exact reprs: the integrator's arithmetic must not move."""
