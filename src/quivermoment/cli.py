@@ -2,8 +2,14 @@
 
 Every report embeds the tool version, the resolved options, and an echo of
 the parsed input, and is byte-identical across runs with equal seeds.  Exit
-codes: 0 success, 1 invariant or check failure, 2 malformed input,
-3 numerical non-convergence.
+codes:
+
+* 0 success;
+* 1 invariant or check failure;
+* 2 malformed input, a budget over its cap, or an output that cannot be
+  written;
+* 3 numerical non-convergence, or a report with non-finite values;
+* 4 internal error: any other exception, reported on one stderr line.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -22,6 +29,7 @@ from .cones import (
     complex_regular_check,
     hyperkahler_regular_check,
     parse_rational,
+    torus_weights,
 )
 from .flow import FlowOptions, flow_integrate
 from .kempf_ness import SolveOptions, solve_moment_equation
@@ -49,6 +57,9 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
+EXIT_INTERNAL_ERROR = 4
+MAX_SEARCH_BUDGET = 10_000  # stability: the King search's cost grows linearly in it
+MAX_SELFTEST_BUDGET = 100  # selftest: scales every check's instance count
 MAX_COUNT = int(np.iinfo(np.intp).max)
 
 
@@ -75,17 +86,6 @@ def matrix_from_json(data, path):
 def blocks_to_json(value):
     """Blocks of a representation or of per-vertex matrices, in order."""
     return {"blocks": [matrix_to_json(b) for b in value.blocks]}
-
-
-def algebra_element_from_json(data, dims, path):
-    blocks = data.get("blocks") if isinstance(data, dict) else data
-    if not isinstance(blocks, list) or len(blocks) != len(dims):
-        raise SpecError(f"{path}: expected one block per vertex")
-    mats = [matrix_from_json(b, f"{path}[{j}]") for j, b in enumerate(blocks)]
-    try:
-        return LieAlgebraElement(mats)
-    except ValueError as exc:
-        raise SpecError(f"{path}: {exc}") from exc
 
 
 def subspace_to_json(w):
@@ -115,6 +115,24 @@ def _require(spec, key, path="spec"):
     return spec[key]
 
 
+def _object(value, path):
+    if not isinstance(value, dict):
+        raise SpecError(f"{path}: expected an object")
+    return value
+
+
+def _list(value, path, what):
+    if not isinstance(value, list):
+        raise SpecError(f"{path}: expected a list of {what}")
+    return value
+
+
+def _per_vertex(values, dims, path, what):
+    if not isinstance(values, list) or len(values) != len(dims):
+        raise SpecError(f"{path}: expected one {what} per vertex")
+    return values
+
+
 def _number(value, path, integer=False):
     """A JSON number a float holds finitely, or an integer when ``integer``;
     true/false are neither."""
@@ -133,10 +151,43 @@ def _is_count(value):
     return isinstance(value, int) and not isinstance(value, bool) and 0 <= value <= MAX_COUNT
 
 
+def _budget(args, value, path, cap):
+    """``--budget`` when given, else the spec's ``value``: a finite number at
+    most ``cap``, because the work it buys grows with it."""
+    if args.budget is not None:
+        value, path = args.budget, "--budget"
+    if _number(value, path) > cap:
+        raise SpecError(f"{path}: at most {cap}")
+    return value
+
+
+def _matrices(data, count, path):
+    """``count`` matrices, given as a list or as the list under "blocks"."""
+    blocks = data.get("blocks") if isinstance(data, dict) else data
+    if not isinstance(blocks, list) or len(blocks) != count:
+        raise SpecError(f"{path}: expected {count} matrices")
+    return [matrix_from_json(b, f"{path}[{j}]") for j, b in enumerate(blocks)]
+
+
+def _options(cls, data, path, args, tolerance, integers=(), numbers=(), **extra):
+    """``cls`` built from the spec object ``data``: the fields named in
+    ``integers`` and ``numbers`` as given, ``--tolerance`` in place of the
+    field ``tolerance``, and the fields in ``extra``, already read."""
+    kwargs = {
+        k: _number(data[k], f"{path}.{k}", integer=k in integers)
+        for k in (*integers, *numbers)
+        if k in data
+    }
+    if args.tolerance is not None:
+        kwargs[tolerance] = _number(args.tolerance, "--tolerance")
+    try:
+        return cls(**kwargs, **extra)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"{path}: {exc}") from exc
+
+
 def parse_quiver(spec):
-    q = _require(spec, "quiver")
-    if not isinstance(q, dict):
-        raise SpecError("quiver: expected an object")
+    q = _object(_require(spec, "quiver"), "quiver")
     vertices = q.get("vertices")
     edges = q.get("edges", [])
     if not _is_count(vertices):
@@ -153,37 +204,41 @@ def parse_quiver(spec):
     return quiver, tuple(dims)
 
 
-def parse_representation(spec, quiver, dims, rng):
-    data = spec.get("representation")
-    if data is None:
-        return random_representation(rng, quiver, dims)
-    blocks = data.get("blocks") if isinstance(data, dict) else data
-    if not isinstance(blocks, list) or len(blocks) != quiver.num_edges:
-        raise SpecError(
-            f"representation.blocks: expected {quiver.num_edges} matrices "
-            "(base edges then reversed edges)"
-        )
-    mats = [matrix_from_json(b, f"representation.blocks[{e}]") for e, b in enumerate(blocks)]
-    try:
-        return Representation(quiver, dims, mats)
-    except ValueError as exc:
-        raise SpecError(f"representation: {exc}") from exc
-
-
-def parse_theta(spec, dims, key="theta"):
-    values = _require(spec, key)
-    if not isinstance(values, list) or len(values) != len(dims):
-        raise SpecError(f"{key}: expected one real per vertex")
+def parse_theta(values, dims, path):
+    _per_vertex(values, dims, path, "real")
     try:
         return StabilityParameter(tuple(float(v) for v in values), dims)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise SpecError(f"{key}: {exc}") from exc
+        raise SpecError(f"{path}: {exc}") from exc
+
+
+def parse_point(spec, rng, theta=True):
+    """The representation of a spec, drawn from ``rng`` when it gives none,
+    and its ``theta`` (None unless ``theta``)."""
+    quiver, dims = parse_quiver(spec)
+    data = spec.get("representation")
+    if data is None:
+        x = random_representation(rng, quiver, dims)
+    else:
+        blocks = _matrices(data, quiver.num_edges, "representation.blocks")
+        try:
+            x = Representation(quiver, dims, blocks)
+        except ValueError as exc:
+            raise SpecError(f"representation: {exc}") from exc
+    return x, (parse_theta(_require(spec, "theta"), dims, "theta") if theta else None)
+
+
+def algebra_element_from_json(data, dims, path):
+    blocks = _matrices(data, len(dims), path)
+    try:
+        return LieAlgebraElement(blocks)
+    except ValueError as exc:
+        raise SpecError(f"{path}: {exc}") from exc
 
 
 def parse_pairs(values, dims, path, parse):
     """One [re, im] pair per vertex, each part read by ``parse``."""
-    if not isinstance(values, list) or len(values) != len(dims):
-        raise SpecError(f"{path}: expected one [re, im] pair per vertex")
+    _per_vertex(values, dims, path, "[re, im] pair")
     try:
         return [(parse(p[0]), parse(p[1])) for p in values]
     except (ValueError, TypeError, IndexError, ZeroDivisionError, OverflowError) as exc:
@@ -191,15 +246,12 @@ def parse_pairs(values, dims, path, parse):
 
 
 def parse_rational_triple(data, dims, path):
-    if not isinstance(data, dict):
-        raise SpecError(f"{path}: expected an object with theta_I/theta_J/theta_K")
+    data = _object(data, path)
     comps = []
     for name in ("theta_I", "theta_J", "theta_K"):
-        vals = data.get(name)
-        if not isinstance(vals, list) or len(vals) != len(dims):
-            raise SpecError(f"{path}.{name}: expected one rational per vertex")
+        values = _per_vertex(data.get(name), dims, f"{path}.{name}", "rational")
         try:
-            comps.append(tuple(parse_rational(v) for v in vals))
+            comps.append(tuple(parse_rational(v) for v in values))
         except (ValueError, ZeroDivisionError) as exc:
             raise SpecError(f"{path}.{name}: {exc}") from exc
     try:
@@ -212,14 +264,13 @@ def parse_rational_triple(data, dims, path):
 # commands
 
 def cmd_moment(spec, args, rng):
-    quiver, dims = parse_quiver(spec)
-    x = parse_representation(spec, quiver, dims, rng)
+    x, _ = parse_point(spec, rng, theta=False)
     triple = moment_hyperkahler(x)
     mu_c = moment_complex(x)
     oracle_worst = 0.0
     for structure in STRUCTURES:
         for _ in range(3):
-            y = random_uv_element(rng, dims)
+            y = random_uv_element(rng, x.dims)
             lhs = pairing(triple.component(structure), y)
             rhs = moment_pairing_fd_oracle(x, y, structure)
             oracle_worst = max(oracle_worst, abs(lhs - rhs))
@@ -236,27 +287,14 @@ def cmd_moment(spec, args, rng):
 
 
 def _solve_options(spec, args):
-    opts = spec.get("solve", {})
-    if not isinstance(opts, dict):
-        raise SpecError("solve: expected an object")
-    kwargs = {}
-    for key in ("max_iterations", "gradient_tolerance", "divergence_norm_bound"):
-        if key in opts:
-            kwargs[key] = _number(opts[key], f"solve.{key}", integer=key == "max_iterations")
-    if "step_control" in opts:
-        kwargs["step_control"] = opts["step_control"]
-    if args.tolerance is not None:
-        kwargs["gradient_tolerance"] = _number(args.tolerance, "--tolerance")
-    try:
-        return SolveOptions(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"solve: {exc}") from exc
+    data = _object(spec.get("solve", {}), "solve")
+    extra = {"step_control": data["step_control"]} if "step_control" in data else {}
+    return _options(SolveOptions, data, "solve", args, "gradient_tolerance", ("max_iterations",),
+                    ("gradient_tolerance", "divergence_norm_bound"), **extra)
 
 
 def cmd_solve(spec, args, rng):
-    quiver, dims = parse_quiver(spec)
-    x = parse_representation(spec, quiver, dims, rng)
-    theta = parse_theta(spec, dims)
+    x, theta = parse_point(spec, rng)
     structure = spec.get("structure", "I")
     if structure not in STRUCTURES:
         raise SpecError(f"structure: expected one of {list(STRUCTURES)}, got {structure!r}")
@@ -273,30 +311,23 @@ def cmd_solve(spec, args, rng):
     return report, EXIT_OK if outcome.converged else EXIT_NO_CONVERGENCE
 
 
-def cmd_flow(spec, args, rng):
-    quiver, dims = parse_quiver(spec)
-    x = parse_representation(spec, quiver, dims, rng)
-    theta = parse_theta(spec, dims)
-    opts_data = spec.get("flow", {})
-    if not isinstance(opts_data, dict):
-        raise SpecError("flow: expected an object")
-    kwargs = {
-        k: _number(opts_data[k], f"flow.{k}")
-        for k in ("initial_step", "max_time", "stall_tolerance")
-        if k in opts_data
-    }
-    if args.tolerance is not None:
-        kwargs["stall_tolerance"] = _number(args.tolerance, "--tolerance")
+def _write(path, text):
     try:
-        opts = FlowOptions(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"flow: {exc}") from exc
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SpecError(f"cannot write {path}: {exc}") from exc
+
+
+def cmd_flow(spec, args, rng):
+    x, theta = parse_point(spec, rng)
+    data = _object(spec.get("flow", {}), "flow")
+    opts = _options(FlowOptions, data, "flow", args, "stall_tolerance",
+                    numbers=("initial_step", "max_time", "stall_tolerance"))
     outcome = flow_integrate(theta, x, opts)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("t,h,grad_norm\n")
-            for t, h, g in outcome.trajectory_summary:
-                fh.write(f"{t!r},{h!r},{g!r}\n")
+        rows = (f"{t!r},{h!r},{g!r}\n" for t, h, g in outcome.trajectory_summary)
+        _write(args.csv, "".join(["t,h,grad_norm\n", *rows]))
     return {
         "classification": outcome.classification,
         "h_value": outcome.h_value,
@@ -310,16 +341,9 @@ def cmd_flow(spec, args, rng):
 
 
 def cmd_stability(spec, args, rng):
-    quiver, dims = parse_quiver(spec)
-    x = parse_representation(spec, quiver, dims, rng)
-    theta = parse_theta(spec, dims)
-    stability_opts = spec.get("stability", {})
-    if not isinstance(stability_opts, dict):
-        raise SpecError("stability: expected an object")
-    if args.budget is not None:
-        budget = _number(args.budget, "--budget")
-    else:
-        budget = _number(stability_opts.get("search_budget", 64), "stability.search_budget")
+    x, theta = parse_point(spec, rng)
+    data = _object(spec.get("stability", {}), "stability")
+    budget = _budget(args, data.get("search_budget", 64), "stability.search_budget", MAX_SEARCH_BUDGET)
     king = king_stable_test(x, theta, search_budget=int(budget), seed=args.seed)
     numeric = certify_stable_numerical(x, theta, opts=_solve_options(spec, args))
     return {
@@ -332,10 +356,6 @@ def cmd_regular(spec, args, rng):
     quiver, dims = parse_quiver(spec)
     report = {}
     if spec.get("export_weights"):
-        import warnings
-
-        from .cones import torus_weights
-
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             ws = torus_weights(quiver, dims)
@@ -364,80 +384,55 @@ def cmd_regular(spec, args, rng):
 
 
 def cmd_transport(spec, args, rng):
-    quiver, dims = parse_quiver(spec)
-    x = parse_representation(spec, quiver, dims, rng)
-    tspec = spec.get("transport", {})
-    if not isinstance(tspec, dict):
-        raise SpecError("transport: expected an object")
+    x, _ = parse_point(spec, rng, theta=False)
+    dims = x.dims
+    tspec = _object(spec.get("transport", {}), "transport")
     mode = tspec.get("mode", "real")
-    plan_kwargs = {}
-    if "max_subdivision_depth" in tspec:
-        plan_kwargs["max_subdivision_depth"] = _number(
-            tspec["max_subdivision_depth"], "transport.max_subdivision_depth", integer=True
-        )
-    if args.tolerance is not None:
-        plan_kwargs["tolerance"] = _number(args.tolerance, "--tolerance")
-    elif "tolerance" in tspec:
-        plan_kwargs["tolerance"] = _number(tspec["tolerance"], "transport.tolerance")
+    # waypoints serve only real legs and the exact gate only hyperkahler ones
+    waypoints = _list(tspec.get("waypoints", []) if mode == "real" else [], "transport.waypoints",
+                      "theta vectors")
+    gate = _list(tspec.get("regular_gate", []) if mode == "hyperkahler" else [], "transport.regular_gate",
+                 "theta triples")
+    extra = {}
     if "leg_order" in tspec:
-        if not isinstance(tspec["leg_order"], list):
-            raise SpecError("transport.leg_order: expected a list of structures")
-        plan_kwargs["leg_order"] = tuple(tspec["leg_order"])
-
+        extra["leg_order"] = tuple(_list(tspec["leg_order"], "transport.leg_order", "structures"))
+    plan = _options(
+        TransportPlan, tspec, "transport", args, "tolerance", ("max_subdivision_depth",), ("tolerance",),
+        waypoints=tuple(parse_theta(w, dims, f"transport.waypoints[{k}]") for k, w in enumerate(waypoints)),
+        regular_gate=tuple(parse_rational_triple(g, dims, "transport.regular_gate") for g in gate),
+        **extra,
+    )
     try:
         if mode == "real":
-            target = parse_theta(tspec, dims, "target_theta")
-            waypoints = tspec.get("waypoints", [])
-            if not isinstance(waypoints, list):
-                raise SpecError("transport.waypoints: expected a list of theta vectors")
-            waypoints = tuple(parse_theta({"w": w}, dims, "w") for w in waypoints)
-            result = transport_real(x, target, TransportPlan(waypoints=waypoints, **plan_kwargs))
+            target = parse_theta(_require(tspec, "target_theta", "transport"), dims, "target_theta")
+            result = transport_real(x, target, plan)
         elif mode == "hyperkahler":
-            data = _require(tspec, "target_triple", "transport")
-            if not isinstance(data, dict):
-                raise SpecError("transport.target_triple: expected an object")
-            names = ("theta_I", "theta_J", "theta_K")
-            target = tuple(parse_theta(data, dims, name).values for name in names)
-            gate = tuple(
-                parse_rational_triple(g, dims, "transport.regular_gate")
-                for g in tspec.get("regular_gate", [])
+            data = _object(_require(tspec, "target_triple", "transport"), "transport.target_triple")
+            target = tuple(
+                parse_theta(data.get(name), dims, f"transport.target_triple.{name}").values
+                for name in ("theta_I", "theta_J", "theta_K")
             )
-            result = transport_hyperkahler(
-                x, target, TransportPlan(regular_gate=gate, **plan_kwargs)
-            )
+            result = transport_hyperkahler(x, target, plan)
         elif mode == "complex":
             xi_start, xi_target = (
                 [complex(*p) for p in parse_pairs(_require(tspec, k, "transport"), dims, k, float)]
                 for k in ("xi_start", "xi_target")
             )
-            result = transport_complex(x, xi_start, xi_target, TransportPlan(**plan_kwargs))
+            result = transport_complex(x, xi_start, xi_target, plan)
         elif mode == "quaternion":
-            q = _require(tspec, "q", "transport")
-            if not isinstance(q, list):
-                raise SpecError("transport.q: expected a list of four numbers")
+            q = _list(_require(tspec, "q", "transport"), "transport.q", "four numbers")
             q = tuple(float(_number(v, "transport.q")) for v in q)
             t = float(_number(tspec.get("t", 1.0), "transport.t"))
             image = quaternion_transport(x, q, t)
-            return {
-                "mode": mode,
-                "image": blocks_to_json(image),
-                "residual": 0.0,
-            }, EXIT_OK
+            return {"mode": mode, "image": blocks_to_json(image), "residual": 0.0}, EXIT_OK
         elif mode == "replay":
-            entries = _require(tspec, "log", "transport")
-            if not isinstance(entries, list):
-                raise SpecError("transport.log: expected a list of [structure, y] pairs")
+            entries = _list(_require(tspec, "log", "transport"), "transport.log", "[structure, y] pairs")
             log = []
             for k, entry in enumerate(entries):
                 if not isinstance(entry, list) or len(entry) != 2:
                     raise SpecError(f"transport.log[{k}]: expected a [structure, y] pair")
-                structure, y_data = entry
-                log.append((structure, algebra_element_from_json(y_data, dims, f"transport.log[{k}]")))
-            image = replay_transport(x, log)
-            return {
-                "mode": mode,
-                "image": blocks_to_json(image),
-            }, EXIT_OK
+                log.append((entry[0], algebra_element_from_json(entry[1], dims, f"transport.log[{k}]")))
+            return {"mode": mode, "image": blocks_to_json(replay_transport(x, log))}, EXIT_OK
         else:
             raise SpecError(f"transport.mode: unknown mode {mode!r}")
     except TransportError as exc:
@@ -457,7 +452,7 @@ def cmd_transport(spec, args, rng):
 
 
 def cmd_selftest(spec, args, rng):
-    budget = float(args.budget) if args.budget is not None else float(spec.get("budget", 1.0))
+    budget = float(_budget(args, spec.get("budget", 1.0), "budget", MAX_SELFTEST_BUDGET))
     results = selftest.run_selftest(seed=args.seed, budget=budget)
     checks = [
         {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
@@ -512,11 +507,12 @@ def _load_input(args):
 
 
 def _run_one(command, spec, args):
-    if not isinstance(spec, dict):
-        raise SpecError("spec: expected a JSON object")
+    """The report of one spec and its exit code.  A report with NaN or
+    infinite floats gets them as null and "non_finite": true, as strict JSON
+    holds it, and exits at least 3."""
     rng = np.random.default_rng(args.seed)
     try:
-        result, code = COMMANDS[command](spec, args, rng)
+        result, code = COMMANDS[command](_object(spec, "spec"), args, rng)
     except FloatingPointError as exc:  # a solve left the representable range
         result, code = {"error": str(exc)}, EXIT_NO_CONVERGENCE
     report = {
@@ -530,17 +526,12 @@ def _run_one(command, spec, args):
         "input": spec,
         "result": result,
     }
-    return report, code
-
-
-def _nulled(report):
-    """The report as strict JSON holds it: a report with NaN or infinite
-    floats gets them as null and "non_finite": true."""
     try:
         json.dumps(report, allow_nan=False)
     except ValueError:
-        return dict(json.loads(json.dumps(report), parse_constant=lambda _: None), non_finite=True)
-    return report
+        report = dict(json.loads(json.dumps(report), parse_constant=lambda _: None), non_finite=True)
+        code = max(code, EXIT_NO_CONVERGENCE)
+    return report, code
 
 
 def build_parser():
@@ -565,32 +556,21 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         payload = _load_input(args)
-        if isinstance(payload, list):
-            reports = []
-            code = EXIT_OK
-            for entry in payload:
-                report, entry_code = _run_one(args.command, entry, args)
-                reports.append(report)
-                code = max(code, entry_code)
-            out = reports
+        batch = isinstance(payload, list)
+        runs = [_run_one(args.command, spec, args) for spec in (payload if batch else [payload])]
+        reports = [report for report, _ in runs]
+        text = json.dumps(reports if batch else reports[0], indent=2, sort_keys=True, allow_nan=False)
+        if args.output:
+            _write(args.output, text + "\n")
         else:
-            out, code = _run_one(args.command, payload, args)
+            print(text)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-
-    try:
-        text = json.dumps(out, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError:
-        out = [_nulled(r) for r in out] if isinstance(out, list) else _nulled(out)
-        text = json.dumps(out, indent=2, sort_keys=True, allow_nan=False)
-        code = max(code, EXIT_NO_CONVERGENCE)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return code
+    except Exception as exc:  # a defect of the program, reported without a traceback
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
+    return max((code for _, code in runs), default=EXIT_OK)
 
 
 if __name__ == "__main__":

@@ -5,8 +5,10 @@ import sys
 import numpy as np
 import pytest
 
+from quivermoment import cli
 from quivermoment.cli import (
     EXIT_BAD_INPUT,
+    EXIT_INTERNAL_ERROR,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     main,
@@ -217,12 +219,48 @@ def test_malformed_input_exit_code(tmp_path):
             "target_triple": {"theta_I": [1.0, -1.0], "theta_J": [0, 0], "theta_K": [0, 0]},
             "regular_gate": [{"theta_I": HUGE_PAIR, "theta_J": [0, 0], "theta_K": [0, 0]}],
         })),
+        ("transport", dict(A2_SPEC, transport={
+            "mode": "hyperkahler",
+            "target_triple": {"theta_I": [1.0, -1.0], "theta_J": [0, 0], "theta_K": [0, 0]},
+            "regular_gate": 5,
+        })),
+        # plan fields are checked in every mode
+        ("transport", dict(A2_SPEC, transport={"mode": "quaternion", "q": [1, 0, 0, 0], "leg_order": ["X"]})),
+        # budgets are finite and capped: the work they buy grows with them
+        ("selftest", {"budget": "x"}),
+        ("selftest", {"budget": 1e300}),
+        ("selftest", {}, "--budget", "nan"),
+        ("stability", dict(A2_SPEC, stability={"search_budget": 1e300})),
+        ("stability", A2_SPEC, "--budget", "1e300"),
     ]
-    for command, spec in bad:
+    for command, spec, *extra in bad:
         path.write_text(json.dumps(spec))
-        assert main([command, "--input", str(path)]) == EXIT_BAD_INPUT, spec
+        assert main([command, "--input", str(path), *extra]) == EXIT_BAD_INPUT, (spec, extra)
     path.write_text(json.dumps(A2_SPEC).replace("1.0", "1e999"))
     assert main(["moment", "--input", str(path)]) == EXIT_BAD_INPUT
+
+
+def test_unwritable_outputs_exit_2(tmp_path, capsys):
+    """A report or CSV path that cannot be opened is a bad input, not a crash."""
+    missing = tmp_path / "missing"
+    spec = dict(A2_SPEC, theta=[0.5, -0.5])
+    code, _ = run_cli(tmp_path, "solve", A2_SPEC, "--output", str(missing / "x.json"))
+    assert code == EXIT_BAD_INPUT
+    code, _ = run_cli(tmp_path, "flow", spec, "--csv", str(missing / "x.csv"))
+    assert code == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.count("error: cannot write") == 2
+
+
+def test_internal_error_exits_4(tmp_path, monkeypatch, capsys):
+    """An exception that is neither a spec error nor a numerical failure gets
+    its own exit code and one stderr line, not a traceback."""
+    def broken(spec, args, rng):
+        raise RuntimeError("broken invariant")
+
+    monkeypatch.setitem(cli.COMMANDS, "moment", broken)
+    code, report = run_cli(tmp_path, "moment", A2_SPEC)
+    assert code == EXIT_INTERNAL_ERROR and report is None
+    assert capsys.readouterr().err == "error: internal: RuntimeError: broken invariant\n"
 
 
 def test_transport_overflow_exits_3(tmp_path):
