@@ -41,6 +41,9 @@ from quivermoment.lie import (
     uv_basis,
 )
 from quivermoment.flow import FlowOptions, flow_integrate
+from quivermoment.layout import exp_i_stacks, sq_norm_stacks
+from quivermoment.lie import exp_action_stacks
+from quivermoment.moment import defect_offset, defect_sq_norm, defect_stacks
 from quivermoment.kempf_ness import SolveOptions, solve_moment_equation
 from quivermoment.stability import king_stable_test
 from quivermoment.transport import (
@@ -452,6 +455,66 @@ def test_kernels_match_per_edge_loops_bit_for_bit():
             # a point built from another point's output, as the solver does
             moved = act(GroupElement.exp_i(y), x)
             assert _same(moment_real(moved).blocks, _ref_moment(Representation(quiver, dims, moved.blocks)))
+
+
+def _underflow_direction(rng, dims):
+    """A compact direction whose exponential exp(itY) at t = 800 has an
+    all-zero (singular) block at the smallest positive-dimension vertex and
+    finite blocks elsewhere, and overflows at t = -800."""
+    low = min((v for v, d in enumerate(dims) if d), key=lambda v: dims[v])
+    rest = sum(dims) - dims[low]
+    blocks = [(1j if v == low else -1j * dims[low] / rest) * np.eye(d) for v, d in enumerate(dims)]
+    return LieAlgebraElement.project(blocks) + S.random_uv_element(rng, dims, scale=0.01)
+
+
+def _sequential_trials(x, y, ts, offset):
+    """Per step t: exp(itY), then exp(itY).x, its squared norm, its moment
+    defect and the defect's squared norm, one step at a time; None where the
+    exponential overflows or has a singular block."""
+    layout = x.layout
+    out = []
+    for t in ts:
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = exp_i_stacks(y.stacks, t)
+            trial = exp_action_stacks(layout, y.stacks, t, x.stacks)
+            if trial is None:
+                out.append((g, None))
+                continue
+            defect = defect_stacks(layout, trial, offset)
+            out.append((g, (trial, layout.ordered_sum(sq_norm_stacks(trial)), defect,
+                            defect_sq_norm(layout, defect))))
+    return out
+
+
+def test_stacked_trials_match_sequential_trials_bit_for_bit():
+    """The line-search trials of the solver and the flow along one direction:
+    halving ladders, a flow step pair, a step whose exponential overflows and
+    one with a singular block, so that rejected trials come out as None."""
+    rng = np.random.default_rng(37)
+    h = hashlib.sha256()
+    rejected = {"overflow": 0, "singular": 0}
+    for (n, edges), dims in KERNEL_CASES:
+        quiver = extend(Quiver(n, edges))
+        for _ in range(3):
+            x = S.random_representation(rng, quiver, dims)
+            offset = defect_offset(S.random_theta(rng, dims), x)
+            for y, ts in (
+                (S.random_uv_element(rng, dims), [0.5 ** k for k in range(12)]),
+                (S.random_uv_element(rng, dims, scale=3.0), [-0.2, -0.1, 1e3, -1e3, 20.0]),
+                (_underflow_direction(rng, dims), [1.0, 0.5, -800.0, 800.0, 0.25]),
+            ):
+                for g, result in _sequential_trials(x, y, ts, offset):
+                    h.update(b"".join(s.tobytes() for s in g))
+                    if result is None:
+                        finite = all(np.isfinite(s).all() for s in g)
+                        rejected["singular" if finite else "overflow"] += 1
+                        h.update(b"rejected")
+                        continue
+                    trial, norm, defect, defect_norm = result
+                    h.update(b"".join(s.tobytes() for s in trial + defect))
+                    h.update(repr((norm, defect_norm)).encode())
+    assert rejected == {"overflow": 53, "singular": 18}
+    assert h.hexdigest()[:16] == "0520260a8010cfb8"
 
 
 # reference loops for the quaternionic structure maps and the vector-space

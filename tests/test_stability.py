@@ -214,3 +214,26 @@ def test_chamber_constancy():
         v2 = king_stable_test(x, theta2, seed=1).verdict
         if v1 in ("stable", "unstable") and v2 in ("stable", "unstable"):
             assert v1 == v2
+
+
+def test_thin_search_runs_with_a_tiny_block(monkeypatch):
+    """A thin connected instance whose blocks are not all far from zero still
+    runs the candidate search: a block below the absorb threshold can leave a
+    closure proper."""
+    import quivermoment.stability as stability
+
+    calls = []
+    original = stability.generated_subrep
+
+    def counting(x, seeds):
+        calls.append(1)
+        return original(x, seeds)
+
+    monkeypatch.setattr(stability, "generated_subrep", counting)
+    rng = np.random.default_rng(5)
+    quiver, dims, x = random_stable_instance(rng)
+    blocks = list(x.blocks)
+    blocks[0] = np.array([[1e-10]], dtype=complex)
+    x = Representation(x.quiver, dims, blocks)
+    king_stable_test(x, random_chamber_theta(rng, dims))
+    assert calls
