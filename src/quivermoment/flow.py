@@ -13,9 +13,11 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .cones import SubsetCapError, d_theta, theta_coordinates, torus_weights
-from .layout import infinitesimal_action_stacks, sq_norm_stacks
-from .lie import StabilityParameter, exp_action_stacks
+from .layout import eigh_i_stacks, infinitesimal_action_stacks, sq_norm_stacks, trial_stacks
+from .lie import StabilityParameter
 from .moment import defect_offset, defect_sq_norm, defect_stacks
 from .quiver import Representation
 
@@ -143,24 +145,34 @@ def flow_integrate(theta: StabilityParameter, x0: Representation, opts=None) -> 
         # Sufficient decrease, not mere non-increase: plain h_new <= h lets the
         # controller sit at the stability boundary where Euler steps flip sign
         # without contracting.  The floor keeps sub-ulp descent steps alive.
+        # The steps dt and dt * STEP_SHRINK run as one stack of trials from
+        # one diagonalization of the defect, and are tested in that order;
+        # dt is the step under test, as it would be trying one at a time.
         moved = False
-        while dt >= MIN_STEP:
-            trial = exp_action_stacks(layout, defect, -4.0 * dt, stacks)
-            if trial is not None:
-                trial_defect = defect_stacks(layout, trial, offset)
-                h_new = defect_sq_norm(layout, trial_defect)
+        eig = None
+        while dt >= MIN_STEP and not moved:
+            steps = [dt, dt * STEP_SHRINK] if dt * STEP_SHRINK >= MIN_STEP else [dt]
+            eig = eig or eigh_i_stacks(defect)
+            _, ok, trials, _ = trial_stacks(layout, eig, [-4.0 * d for d in steps], stacks)
+            lead = (len(steps),)
+            with np.errstate(over="ignore", invalid="ignore"):
+                trial_defects = defect_stacks(layout, trials, offset, lead)
+                h_trials = defect_sq_norm(layout, trial_defects, lead)
+            for k, dt in enumerate(steps):
+                h_new = float(h_trials[k]) if ok[k] else math.inf
+                wanted = h - 0.1 * dt * gnorm * gnorm + 1e-15 * (1.0 + h)
+                if math.isfinite(h_new) and h_new <= min(h, wanted):
+                    frozen_count = frozen_count + 1 if h - h_new <= 1e-16 * h else 0
+                    stacks = [s[k] for s in trials]
+                    defect = [s[k] for s in trial_defects]
+                    h = h_new
+                    t += dt
+                    accepted += 1
+                    dt *= STEP_GROWTH
+                    moved = True
+                    break
             else:
-                h_new = math.inf
-            wanted = h - 0.1 * dt * gnorm * gnorm + 1e-15 * (1.0 + h)
-            if math.isfinite(h_new) and h_new <= min(h, wanted):
-                frozen_count = frozen_count + 1 if h - h_new <= 1e-16 * h else 0
-                stacks, defect, h = trial, trial_defect, h_new
-                t += dt
-                accepted += 1
-                dt *= STEP_GROWTH
-                moved = True
-                break
-            dt *= STEP_SHRINK
+                dt *= STEP_SHRINK
         if not moved:
             events.append("step_underflow")
             reason = "step_underflow"

@@ -20,14 +20,13 @@ from typing import Optional
 
 import numpy as np
 
-from .layout import sq_norm_stacks
+from .layout import eigh_i_stacks, sq_norm_stacks, trial_stacks
 from .lie import (
     GroupElement,
     LieAlgebraElement,
     StabilityParameter,
     act,
     character_log_modulus,
-    exp_action_stacks,
     pairing,
     pairing_norm,
     polar_decompose,
@@ -43,6 +42,14 @@ logger = logging.getLogger(__name__)
 ARMIJO_SLOPE = 1e-4
 MAX_BACKTRACKS = 60
 NEWTON_COND_LIMIT = 1e12
+# The line search tries step 1 alone, which most iterations accept, then the
+# halved steps in stacks of TRIAL_STACK trials (the last stack shorter), up
+# to MAX_BACKTRACKS trials in all.
+TRIAL_STACK = 8
+STEP_STACKS = [[1.0]] + [
+    [0.5 ** k for k in range(first, min(first + TRIAL_STACK, MAX_BACKTRACKS))]
+    for first in range(1, MAX_BACKTRACKS, TRIAL_STACK)
+]
 
 
 @dataclass
@@ -127,7 +134,9 @@ def solve_moment_equation(
     offset = defect_offset(theta, x0)
 
     y = opts.initial_y if opts.initial_y is not None else LieAlgebraElement.zero(x.dims)
-    x_cur = act(GroupElement.exp_i(y), x0, "I") if pairing_norm(y) > 0 else x0
+    # exp(iY) of the current Y, kept for the next move; made on first use at Y = 0
+    g_y = GroupElement.exp_i(y) if pairing_norm(y) > 0 else None
+    x_cur = act(g_y, x0, "I") if g_y is not None else x0
 
     trace = []
     norms = []
@@ -178,22 +187,26 @@ def solve_moment_equation(
         # less than double precision resolves while the residual still
         # contracts quadratically, so steps that shrink the residual must not
         # be rejected on sub-ulp functional comparisons.  A trial that
-        # overflows is None, and a non-finite value fails both comparisons.
+        # overflows or has a singular block is rejected.  One diagonalization
+        # of Z serves every trial.
         noise = 1e-13 * (1.0 + abs(value))
-        step = 1.0
-        for _ in range(MAX_BACKTRACKS):
-            trial = exp_action_stacks(layout, z.stacks, step, stacks)
-            if trial is not None:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    trial_norm = layout.ordered_sum(sq_norm_stacks(trial))
-                value_trial = trial_norm - shift - 2.0 * step * z_shift
-                if value_trial <= value + ARMIJO_SLOPE * step * slope:
-                    break
-                if value_trial <= value + noise:
-                    trial_defect = defect_stacks(layout, trial, offset)
-                    if math.sqrt(defect_sq_norm(layout, trial_defect)) <= 0.9 * residual:
-                        break
-            step *= 0.5
+
+        def accepts(step, trial_norm, trial):
+            value_trial = trial_norm - shift - 2.0 * step * z_shift
+            if value_trial <= value + ARMIJO_SLOPE * step * slope:
+                return True
+            if value_trial <= value + noise:
+                trial_defect = defect_stacks(layout, trial, offset)
+                return math.sqrt(defect_sq_norm(layout, trial_defect)) <= 0.9 * residual
+            return False
+
+        eig = eigh_i_stacks(z.stacks)
+        for steps in STEP_STACKS:
+            g_trials, ok, trials, trial_norms = trial_stacks(layout, eig, steps, stacks)
+            k = next((k for k, step in enumerate(steps)
+                      if ok[k] and accepts(step, float(trial_norms[k]), [s[k] for s in trials])), None)
+            if k is not None:
+                break
         else:
             logger.debug("line search failed at iteration %d", iteration)
             return SolveOutcome(
@@ -202,11 +215,13 @@ def solve_moment_equation(
 
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                g_new = GroupElement.exp_i(z, step).compose(GroupElement.exp_i(y))
+                g_step = GroupElement.from_stacks(x.dims, [s[k] for s in g_trials])
+                g_new = g_step.compose(g_y if g_y is not None else GroupElement.exp_i(y))
                 if not all(np.all(np.isfinite(s)) for s in g_new.stacks):
                     raise OverflowError
                 _, y = polar_decompose(g_new)
-                x_cur = act(GroupElement.exp_i(y), x0, "I")
+                g_y = GroupElement.exp_i(y)
+                x_cur = act(g_y, x0, "I")
         except (OverflowError, ValueError, np.linalg.LinAlgError):
             # the accepted move leaves representable range: a runaway ray
             y_norm = pairing_norm(y)

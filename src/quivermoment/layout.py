@@ -9,17 +9,21 @@ the only storage of points and of algebra and group elements.  The kernels
 below compute the moment maps, the infinitesimal action (also over a leading
 basis axis), the group action, exp(itY), pairings and real coordinates on
 those stacks with one batched numpy call per shape or class instead of one
-Python step per edge or vertex.
+Python step per edge or vertex.  The trials of a line search along one
+direction share one eigendecomposition and run as one stack: their group
+elements, acted points, norms and moment defects carry a leading trial axis.
 
 Contract: every kernel is bit-for-bit equal to the per-edge definition it
-replaces.  Batched ``matmul``, ``inv``, ``det``, ``slogdet`` and ``eigh`` run
-the same per-matrix routine on each stacked matrix, and elementwise
-operations act entry by entry.  Sums over edges or vertices are where order
-matters, so they are kept in the definition's order: a vertex sum scatters
-the edge-ordered contributions with ``np.add.at`` (head term before tail term
-for each edge, starting from zero), and a pairing or norm is a batched
-row-times-column product per block (equal to ``np.vdot``) summed left to
-right in edge or vertex order.
+replaces, and every trial of a stack is bit-for-bit equal to the same trial
+computed alone.  Batched ``matmul``, ``inv``, ``det``, ``slogdet`` and
+``eigh`` run the same per-matrix routine on each stacked matrix, and
+elementwise operations act entry by entry.  Sums over edges or vertices are
+where order matters, so they are kept in the definition's order: a vertex sum
+scatters the edge-ordered contributions with ``np.add.at`` (head term before
+tail term for each edge, starting from zero; along axis 1 under a trial
+axis), and a pairing or norm is a batched row-times-column product per block
+(equal to ``np.vdot``) summed left to right in edge or vertex order, one such
+sum per trial.
 """
 
 from __future__ import annotations
@@ -71,9 +75,10 @@ class VertexLayout:
         """Per-class zero stacks (*lead, n_c, d, d)."""
         return [np.zeros(lead + (len(m), d, d), dtype=complex) for d, m in zip(self.class_dims, self.members)]
 
-    def ordered_sum(self, per_class):
-        """Left-to-right sum in vertex order of per-class scalar arrays."""
-        return _ordered_sum(per_class, self._vertex_order)
+    def ordered_sum(self, per_class, lead=()):
+        """Left-to-right sum in vertex order of per-class scalar arrays, one
+        per index of a leading axis of shape ``lead``."""
+        return _ordered_sum(per_class, self._vertex_order, lead)
 
 
 class ShapeGroup:
@@ -158,9 +163,10 @@ class EdgeLayout:
         """Per-edge views into per-shape stacks, in edge order."""
         return [stacks[g][i] for g, i in self.slots]
 
-    def ordered_sum(self, per_group):
-        """Left-to-right sum in edge order of per-group scalar arrays."""
-        return _ordered_sum(per_group, self._edge_order)
+    def ordered_sum(self, per_group, lead=()):
+        """Left-to-right sum in edge order of per-group scalar arrays, one per
+        index of a leading axis of shape ``lead``."""
+        return _ordered_sum(per_group, self._edge_order, lead)
 
 
 @lru_cache(maxsize=256)
@@ -182,11 +188,20 @@ def _item_order(members, sizes):
     return np.argsort(np.concatenate(keys), kind="stable") if keys else _indices(())
 
 
-def _ordered_sum(parts, order):
+def _ordered_sum(parts, order, lead):
+    if not order.size:
+        return np.zeros(lead) if lead else 0.0
+    terms = np.concatenate(parts, axis=-1)[..., order]
+    if not lead:
+        return _left_to_right(terms.tolist())
+    rows = terms.reshape(-1, order.size).tolist()
+    return np.array([_left_to_right(row) for row in rows]).reshape(lead)
+
+
+def _left_to_right(values):
     total = 0.0
-    if order.size:
-        for v in np.concatenate(parts)[order].tolist():
-            total += v
+    for v in values:
+        total += v
     return total
 
 
@@ -199,31 +214,34 @@ def dagger(s):
 # kernels: lists of stacks in, lists of stacks out
 
 
-def _vertex_sums(layout: EdgeLayout, plans, head_terms, tail_terms):
+def _vertex_sums(layout: EdgeLayout, plans, head_terms, tail_terms, lead=()):
     """Per vertex class, the sum from zero of each vertex's head and tail
-    terms, added in the order the plans replay."""
+    terms, added in the order the plans replay; terms with a leading axis of
+    shape ``lead`` are summed per leading index."""
     vl = layout.vertices
     out = []
     for c, (head_groups, tail_groups, order, targets) in enumerate(plans):
         d = vl.class_dims[c]
-        acc = np.zeros((len(vl.members[c]), d, d), dtype=complex)
+        acc = np.zeros(lead + (len(vl.members[c]), d, d), dtype=complex)
         if targets.size:
-            terms = np.concatenate([head_terms[g] for g in head_groups] + [tail_terms[g] for g in tail_groups])
-            np.add.at(acc, targets, terms[order])
+            terms = np.concatenate([head_terms[g] for g in head_groups] + [tail_terms[g] for g in tail_groups], axis=-3)
+            np.add.at(acc, (slice(None),) * len(lead) + (targets,), terms[..., order, :, :])
         out.append(acc)
     return out
 
 
-def moment_stacks(layout: EdgeLayout, stacks):
+def moment_stacks(layout: EdgeLayout, stacks, lead=()):
     """Real moment map of structure I per vertex class:
     -i (sum over edges into j of phi phi^dagger - sum over edges out of j of
-    phi^dagger phi), terms added in edge order as the edge loop adds them."""
+    phi^dagger phi), terms added in edge order as the edge loop adds them.
+    Edge stacks with a leading axis of shape ``lead`` give one moment value
+    per leading index."""
     heads, tails = [], []
     for b in stacks:
         bh = dagger(b)
         heads.append(b @ bh)
         tails.append(-(bh @ b))
-    return [-1j * acc for acc in _vertex_sums(layout, layout.moment_plans, heads, tails)]
+    return [-1j * acc for acc in _vertex_sums(layout, layout.moment_plans, heads, tails, lead)]
 
 
 def complex_moment_stacks(layout: EdgeLayout, stacks):
@@ -261,35 +279,92 @@ def infinitesimal_action_stacks(layout: EdgeLayout, y_stacks, stacks):
 
 
 def act_stacks(layout: EdgeLayout, g_stacks, stacks):
-    """Blocks g_head phi g_tail^-1 per shape group; ValueError on a singular block."""
+    """Blocks g_head phi g_tail^-1 per shape group; a leading trial axis of
+    the group stacks carries over to the result.  ValueError on a singular
+    block."""
     try:
         inv = [np.linalg.inv(s) for s in g_stacks]
     except np.linalg.LinAlgError as exc:
         raise ValueError("singular block in group element") from exc
     return [
-        g_stacks[g.head_class][g.head_pos] @ b @ inv[g.tail_class][g.tail_pos]
+        g_stacks[g.head_class][..., g.head_pos, :, :] @ b @ inv[g.tail_class][..., g.tail_pos, :, :]
         for g, b in zip(layout.groups, stacks)
     ]
+
+
+def eigh_i_stacks(y_stacks):
+    """Per vertex class, the unitary diagonalization (w, u, u^dagger) of the
+    hermitian blocks iY; a class of dimension zero keeps empty factors."""
+    out = []
+    for s in y_stacks:
+        if s.shape[1] == 0:
+            out.append((np.zeros(s.shape[:2]), s, s))
+            continue
+        w, u = np.linalg.eigh(1j * s)
+        out.append((w, u, dagger(u)))
+    return out
+
+
+def exp_eigh_stacks(eig, ts):
+    """exp(i t Y) per vertex class for each step t of ``ts``, along a leading
+    trial axis, from the diagonalization ``eig = eigh_i_stacks(Y)``."""
+    ts = np.asarray(ts, dtype=float)[:, None, None]
+    return [(u * np.exp(ts * w)[:, :, None, :]) @ u_dagger for w, u, u_dagger in eig]
 
 
 def exp_i_stacks(y_stacks, t):
     """exp(i t Y) per vertex class, by unitary diagonalization of the
     hermitian blocks iY."""
-    out = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in y_stacks:
-            if s.shape[1] == 0:
-                out.append(np.zeros_like(s))
-                continue
-            w, u = np.linalg.eigh(1j * s)
-            out.append((u * np.exp(t * w)[:, None, :]) @ dagger(u))
-    return out
+        return [s[0] for s in exp_eigh_stacks(eigh_i_stacks(y_stacks), (t,))]
+
+
+def _acted_or_none(layout, g_stacks, stacks):
+    try:
+        return act_stacks(layout, g_stacks, stacks)
+    except ValueError:
+        return None
+
+
+def trial_stacks(layout: EdgeLayout, eig, ts, stacks):
+    """The trials exp(i t Y).x of a line search along Y, one per step t of
+    ``ts``, from the diagonalization ``eig = eigh_i_stacks(Y)``.
+
+    Returns ``(g, ok, trials, norms)``, each with a leading trial axis: the
+    vertex stacks of exp(i t Y), whether the trial is usable (its exponential
+    is finite and has no singular block), the edge stacks g_h phi g_t^-1 and
+    their squared norms.  Unusable trials have NaN edge stacks and norms.  The
+    trials are acted on as one stack; when one of them is unusable, each is
+    acted on alone, so that the others come out as they would alone.
+    """
+    count = len(ts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = exp_eigh_stacks(eig, ts)
+        ok = np.ones(count, dtype=bool)
+        for s in g:
+            ok &= np.isfinite(s).all(axis=(1, 2, 3))
+        trials = _acted_or_none(layout, g, stacks) if ok.all() else None
+        if trials is None:
+            trials = [np.full((count,) + b.shape, np.nan, dtype=complex) for b in stacks]
+            for k in np.flatnonzero(ok):
+                one = _acted_or_none(layout, [s[k:k + 1] for s in g], stacks)
+                if one is None:
+                    ok[k] = False
+                    continue
+                for trial, b in zip(trials, one):
+                    trial[k] = b[0]
+        norms = layout.ordered_sum(sq_norm_stacks(trials), lead=(count,))
+    norms[~ok] = np.nan
+    return g, ok, trials, norms
 
 
 def vdot_real_stacks(a_stacks, b_stacks):
-    """Per pair of stacked blocks, np.vdot(a, b).real."""
+    """Per pair of stacked blocks, np.vdot(a, b).real; leading axes carry over."""
     pairs = zip(a_stacks, b_stacks)
-    return [(a.reshape(len(a), 1, -1).conj() @ b.reshape(len(b), -1, 1)).reshape(-1).real for a, b in pairs]
+    return [
+        (a.reshape(a.shape[:-2] + (1, -1)).conj() @ b.reshape(b.shape[:-2] + (-1, 1))).reshape(a.shape[:-2]).real
+        for a, b in pairs
+    ]
 
 
 def sq_norm_stacks(stacks):

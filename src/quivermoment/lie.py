@@ -20,9 +20,11 @@ import numpy as np
 from .layout import (
     act_stacks,
     dagger,
+    eigh_i_stacks,
     exp_i_stacks,
     infinitesimal_action_stacks,
     real_coordinates,
+    trial_stacks,
     vdot_real_stacks,
     vertex_layout,
 )
@@ -329,15 +331,10 @@ def exp_action(y: LieAlgebraElement, t, structure, x: Representation) -> Represe
 
 def exp_action_stacks(layout, y_stacks, t, stacks):
     """Stacks of exp(i t Y).x, or None when the exponential overflows or has a
-    singular block, which descent loops treat as a rejected step."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = exp_i_stacks(y_stacks, t)
-        if not all(np.all(np.isfinite(b)) for b in g):
-            return None
-        try:
-            return act_stacks(layout, g, stacks)
-        except ValueError:
-            return None
+    singular block, which descent loops treat as a rejected step: the
+    one-trial case of ``layout.trial_stacks``."""
+    _, ok, trials, _ = trial_stacks(layout, eigh_i_stacks(y_stacks), (t,), stacks)
+    return [s[0] for s in trials] if ok[0] else None
 
 
 def infinitesimal_action(y: VertexMatrices, x: Representation) -> Representation:

@@ -171,11 +171,12 @@ def defect_offset(theta: StabilityParameter, x: Representation):
     return [-1.0 * s for s in center.stacks]
 
 
-def defect_stacks(layout, stacks, offset):
-    """moment_real(x, "I") - theta_to_center(theta)."""
-    return [m + c for m, c in zip(moment_stacks(layout, stacks), offset)]
+def defect_stacks(layout, stacks, offset, lead=()):
+    """moment_real(x, "I") - theta_to_center(theta); edge stacks with a
+    leading trial axis of shape ``lead`` give one defect per trial."""
+    return [m + c for m, c in zip(moment_stacks(layout, stacks, lead), offset)]
 
 
-def defect_sq_norm(layout, defect) -> float:
-    """pairing(defect, defect)."""
-    return layout.vertices.ordered_sum(sq_norm_stacks(defect))
+def defect_sq_norm(layout, defect, lead=()):
+    """pairing(defect, defect), per trial under a leading axis ``lead``."""
+    return layout.vertices.ordered_sum(sq_norm_stacks(defect), lead)

@@ -277,6 +277,9 @@ def king_stable_test(
     a divergent solve's escape direction is its one-parameter witness.  Slope
     ties within tolerance make the verdict inconclusive rather than guessing
     at the boundary.  An overflowing word operator raises FloatingPointError.
+    On a thin connected instance with every block modulus in [1e-9, 1e100]
+    every closure is the whole space, so no candidate is built (see
+    ``_every_closure_full``) and the verdict comes from the solver.
     """
     rng = np.random.default_rng(seed)
     dims = x.dims
@@ -305,7 +308,8 @@ def king_stable_test(
             boundary_found = True
         return None
 
-    for cand in _candidate_subreps(x, rng, search_budget):
+    candidates = () if _every_closure_full(x) else _candidate_subreps(x, rng, search_budget)
+    for cand in candidates:
         found = classify(cand)
         if found is not None:
             return found
@@ -333,6 +337,30 @@ def king_stable_test(
             "candidates_tested": tested,
         },
     )
+
+
+def _every_closure_full(x):
+    """True when every candidate closure is provably the whole space, so the
+    search could neither find a witness nor a slope tie: every dimension is
+    1, the base quiver is connected, and every block modulus lies in
+    [1e-9, 1e100].  Then each edge map, reversed edges included, sends a line
+    onto a line with a singular value far above the absorb threshold of
+    ``generated_subrep``, so any nonzero seed spreads to every vertex, and
+    no word operator overflows."""
+    dims = x.dims
+    if any(d != 1 for d in dims):
+        return False
+    moduli = np.abs(np.concatenate([s.reshape(-1) for s in x.stacks])) if x.stacks else np.zeros(0)
+    if not np.all((moduli >= 1e-9) & (moduli <= 1e100)):
+        return False
+    reached, grew = {0}, True
+    while grew:
+        grew = False
+        for t, h in x.quiver.base.edges:
+            if (t in reached) != (h in reached):
+                reached |= {t, h}
+                grew = True
+    return len(reached) == len(dims)
 
 
 def _candidate_subreps(x, rng, budget):

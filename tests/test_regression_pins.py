@@ -41,7 +41,7 @@ from quivermoment.lie import (
     uv_basis,
 )
 from quivermoment.flow import FlowOptions, flow_integrate
-from quivermoment.layout import exp_i_stacks, sq_norm_stacks
+from quivermoment.layout import eigh_i_stacks, exp_i_stacks, sq_norm_stacks, trial_stacks
 from quivermoment.lie import exp_action_stacks
 from quivermoment.moment import defect_offset, defect_sq_norm, defect_stacks
 from quivermoment.kempf_ness import SolveOptions, solve_moment_equation
@@ -486,10 +486,30 @@ def _sequential_trials(x, y, ts, offset):
     return out
 
 
+def _assert_stack_matches(x, y, ts, offset, sequential):
+    """The stacked trial kernel on the whole step list, trial by trial, equals
+    the sequential trials byte for byte."""
+    layout, lead = x.layout, (len(ts),)
+    g, ok, trials, norms = trial_stacks(layout, eigh_i_stacks(y.stacks), ts, x.stacks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        defects = defect_stacks(layout, trials, offset, lead)
+        defect_norms = defect_sq_norm(layout, defects, lead)
+    for k, (g_seq, result) in enumerate(sequential):
+        assert _same([s[k] for s in g], g_seq)
+        assert ok[k] == (result is not None)
+        if result is not None:
+            trial, norm, defect, defect_norm = result
+            assert _same([s[k] for s in trials], trial)
+            assert _same([s[k] for s in defects], defect)
+            assert repr((float(norms[k]), float(defect_norms[k]))) == repr((norm, defect_norm))
+
+
 def test_stacked_trials_match_sequential_trials_bit_for_bit():
     """The line-search trials of the solver and the flow along one direction:
     halving ladders, a flow step pair, a step whose exponential overflows and
-    one with a singular block, so that rejected trials come out as None."""
+    one with a singular block, so that rejected trials come out as None, and
+    the stacked kernel gives the same bytes, falling back to one trial at a
+    time where a trial is rejected."""
     rng = np.random.default_rng(37)
     h = hashlib.sha256()
     rejected = {"overflow": 0, "singular": 0}
@@ -503,7 +523,9 @@ def test_stacked_trials_match_sequential_trials_bit_for_bit():
                 (S.random_uv_element(rng, dims, scale=3.0), [-0.2, -0.1, 1e3, -1e3, 20.0]),
                 (_underflow_direction(rng, dims), [1.0, 0.5, -800.0, 800.0, 0.25]),
             ):
-                for g, result in _sequential_trials(x, y, ts, offset):
+                sequential = _sequential_trials(x, y, ts, offset)
+                _assert_stack_matches(x, y, ts, offset, sequential)
+                for g, result in sequential:
                     h.update(b"".join(s.tobytes() for s in g))
                     if result is None:
                         finite = all(np.isfinite(s).all() for s in g)

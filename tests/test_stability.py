@@ -237,3 +237,19 @@ def test_thin_search_runs_with_a_tiny_block(monkeypatch):
     x = Representation(x.quiver, dims, blocks)
     king_stable_test(x, random_chamber_theta(rng, dims))
     assert calls
+
+
+def test_thin_connected_search_builds_no_candidate(monkeypatch):
+    """With every block modulus in [1e-9, 1e100] on a thin connected
+    instance every closure is full, so the search is skipped."""
+    import quivermoment.stability as stability
+
+    def fail(x, seeds):
+        raise AssertionError("generated_subrep called")
+
+    rng = np.random.default_rng(5)
+    _, dims, x = random_stable_instance(rng)
+    theta = random_chamber_theta(rng, dims)
+    monkeypatch.setattr(stability, "generated_subrep", fail)
+    cert = king_stable_test(x, theta)
+    assert cert.verdict == "stable" and cert.diagnostics["candidates_tested"] == 0
