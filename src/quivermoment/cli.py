@@ -59,7 +59,8 @@ EXIT_BAD_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_INTERNAL_ERROR = 4
 MAX_SEARCH_BUDGET = 10_000  # stability: the King search's cost grows linearly in it
-MAX_SELFTEST_BUDGET = 100  # selftest: scales every check's instance count
+# selftest: scales every check's instance count; budget 36 runs in about a minute
+MAX_SELFTEST_BUDGET = 36
 MAX_COUNT = int(np.iinfo(np.intp).max)
 
 
@@ -437,6 +438,8 @@ def cmd_transport(spec, args, rng):
             raise SpecError(f"transport.mode: unknown mode {mode!r}")
     except TransportError as exc:
         return {"mode": mode, "error": str(exc)}, EXIT_NO_CONVERGENCE
+    except SpecError:
+        raise  # already names its field
     except ValueError as exc:
         raise SpecError(f"transport: {exc}") from exc
 

@@ -11,6 +11,7 @@ from quivermoment.cli import (
     EXIT_INTERNAL_ERROR,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
+    MAX_SELFTEST_BUDGET,
     main,
     matrix_from_json,
     matrix_to_json,
@@ -229,6 +230,7 @@ def test_malformed_input_exit_code(tmp_path):
         # budgets are finite and capped: the work they buy grows with them
         ("selftest", {"budget": "x"}),
         ("selftest", {"budget": 1e300}),
+        ("selftest", {"budget": MAX_SELFTEST_BUDGET + 1}),
         ("selftest", {}, "--budget", "nan"),
         ("stability", dict(A2_SPEC, stability={"search_budget": 1e300})),
         ("stability", A2_SPEC, "--budget", "1e300"),
@@ -238,6 +240,19 @@ def test_malformed_input_exit_code(tmp_path):
         assert main([command, "--input", str(path), *extra]) == EXIT_BAD_INPUT, (spec, extra)
     path.write_text(json.dumps(A2_SPEC).replace("1.0", "1e999"))
     assert main(["moment", "--input", str(path)]) == EXIT_BAD_INPUT
+
+
+def test_transport_spec_errors_name_their_field_once(tmp_path, capsys):
+    """A field error raised inside the transport modes reaches stderr as it
+    was raised, not wrapped in a second "transport:" prefix."""
+    for transport, field in (
+        ({"mode": "replay", "log": [["I", 5]]}, "transport.log[0]"),
+        ({"mode": "real", "target_theta": [1.0]}, "target_theta"),
+    ):
+        code, _ = run_cli(tmp_path, "transport", dict(A2_SPEC, transport=transport))
+        err = capsys.readouterr().err
+        assert code == EXIT_BAD_INPUT
+        assert err.startswith(f"error: {field}: ") and err.count(field) == 1, err
 
 
 def test_unwritable_outputs_exit_2(tmp_path, capsys):
