@@ -146,8 +146,9 @@ def flow_integrate(theta: StabilityParameter, x0: Representation, opts=None) -> 
         # controller sit at the stability boundary where Euler steps flip sign
         # without contracting.  The floor keeps sub-ulp descent steps alive.
         # The steps dt and dt * STEP_SHRINK run as one stack of trials from
-        # one diagonalization of the defect, and are tested in that order;
-        # dt is the step under test, as it would be trying one at a time.
+        # one diagonalization of the defect and are tested in that order; the
+        # loop variable dt is the step under test, so dt and t move exactly as
+        # when trying one step at a time.
         moved = False
         eig = None
         while dt >= MIN_STEP and not moved:

@@ -350,8 +350,7 @@ def _every_closure_full(x):
     dims = x.dims
     if any(d != 1 for d in dims):
         return False
-    moduli = np.abs(np.concatenate([s.reshape(-1) for s in x.stacks])) if x.stacks else np.zeros(0)
-    if not np.all((moduli >= 1e-9) & (moduli <= 1e100)):
+    if not all(np.all((m >= 1e-9) & (m <= 1e100)) for m in map(np.abs, x.stacks)):
         return False
     reached, grew = {0}, True
     while grew:
