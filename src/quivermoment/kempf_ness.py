@@ -190,22 +190,23 @@ def solve_moment_equation(
         # overflows or has a singular block is rejected.  One diagonalization
         # of Z serves every trial.
         noise = 1e-13 * (1.0 + abs(value))
-
-        def accepts(step, trial_norm, trial):
-            value_trial = trial_norm - shift - 2.0 * step * z_shift
-            if value_trial <= value + ARMIJO_SLOPE * step * slope:
-                return True
-            if value_trial <= value + noise:
-                trial_defect = defect_stacks(layout, trial, offset)
-                return math.sqrt(defect_sq_norm(layout, trial_defect)) <= 0.9 * residual
-            return False
-
         eig = eigh_i_stacks(z.stacks)
+        accepted = None
         for steps in STEP_STACKS:
             g_trials, ok, trials, trial_norms = trial_stacks(layout, eig, steps, stacks)
-            k = next((k for k, step in enumerate(steps)
-                      if ok[k] and accepts(step, float(trial_norms[k]), [s[k] for s in trials])), None)
-            if k is not None:
+            for k, step in enumerate(steps):
+                if not ok[k]:
+                    continue
+                value_trial = float(trial_norms[k]) - shift - 2.0 * step * z_shift
+                if value_trial <= value + ARMIJO_SLOPE * step * slope:
+                    accepted = k
+                    break
+                if value_trial <= value + noise:
+                    trial_defect = defect_stacks(layout, [s[k] for s in trials], offset)
+                    if math.sqrt(defect_sq_norm(layout, trial_defect)) <= 0.9 * residual:
+                        accepted = k
+                        break
+            if accepted is not None:
                 break
         else:
             logger.debug("line search failed at iteration %d", iteration)
@@ -215,7 +216,7 @@ def solve_moment_equation(
 
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                g_step = GroupElement.from_stacks(x.dims, [s[k] for s in g_trials])
+                g_step = GroupElement.from_stacks(x.dims, [s[accepted] for s in g_trials])
                 g_new = g_step.compose(g_y if g_y is not None else GroupElement.exp_i(y))
                 if not all(np.all(np.isfinite(s)) for s in g_new.stacks):
                     raise OverflowError

@@ -189,12 +189,11 @@ def _item_order(members, sizes):
 
 
 def _ordered_sum(parts, order, lead):
-    if not order.size:
-        return np.zeros(lead) if lead else 0.0
-    terms = np.concatenate(parts, axis=-1)[..., order]
     if not lead:
-        return _left_to_right(terms.tolist())
-    rows = terms.reshape(-1, order.size).tolist()
+        return _left_to_right(np.concatenate(parts)[order].tolist()) if order.size else 0.0
+    if not order.size:
+        return np.zeros(lead)
+    rows = np.concatenate(parts, axis=-1)[..., order].reshape(-1, order.size).tolist()
     return np.array([_left_to_right(row) for row in rows]).reshape(lead)
 
 
@@ -333,9 +332,10 @@ def trial_stacks(layout: EdgeLayout, eig, ts, stacks):
     Returns ``(g, ok, trials, norms)``, each with a leading trial axis: the
     vertex stacks of exp(i t Y), whether the trial is usable (its exponential
     is finite and has no singular block), the edge stacks g_h phi g_t^-1 and
-    their squared norms.  Unusable trials have NaN edge stacks and norms.  The
-    trials are acted on as one stack; when one of them is unusable, each is
-    acted on alone, so that the others come out as they would alone.
+    their squared norms; the edge stacks of an unusable trial are NaN, and
+    its norm means nothing.  The trials are acted on as one stack; when one
+    of them is unusable, each is acted on alone, so that the others come out
+    as they would alone.
     """
     count = len(ts)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -354,7 +354,6 @@ def trial_stacks(layout: EdgeLayout, eig, ts, stacks):
                 for trial, b in zip(trials, one):
                     trial[k] = b[0]
         norms = layout.ordered_sum(sq_norm_stacks(trials), lead=(count,))
-    norms[~ok] = np.nan
     return g, ok, trials, norms
 
 
