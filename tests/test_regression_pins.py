@@ -537,6 +537,15 @@ def test_stacked_trials_match_sequential_trials_bit_for_bit():
                     h.update(repr((norm, defect_norm)).encode())
     assert rejected == {"overflow": 53, "singular": 18}
     assert h.hexdigest()[:16] == "0520260a8010cfb8"
+    # a singular block in an otherwise finite stack: the stacked inv fails
+    for (n, edges), dims in KERNEL_CASES:
+        x = S.random_representation(rng, extend(Quiver(n, edges)), dims)
+        offset = defect_offset(S.random_theta(rng, dims), x)
+        y, ts = _underflow_direction(rng, dims), [0.5, 800.0, 0.25]
+        sequential = _sequential_trials(x, y, ts, offset)
+        assert [result is None for _, result in sequential] == [False, True, False]
+        assert all(np.isfinite(s).all() for g, _ in sequential for s in g)
+        _assert_stack_matches(x, y, ts, offset, sequential)
 
 
 # reference loops for the quaternionic structure maps and the vector-space
