@@ -37,12 +37,12 @@ from quivermoment.lie import (
     VertexMatrices,
     center_to_theta,
     character_log_modulus,
+    exp_action_stacks,
     tangent_matrix,
     uv_basis,
 )
 from quivermoment.flow import FlowOptions, flow_integrate
 from quivermoment.layout import eigh_i_stacks, exp_i_stacks, sq_norm_stacks, trial_stacks
-from quivermoment.lie import exp_action_stacks
 from quivermoment.moment import defect_offset, defect_sq_norm, defect_stacks
 from quivermoment.kempf_ness import SolveOptions, solve_moment_equation
 from quivermoment.stability import king_stable_test
