@@ -1,7 +1,22 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from quivermoment import Quiver, Representation, StabilityParameter, extend
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _src_on_subprocess_path():
+    """Tests that run ``python -m quivermoment.cli`` in a subprocess import
+    this checkout's package, also when only pytest's ``pythonpath`` setting
+    put it on the test process's path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        yield
 
 
 @pytest.fixture
