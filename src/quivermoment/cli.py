@@ -19,6 +19,7 @@ import json
 import math
 import sys
 import warnings
+from functools import lru_cache
 
 import numpy as np
 
@@ -537,7 +538,10 @@ def _run_one(command, spec, args):
     return report, code
 
 
+@lru_cache(maxsize=1)
 def build_parser():
+    """The command-line parser, built once: parsing leaves it unchanged, so
+    every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="quivermoment",
         description="Moment maps of quiver representations: solvers, flows, "

@@ -27,6 +27,8 @@ STEP_GROWTH = 2.0
 STEP_SHRINK = 0.5
 STALL_WINDOW = 20
 MIN_STEP = 1e-18
+# steps dt, dt * STEP_SHRINK, ... tried as one stack of trials
+TRIAL_STACK = 4
 # largest subset enumeration d_theta may run to certify a higher stratum
 D_THETA_SUBSET_CAP = 2 ** 14
 
@@ -145,16 +147,18 @@ def flow_integrate(theta: StabilityParameter, x0: Representation, opts=None) -> 
         # Sufficient decrease, not mere non-increase: plain h_new <= h lets the
         # controller sit at the stability boundary where Euler steps flip sign
         # without contracting.  The floor keeps sub-ulp descent steps alive.
-        # The steps dt and dt * STEP_SHRINK run as one stack of trials from
-        # one diagonalization of the defect and are tested in that order; the
-        # loop variable dt is the step under test, so dt and t move exactly as
-        # when trying one step at a time.
+        # The steps dt, dt * STEP_SHRINK, ... down to MIN_STEP run in stacks
+        # of TRIAL_STACK trials from one diagonalization of the defect and
+        # are tested in that order; the loop variable dt is the step under
+        # test, so dt and t move exactly as when trying one step at a time.
         moved = False
         eig = None
         while dt >= MIN_STEP and not moved:
-            steps = [dt, dt * STEP_SHRINK] if dt * STEP_SHRINK >= MIN_STEP else [dt]
+            steps = [dt]
+            while len(steps) < TRIAL_STACK and steps[-1] * STEP_SHRINK >= MIN_STEP:
+                steps.append(steps[-1] * STEP_SHRINK)
             eig = eig or eigh_i_stacks(defect)
-            _, ok, trials, _ = trial_stacks(layout, eig, [-4.0 * d for d in steps], stacks)
+            _, ok, trials = trial_stacks(layout, eig, [-4.0 * d for d in steps], stacks)
             lead = (len(steps),)
             with np.errstate(over="ignore", invalid="ignore"):
                 trial_defects = defect_stacks(layout, trials, offset, lead)

@@ -42,14 +42,15 @@ logger = logging.getLogger(__name__)
 ARMIJO_SLOPE = 1e-4
 MAX_BACKTRACKS = 60
 NEWTON_COND_LIMIT = 1e12
-# The line search tries step 1 alone, which most iterations accept, then the
-# halved steps in stacks of TRIAL_STACK trials (the last stack shorter), up
-# to MAX_BACKTRACKS trials in all.
+# The line search tries the steps 1, 1/2, ..., up to MAX_BACKTRACKS trials,
+# in that order and in stacks of TRIAL_STACK trials (the last stack shorter).
+# On the first iteration and after one that accepted step 1, which the next
+# iteration then mostly accepts too, step 1 goes alone (STEP_ONE_FIRST);
+# otherwise, as on escaping orbits, the first stack starts at step 1.
 TRIAL_STACK = 8
-STEP_STACKS = [[1.0]] + [
-    [0.5 ** k for k in range(first, min(first + TRIAL_STACK, MAX_BACKTRACKS))]
-    for first in range(1, MAX_BACKTRACKS, TRIAL_STACK)
-]
+_STEPS = [0.5 ** k for k in range(MAX_BACKTRACKS)]
+STEP_ONE_FIRST = [_STEPS[:1]] + [_STEPS[k:k + TRIAL_STACK] for k in range(1, MAX_BACKTRACKS, TRIAL_STACK)]
+STEP_STACKS = [_STEPS[k:k + TRIAL_STACK] for k in range(0, MAX_BACKTRACKS, TRIAL_STACK)]
 
 
 @dataclass
@@ -140,6 +141,7 @@ def solve_moment_equation(
 
     trace = []
     norms = []
+    last_step = 1.0
     for iteration in range(opts.max_iterations + 1):
         stacks = x_cur.stacks
         with np.errstate(over="ignore", invalid="ignore"):
@@ -192,8 +194,10 @@ def solve_moment_equation(
         noise = 1e-13 * (1.0 + abs(value))
         eig = eigh_i_stacks(z.stacks)
         accepted = None
-        for steps in STEP_STACKS:
-            g_trials, ok, trials, trial_norms = trial_stacks(layout, eig, steps, stacks)
+        for steps in STEP_ONE_FIRST if last_step == 1.0 else STEP_STACKS:
+            g_trials, ok, trials = trial_stacks(layout, eig, steps, stacks)
+            with np.errstate(over="ignore", invalid="ignore"):
+                trial_norms = layout.ordered_sum(sq_norm_stacks(trials), lead=(len(steps),))
             for k, step in enumerate(steps):
                 if not ok[k]:
                     continue
@@ -207,6 +211,7 @@ def solve_moment_equation(
                         accepted = k
                         break
             if accepted is not None:
+                last_step = steps[accepted]
                 break
         else:
             logger.debug("line search failed at iteration %d", iteration)

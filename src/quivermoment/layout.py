@@ -16,7 +16,8 @@ elements, acted points, norms and moment defects carry a leading trial axis.
 Contract: every kernel is bit-for-bit equal to the per-edge definition it
 replaces, and every trial of a stack is bit-for-bit equal to the same trial
 computed alone.  Batched ``matmul``, ``inv``, ``det``, ``slogdet`` and
-``eigh`` run the same per-matrix routine on each stacked matrix, and
+``eigh`` run the same per-matrix routine on each stacked matrix (a 1x1
+``eigh`` is answered in closed form with the bytes that routine returns), and
 elementwise operations act entry by entry.  Sums over edges or vertices are
 where order matters, so they are kept in the definition's order: a vertex sum
 scatters the edge-ordered contributions with ``np.add.at`` (head term before
@@ -291,17 +292,22 @@ def act_stacks(layout: EdgeLayout, g_stacks, stacks):
     ]
 
 
+def eigh_stacks(h):
+    """The unitary diagonalization (w, u, u^dagger) of every hermitian matrix
+    in a stack, as ``np.linalg.eigh`` gives it.  1x1 matrices are answered in
+    closed form, w = Re h and u = 1: for N = 1 LAPACK's heevd returns
+    W(1) = DBLE(A(1,1)) and Z = 1, so the bytes are the same."""
+    if h.shape[-1] == 1:
+        u = np.ones(h.shape, dtype=complex)
+        return h.real[..., 0], u, dagger(u)
+    w, u = np.linalg.eigh(h)
+    return w, u, dagger(u)
+
+
 def eigh_i_stacks(y_stacks):
     """Per vertex class, the unitary diagonalization (w, u, u^dagger) of the
     hermitian blocks iY; a class of dimension zero keeps empty factors."""
-    out = []
-    for s in y_stacks:
-        if s.shape[1] == 0:
-            out.append((np.zeros(s.shape[:2]), s, s))
-            continue
-        w, u = np.linalg.eigh(1j * s)
-        out.append((w, u, dagger(u)))
-    return out
+    return [eigh_stacks(1j * s) if s.shape[1] else (np.zeros(s.shape[:2]), s, s) for s in y_stacks]
 
 
 def exp_eigh_stacks(eig, ts):
@@ -329,13 +335,13 @@ def trial_stacks(layout: EdgeLayout, eig, ts, stacks):
     """The trials exp(i t Y).x of a line search along Y, one per step t of
     ``ts``, from the diagonalization ``eig = eigh_i_stacks(Y)``.
 
-    Returns ``(g, ok, trials, norms)``, each with a leading trial axis: the
-    vertex stacks of exp(i t Y), whether the trial is usable (its exponential
-    is finite and has no singular block), the edge stacks g_h phi g_t^-1 and
-    their squared norms; the edge stacks of an unusable trial are NaN, and
-    its norm means nothing.  The trials are acted on as one stack; when one
-    of them is unusable, each is acted on alone, so that the others come out
-    as they would alone.
+    Returns ``(g, ok, trials)``, each with a leading trial axis: the vertex
+    stacks of exp(i t Y), whether the trial is usable (its exponential is
+    finite and has no singular block) and the edge stacks g_h phi g_t^-1; the
+    edge stacks of an unusable trial are NaN.  The trials are acted on as one
+    stack; when one of them is unusable, each is acted on alone, so that the
+    others come out as they would alone.  Callers that read the trials' norms
+    or defects compute them over the same leading axis.
     """
     count = len(ts)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -353,8 +359,7 @@ def trial_stacks(layout: EdgeLayout, eig, ts, stacks):
                     continue
                 for trial, b in zip(trials, one):
                     trial[k] = b[0]
-        norms = layout.ordered_sum(sq_norm_stacks(trials), lead=(count,))
-    return g, ok, trials, norms
+    return g, ok, trials
 
 
 def vdot_real_stacks(a_stacks, b_stacks):

@@ -21,6 +21,7 @@ from .layout import (
     act_stacks,
     dagger,
     eigh_i_stacks,
+    eigh_stacks,
     exp_i_stacks,
     infinitesimal_action_stacks,
     real_coordinates,
@@ -333,7 +334,7 @@ def exp_action_stacks(layout, y_stacks, t, stacks):
     """Stacks of exp(i t Y).x, or None when the exponential overflows or has a
     singular block, which descent loops treat as a rejected step: the
     one-trial case of ``layout.trial_stacks``."""
-    _, ok, trials, _ = trial_stacks(layout, eigh_i_stacks(y_stacks), (t,), stacks)
+    _, ok, trials = trial_stacks(layout, eigh_i_stacks(y_stacks), (t,), stacks)
     return [s[0] for s in trials] if ok[0] else None
 
 
@@ -456,11 +457,10 @@ def polar_decompose(g: GroupElement):
             y_stacks.append(np.zeros_like(s))
             h_stacks.append(np.zeros_like(s))
             continue
-        w, u = np.linalg.eigh(dagger(s) @ s)
+        w, u, u_dagger = eigh_stacks(dagger(s) @ s)
         if np.any(w[:, 0] <= 0) or not np.all(np.isfinite(w)):
             raise ValueError("singular block in group element")
         # iY = log(gram)/2, exp(-iY) = gram^{-1/2}
-        u_dagger = dagger(u)
         y_stacks.append(-1j * ((u * (0.5 * np.log(w))[:, None, :]) @ u_dagger))
         h_stacks.append(s @ ((u * (1.0 / np.sqrt(w))[:, None, :]) @ u_dagger))
     y = LieAlgebraElement.from_stacks(g.dims, _projected(g.layout, y_stacks))

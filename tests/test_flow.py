@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -152,3 +154,25 @@ def test_flow_trajectory_columns(a2_rep, theta11):
     out = flow_integrate(theta11(0.5, -0.5), a2_rep(1, 0))
     for t, h, g in out.trajectory_summary:
         assert t >= 0 and h >= 0 and g >= 0
+
+
+def test_flow_step_makes_one_trial_call(monkeypatch):
+    """The steps dt, dt/2, dt/4, dt/8 run as one trial stack, so almost every
+    outer step of a thin flow needs a single call of the trial kernel."""
+    import quivermoment.flow as flow
+
+    points = []
+    original = flow.trial_stacks
+
+    def counting(layout, eig, ts, stacks):
+        points.append(stacks)  # kept alive, so each point keeps its own id
+        return original(layout, eig, ts, stacks)
+
+    monkeypatch.setattr(flow, "trial_stacks", counting)
+    rng = np.random.default_rng(3)
+    _, dims, x = random_stable_instance(rng)
+    out = flow_integrate(random_chamber_theta(rng, dims), x)
+    # the calls of one outer step all try steps from the same current point
+    per_step = [len(list(calls)) for _, calls in itertools.groupby(map(id, points))]
+    assert out.stop_reason == "reached" and len(per_step) > 50
+    assert sum(n == 1 for n in per_step) >= 0.99 * len(per_step)

@@ -4,10 +4,12 @@ import pytest
 from quivermoment import (
     GroupElement,
     LieAlgebraElement,
+    Quiver,
     Representation,
     SolveOptions,
     act,
     exp_action,
+    extend,
     geodesic_profile,
     kempf_ness_value,
     minimum_is_identity_check,
@@ -20,7 +22,9 @@ from quivermoment import (
 from quivermoment.lie import center_to_theta
 from quivermoment.sampling import (
     random_chamber_theta,
+    random_representation,
     random_stable_instance,
+    random_theta,
     random_unitary,
     random_uv_element,
 )
@@ -232,3 +236,31 @@ def test_gradient_descent_mode(a2_rep, theta11):
     )
     assert out.converged
     assert out.y.blocks[0][0, 0].imag == pytest.approx(LN4_OVER_4, abs=1e-8)
+
+
+def test_escaping_solve_makes_one_trial_call_per_iteration(monkeypatch):
+    """On a disconnected instance, whose orbit escapes and whose iterations
+    reject step 1, only the first iteration tries step 1 alone; every other
+    iteration runs one trial stack that starts at step 1.  Both stackings
+    try 1, 1/2, ... in the same order, so the accepted step is the same."""
+    import quivermoment.kempf_ness as kempf_ness
+
+    steps = [0.5 ** k for k in range(kempf_ness.MAX_BACKTRACKS)]
+    assert sum(kempf_ness.STEP_ONE_FIRST, []) == steps == sum(kempf_ness.STEP_STACKS, [])
+
+    calls = []
+    original = kempf_ness.trial_stacks
+
+    def counting(layout, eig, ts, stacks):
+        calls.append(list(ts))
+        return original(layout, eig, ts, stacks)
+
+    monkeypatch.setattr(kempf_ness, "trial_stacks", counting)
+    rng = np.random.default_rng(0)
+    dims = (1, 2, 2, 1)
+    x = random_representation(rng, extend(Quiver(4, [(0, 1), (2, 3)])), dims)
+    out = solve_moment_equation(x, random_theta(rng, dims), opts=SolveOptions(max_iterations=50))
+    assert out.status == "max_iterations" and out.iterations == 50
+    assert calls[0] == [1.0]
+    assert all(ts[0] == 1.0 and len(ts) == kempf_ness.TRIAL_STACK for ts in calls[2:])
+    assert len(calls) == out.iterations + 1
