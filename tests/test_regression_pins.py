@@ -162,6 +162,59 @@ def test_solve_outcome_pins(a2_rep, theta11):
     ]
 
 
+# supports whose positive-dimension vertices fall into two or more components,
+# where central directions act trivially and the Hessian is singular
+SPLIT_SUPPORT_CASES = [
+    ((4, [(0, 1), (1, 1), (2, 3), (3, 2)]), (2, 1, 2, 1), 8.0),  # a disconnected quiver
+    ((3, [(0, 1), (1, 2), (2, 2)]), (2, 0, 2), 4.0),  # cut only by a zero-dimension vertex
+    ((3, [(0, 1), (1, 0)]), (1, 2, 2), 4.0),  # vertex 2 is isolated with d > 0
+]
+
+
+def test_split_support_solve_pins():
+    """Whole solves on split supports, where every Newton check falls back to
+    the gradient: status, iteration count, residual, objective trace, Y and
+    the divergence direction, as exact reprs and byte digests."""
+    rng = np.random.default_rng(44)
+    opts = SolveOptions(max_iterations=50)
+    runs = []
+    for (n, edges), dims, scale in SPLIT_SUPPORT_CASES:
+        x = S.random_representation(rng, extend(Quiver(n, edges)), dims)
+        theta = S.random_theta(rng, dims, scale=scale)
+        runs += [solve_moment_equation(x, theta, s, opts) for s in "IJK"]
+        if len(runs) == 3:
+            gd = SolveOptions(step_control="gradient-descent-armijo", max_iterations=50)
+            runs.append(solve_moment_equation(x, theta, "J", gd))
+            half = solve_moment_equation(x, theta, "I", SolveOptions(max_iterations=2))
+            runs.append(solve_moment_equation(x, theta, "I", SolveOptions(max_iterations=50, initial_y=half.y)))
+    got = [
+        (
+            o.status,
+            o.iterations,
+            repr(o.residual),
+            _digest(repr(o.objective_trace).encode()),
+            _digest(b"".join(b.tobytes() for b in o.y.blocks)),
+            None if o.divergence_direction is None
+            else _digest(b"".join(b.tobytes() for b in o.divergence_direction.blocks)),
+        )
+        for o in runs
+    ]
+    M, D = "max_iterations", "diverged"
+    assert got == [
+        (D, 50, "11.309439568213648", "1551d816399ffc90", "bbe4edf8d3c4aa7c", "d01866d75fe573ed"),
+        (M, 50, "31.05268452036173", "b18b6e69a4740a32", "926bc12075978e44", None),
+        (D, 45, "12.807772978510132", "59a1cf2203d76c68", "a2c706329e245b82", "b22380dc81af91c1"),
+        (M, 50, "31.05268452036173", "b18b6e69a4740a32", "926bc12075978e44", None),
+        (D, 48, "11.309439568213648", "194b4fbfc3dd3739", "bbe4edf8d3c4aa7c", "d01866d75fe573ed"),
+        (M, 50, "5.70663174073814", "720736fb9a969aaf", "53d91332e7f0e175", None),
+        (M, 50, "6.042027988342326", "bae60655fcd7e578", "952bfc9ff75f5878", None),
+        (M, 50, "12.623576587235528", "4e032bf91b78716e", "366452de73914522", None),
+        (M, 50, "12.845005289926181", "5990fbc4e1c0b837", "1714c5ebd145d3da", None),
+        (D, 28, "15.365597995788248", "4178a92689144058", "717617b9ccd66ea9", "3b6ebe61520dca1e"),
+        (M, 50, "13.111097293035899", "14d5bb08ecb6e1ae", "dc5bdd6f0a80a47b", None),
+    ]
+
+
 def test_king_verdict_pins():
     rng = np.random.default_rng(22)
     verdicts = []
