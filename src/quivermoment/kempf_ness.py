@@ -20,7 +20,14 @@ from typing import Optional
 
 import numpy as np
 
-from .layout import eigh_i_stacks, sq_norm_stacks, trial_stacks
+from .layout import (
+    act_stacks,
+    eigh_i_stacks,
+    exp_i_stacks,
+    sq_norm_stacks,
+    trial_stacks,
+    vdot_real_stacks,
+)
 from .lie import (
     GroupElement,
     LieAlgebraElement,
@@ -28,13 +35,11 @@ from .lie import (
     act,
     character_log_modulus,
     pairing,
-    pairing_norm,
-    polar_decompose,
-    tangent_matrix,
+    polar_log_stacks,
     theta_to_center,
     uv_basis,
 )
-from .moment import defect_offset, defect_sq_norm, defect_stacks, moment_residual
+from .moment import defect_sq_norm, defect_stacks, moment_residual
 from .quiver import Representation, norm_sq, rotate_to_I
 
 logger = logging.getLogger(__name__)
@@ -123,139 +128,177 @@ def solve_moment_equation(
     the hyperkahler rotation, which leaves Y unchanged).  Each iteration
     re-centers at the current point, computes a Newton or gradient direction,
     backtracks on the functional value, and folds the step into a single Y via
-    polar decomposition; the unitary polar factor is dropped, which changes
-    neither the residual nor the functional value.  The residual and the line
-    search run on edge stacks, with the flow's defect and group step helpers.
+    polar decomposition; the unitary polar factor is never formed, since it
+    changes neither the residual nor the functional value.  The loop runs on
+    raw stacks from start to finish: Y, the direction, exp(iY) and the current
+    point are lists of vertex-class or edge stacks, and the kernels of
+    layout.py, the flow's defect helpers and the trial stacks compute on them;
+    objects are built only for the outcome.
     """
     opts = opts or SolveOptions()
     x0 = rotate_to_I(structure, x)
     basis = uv_basis(x.dims)
     target = theta_to_center(theta)
+    if target.dims != x.dims:
+        raise ValueError("elements have mismatched dimension vectors")
+    if opts.initial_y is not None and opts.initial_y.dims != x.dims:
+        raise ValueError("initial_y has a different dimension vector than the representation")
     layout = x0.layout
-    offset = defect_offset(theta, x0)
+    vertices = layout.vertices
+    center = target.stacks
+    offset = [-1.0 * s for s in center]
+    # on a split support the Hessian is singular at every point of the orbit
+    gradient_only = opts.step_control == "gradient-descent-armijo" or _split_support(x.quiver, x.dims)
 
-    y = opts.initial_y if opts.initial_y is not None else LieAlgebraElement.zero(x.dims)
+    def pairing(a, b):
+        # lie.pairing and lie.pairing_norm on vertex-class stacks
+        return float(vertices.ordered_sum(vdot_real_stacks(b, a)))
+
+    def norm(a):
+        return math.sqrt(max(pairing(a, a), 0.0))
+
+    def outcome(status, iterations, y, witness=None):
+        y = LieAlgebraElement.from_stacks(x.dims, y)
+        if witness is not None:
+            witness = LieAlgebraElement.from_stacks(x.dims, witness)
+        return SolveOutcome(status, y, residual, iterations, witness, structure, tuple(trace))
+
+    y = list(opts.initial_y.stacks) if opts.initial_y is not None else vertices.zeros()
     # exp(iY) of the current Y, kept for the next move; made on first use at Y = 0
-    g_y = GroupElement.exp_i(y) if pairing_norm(y) > 0 else None
-    x_cur = act(g_y, x0, "I") if g_y is not None else x0
+    g_y = None
+    stacks = x0.stacks
+    if norm(y) > 0:
+        g_y = exp_i_stacks(y, 1.0)
+        stacks = act_stacks(layout, g_y, stacks)
 
     trace = []
     norms = []
     last_step = 1.0
-    for iteration in range(opts.max_iterations + 1):
-        stacks = x_cur.stacks
-        with np.errstate(over="ignore", invalid="ignore"):
+    # overflow and invalid values are caught by the checks below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iteration in range(opts.max_iterations + 1):
             defect = defect_stacks(layout, stacks, offset)
             residual = math.sqrt(defect_sq_norm(layout, defect))
-            shift = 2.0 * pairing(target, y)
+            shift = 2.0 * pairing(center, y)
             value = layout.ordered_sum(sq_norm_stacks(stacks)) - shift
-        y_norm = pairing_norm(y)
-        trace.append(value)
-        norms.append(y_norm)
+            y_norm = norm(y)
+            trace.append(value)
+            norms.append(y_norm)
 
-        if np.isfinite(residual) and residual <= opts.gradient_tolerance:
-            return SolveOutcome(
-                "converged", y, residual, iteration, None, structure, tuple(trace)
-            )
-        if y_norm > opts.divergence_norm_bound or _diverging(trace, norms):
-            witness = (1.0 / y_norm) * y if y_norm > 0 else None
-            return SolveOutcome(
-                "diverged", y, residual, iteration, witness, structure, tuple(trace)
-            )
-        if not np.isfinite(residual) or not np.isfinite(value):
-            raise FloatingPointError("non-finite values in moment-equation solve")
-        if iteration == opts.max_iterations or basis.dim == 0:
-            return SolveOutcome(
-                "max_iterations", y, residual, iteration, None, structure, tuple(trace)
-            )
+            if np.isfinite(residual) and residual <= opts.gradient_tolerance:
+                return outcome("converged", iteration, y)
+            if y_norm > opts.divergence_norm_bound or _diverging(trace, norms):
+                witness = [(1.0 / y_norm) * s for s in y] if y_norm > 0 else None
+                return outcome("diverged", iteration, y, witness)
+            if not np.isfinite(residual) or not np.isfinite(value):
+                raise FloatingPointError("non-finite values in moment-equation solve")
+            if iteration == opts.max_iterations or basis.dim == 0:
+                return outcome("max_iterations", iteration, y)
 
-        grad = 2.0 * basis.coords(LieAlgebraElement.from_stacks(x.dims, defect))
-        z_coords = _direction(x_cur, grad, opts)
-        slope = float(grad @ z_coords)
-        if slope >= -1e-16 * (np.linalg.norm(grad) * np.linalg.norm(z_coords) + 1e-300):
-            z_coords = -0.5 * grad
-            slope = float(grad @ z_coords)
-        # one move never jumps past the divergence bound: runaway rays are
-        # reported by the norm test, not by an overflowing group product
-        z_len = float(np.linalg.norm(z_coords))
-        cap = max(opts.divergence_norm_bound, 1.0)
-        if z_len > cap:
-            z_coords = (cap / z_len) * z_coords
-            slope *= cap / z_len
-        z = basis.from_coords(z_coords)
-        z_shift = pairing(target, z)
+            grad = 2.0 * basis.coords_of_stacks(defect)
+            z_coords = None if gradient_only else _newton_direction(basis, layout, stacks, grad)
+            if z_coords is not None:
+                slope = float(grad @ z_coords)
+                if slope >= -1e-16 * (np.linalg.norm(grad) * np.linalg.norm(z_coords) + 1e-300):
+                    z_coords = None
+            if z_coords is None:
+                z_coords = -0.5 * grad
+                slope = float(grad @ z_coords)
+            # one move never jumps past the divergence bound: runaway rays are
+            # reported by the norm test, not by an overflowing group product
+            z_len = float(np.linalg.norm(z_coords))
+            cap = max(opts.divergence_norm_bound, 1.0)
+            if z_len > cap:
+                z_coords = (cap / z_len) * z_coords
+                slope *= cap / z_len
+            z = basis.stacks_from_coords(z_coords)
+            z_shift = pairing(center, z)
 
-        # Armijo with a rounding floor: near the fiber the functional moves by
-        # less than double precision resolves while the residual still
-        # contracts quadratically, so steps that shrink the residual must not
-        # be rejected on sub-ulp functional comparisons.  A trial that
-        # overflows or has a singular block is rejected.  One diagonalization
-        # of Z serves every trial.
-        noise = 1e-13 * (1.0 + abs(value))
-        eig = eigh_i_stacks(z.stacks)
-        accepted = None
-        for steps in STEP_ONE_FIRST if last_step == 1.0 else STEP_STACKS:
-            g_trials, ok, trials = trial_stacks(layout, eig, steps, stacks)
-            with np.errstate(over="ignore", invalid="ignore"):
+            # Armijo with a rounding floor: near the fiber the functional moves by
+            # less than double precision resolves while the residual still
+            # contracts quadratically, so steps that shrink the residual must not
+            # be rejected on sub-ulp functional comparisons.  A trial that
+            # overflows or has a singular block is rejected.  One diagonalization
+            # of Z serves every trial.
+            noise = 1e-13 * (1.0 + abs(value))
+            eig = eigh_i_stacks(z)
+            accepted = None
+            for steps in STEP_ONE_FIRST if last_step == 1.0 else STEP_STACKS:
+                g_trials, ok, trials = trial_stacks(layout, eig, steps, stacks)
                 trial_norms = layout.ordered_sum(sq_norm_stacks(trials), lead=(len(steps),))
-            for k, step in enumerate(steps):
-                if not ok[k]:
-                    continue
-                value_trial = float(trial_norms[k]) - shift - 2.0 * step * z_shift
-                if value_trial <= value + ARMIJO_SLOPE * step * slope:
-                    accepted = k
-                    break
-                if value_trial <= value + noise:
-                    trial_defect = defect_stacks(layout, [s[k] for s in trials], offset)
-                    if math.sqrt(defect_sq_norm(layout, trial_defect)) <= 0.9 * residual:
+                for k, step in enumerate(steps):
+                    if not ok[k]:
+                        continue
+                    value_trial = float(trial_norms[k]) - shift - 2.0 * step * z_shift
+                    if value_trial <= value + ARMIJO_SLOPE * step * slope:
                         accepted = k
                         break
-            if accepted is not None:
-                last_step = steps[accepted]
-                break
-        else:
-            logger.debug("line search failed at iteration %d", iteration)
-            return SolveOutcome(
-                "max_iterations", y, residual, iteration, None, structure, tuple(trace)
-            )
+                    if value_trial <= value + noise:
+                        trial_defect = defect_stacks(layout, [s[k] for s in trials], offset)
+                        if math.sqrt(defect_sq_norm(layout, trial_defect)) <= 0.9 * residual:
+                            accepted = k
+                            break
+                if accepted is not None:
+                    last_step = steps[accepted]
+                    break
+            else:
+                logger.debug("line search failed at iteration %d", iteration)
+                return outcome("max_iterations", iteration, y)
 
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                g_step = GroupElement.from_stacks(x.dims, [s[accepted] for s in g_trials])
-                g_new = g_step.compose(g_y if g_y is not None else GroupElement.exp_i(y))
-                if not all(np.all(np.isfinite(s)) for s in g_new.stacks):
+            try:
+                g_y = g_y if g_y is not None else exp_i_stacks(y, 1.0)
+                g_new = [s[accepted] @ g for s, g in zip(g_trials, g_y)]
+                if not all(np.isfinite(s).all() for s in g_new):
                     raise OverflowError
-                _, y = polar_decompose(g_new)
-                g_y = GroupElement.exp_i(y)
-                x_cur = act(g_y, x0, "I")
-        except (OverflowError, ValueError, np.linalg.LinAlgError):
-            # the accepted move leaves representable range: a runaway ray
-            y_norm = pairing_norm(y)
-            witness = (1.0 / y_norm) * y if y_norm > 0 else (1.0 / pairing_norm(z)) * z
-            return SolveOutcome(
-                "diverged", y, residual, iteration + 1, witness, structure, tuple(trace)
-            )
+                y, _ = polar_log_stacks(vertices, g_new)
+                g_y = exp_i_stacks(y, 1.0)
+                stacks = act_stacks(layout, g_y, x0.stacks)
+            except (OverflowError, ValueError, np.linalg.LinAlgError):
+                # the accepted move leaves representable range: a runaway ray
+                y_norm = norm(y)
+                witness = [(1.0 / y_norm) * s for s in y] if y_norm > 0 else [(1.0 / norm(z)) * s for s in z]
+                return outcome("diverged", iteration + 1, y, witness)
+
 
     raise AssertionError("unreachable")
 
 
-def _direction(x_cur, grad, opts):
-    """Newton direction from the Gram matrix of action tangents, or steepest
-    descent when requested, when the system is too ill-conditioned, or when
-    the Newton step blows up along a nearly flat direction."""
-    if opts.step_control == "gradient-descent-armijo":
-        return -0.5 * grad
-    m = tangent_matrix(x_cur)
+def _split_support(quiver, dims) -> bool:
+    """Whether the vertices of positive dimension fall into two or more
+    connected components; a vertex of dimension zero cuts every edge at it.
+    Then the central directions constant on each component act trivially on
+    the whole representation space, so the Hessian of the functional is
+    singular at every point of the orbit and the Newton check always falls
+    back to the gradient."""
+    parent = {v: v for v, d in enumerate(dims) if d}
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for t, h in quiver.edges:
+        if dims[t] and dims[h]:
+            parent[root(t)] = root(h)
+    return len({root(v) for v in parent}) >= 2
+
+
+def _newton_direction(basis, layout, stacks, grad):
+    """Newton direction from the Gram matrix of action tangents at the point
+    with edge stacks ``stacks``, or None when the system is too
+    ill-conditioned or the Newton step blows up along a nearly flat
+    direction; the caller then takes steepest descent."""
+    m = basis.tangent_matrix(layout, stacks)
     # second derivative of the functional along exp(itZ) is 4 ||B_Z x||^2
     hessian = 4.0 * (m @ m.T)
     # one SVD gives the 2-norm s[0] and the condition number s[0] / s[-1]
     s = np.linalg.svd(hessian, compute_uv=False) if hessian.size else np.zeros(1)
     with np.errstate(all="ignore"):
         if s[0] == 0.0 or s[0] / s[-1] > NEWTON_COND_LIMIT:
-            return -0.5 * grad
+            return None
     z, *_ = np.linalg.lstsq(hessian, -grad, rcond=None)
     if np.linalg.norm(z) > 100.0 * (1.0 + np.linalg.norm(grad)):
-        return -0.5 * grad
+        return None
     return z
 
 

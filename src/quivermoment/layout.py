@@ -44,10 +44,10 @@ class VertexLayout:
     ``class_dims[c]`` is the dimension of class c and ``members[c]`` its
     vertices in increasing order; vertex v sits at ``slots[v] = (c, i)``.
     ``real_order`` takes real coordinates, flattened class by class, to
-    vertex order (see ``real_coordinates``).
+    vertex order (see ``real_coordinates``); there are ``real_size`` of them.
     """
 
-    __slots__ = ("dims", "class_dims", "members", "slots", "real_order", "_vertex_order")
+    __slots__ = ("dims", "class_dims", "members", "slots", "real_order", "real_size", "_vertex_order")
 
     def __init__(self, dims):
         self.dims = tuple(int(d) for d in dims)
@@ -63,6 +63,7 @@ class VertexLayout:
         # position of each vertex in the concatenation of the classes
         self._vertex_order = _item_order(self.members, [1] * len(self.members))
         self.real_order = _item_order(self.members, [2 * d * d for d in self.class_dims])
+        self.real_size = sum(2 * d * d for d in self.dims)
 
     def stack(self, blocks):
         """Per-class stacks (n_c, d, d) of per-vertex blocks."""
@@ -86,14 +87,16 @@ class ShapeGroup:
     """The edges whose blocks share one shape (d_head, d_tail).
 
     ``head_pos``/``tail_pos`` are the positions of the edges' heads and tails
-    inside their vertex classes ``head_class``/``tail_class``; the reversed
+    inside their vertex classes ``head_class``/``tail_class``, and
+    ``head_take``/``tail_take`` the same positions as a slice when they are
+    one increasing run, so that gathering by them is a view; the reversed
     edges all lie in group ``reverse_group`` at ``reverse_pos``, and
     ``epsilon`` holds the edges' signs.
     """
 
     __slots__ = (
         "shape", "edges", "head_class", "tail_class", "head_pos", "tail_pos",
-        "epsilon", "reverse_group", "reverse_pos",
+        "head_take", "tail_take", "epsilon", "reverse_group", "reverse_pos",
     )
 
     def __init__(self, quiver, shape, edges, vertices, slots):
@@ -103,6 +106,8 @@ class ShapeGroup:
         self.tail_class = vertices.class_dims.index(shape[1])
         self.head_pos = _indices(vertices.slots[quiver.edges[e][1]][1] for e in edges)
         self.tail_pos = _indices(vertices.slots[quiver.edges[e][0]][1] for e in edges)
+        self.head_take = _take(self.head_pos)
+        self.tail_take = _take(self.tail_pos)
         self.epsilon = _indices(quiver.epsilon[e] for e in edges)
         reversed_edges = [quiver.reversal[e] for e in edges]
         self.reverse_group = slots[reversed_edges[0]][0]
@@ -117,10 +122,14 @@ class EdgeLayout:
     class c: which groups contribute head and tail terms, and the order and
     targets that replay the edge loop.  ``complex_moment_plans`` does the same
     for the complex moment map, which has head terms only.  ``real_order``
-    takes real coordinates flattened group by group to edge order.
+    takes the ``real_size`` real coordinates flattened group by group to edge
+    order.
     """
 
-    __slots__ = ("vertices", "groups", "slots", "moment_plans", "complex_moment_plans", "real_order", "_edge_order")
+    __slots__ = (
+        "vertices", "groups", "slots", "moment_plans", "complex_moment_plans", "real_order", "real_size",
+        "_edge_order",
+    )
 
     def __init__(self, quiver, dims):
         self.vertices = vl = vertex_layout(dims)
@@ -138,6 +147,7 @@ class EdgeLayout:
         edges = [g.edges for g in self.groups]
         self._edge_order = _item_order(edges, [1] * len(edges))
         self.real_order = _item_order(edges, [2 * g.shape[0] * g.shape[1] for g in self.groups])
+        self.real_size = sum(2 * g.shape[0] * g.shape[1] * len(g.edges) for g in self.groups)
         classes = range(len(vl.class_dims))
         self.moment_plans = tuple(self._scatter_plan(c, tails=True) for c in classes)
         self.complex_moment_plans = tuple(self._scatter_plan(c, tails=False) for c in classes)
@@ -182,20 +192,34 @@ def edge_layout(quiver, dims) -> EdgeLayout:
     return EdgeLayout(quiver, dims)
 
 
+def _take(pos):
+    """Positions as a slice when they are one increasing run, else as they are."""
+    if np.array_equal(pos, np.arange(pos[0], pos[0] + pos.size)):
+        return slice(int(pos[0]), int(pos[0]) + pos.size)
+    return pos
+
+
 def _item_order(members, sizes):
     """Index that takes per-class arrays with ``sizes[c]`` entries per member,
-    concatenated class by class, to member order."""
+    concatenated class by class, to member order; None when the concatenation
+    is already in member order."""
     keys = [np.repeat(_indices(m), size) for m, size in zip(members, sizes)]
-    return np.argsort(np.concatenate(keys), kind="stable") if keys else _indices(())
+    order = np.argsort(np.concatenate(keys), kind="stable") if keys else _indices(())
+    return None if np.array_equal(order, np.arange(order.size)) else order
 
 
 def _ordered_sum(parts, order, lead):
+    if not parts:
+        return np.zeros(lead) if lead else 0.0
+    values = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+    if order is not None:
+        values = values[..., order]
     if not lead:
-        return _left_to_right(np.concatenate(parts)[order].tolist()) if order.size else 0.0
-    if not order.size:
-        return np.zeros(lead)
-    rows = np.concatenate(parts, axis=-1)[..., order].reshape(-1, order.size).tolist()
-    return np.array([_left_to_right(row) for row in rows]).reshape(lead)
+        return _left_to_right(values.tolist())
+    # each row's running sum from zero, as the loop below adds it
+    rows = values.reshape(-1, values.shape[-1])
+    rows = np.concatenate((np.zeros((rows.shape[0], 1), dtype=rows.dtype), rows), axis=1)
+    return np.add.accumulate(rows, axis=1)[:, -1].reshape(lead)
 
 
 def _left_to_right(values):
@@ -273,7 +297,7 @@ def infinitesimal_action_stacks(layout: EdgeLayout, y_stacks, stacks):
     """Blocks Y_head phi - phi Y_tail per shape group; a leading batch axis of
     the vertex stacks carries over to the result."""
     return [
-        y_stacks[g.head_class][..., g.head_pos, :, :] @ b - b @ y_stacks[g.tail_class][..., g.tail_pos, :, :]
+        y_stacks[g.head_class][..., g.head_take, :, :] @ b - b @ y_stacks[g.tail_class][..., g.tail_take, :, :]
         for g, b in zip(layout.groups, stacks)
     ]
 
@@ -287,7 +311,7 @@ def act_stacks(layout: EdgeLayout, g_stacks, stacks):
     except np.linalg.LinAlgError as exc:
         raise ValueError("singular block in group element") from exc
     return [
-        g_stacks[g.head_class][..., g.head_pos, :, :] @ b @ inv[g.tail_class][..., g.tail_pos, :, :]
+        g_stacks[g.head_class][..., g.head_take, :, :] @ b @ inv[g.tail_class][..., g.tail_take, :, :]
         for g, b in zip(layout.groups, stacks)
     ]
 
@@ -380,4 +404,7 @@ def real_coordinates(layout, stacks):
     """Real then imaginary part of each block, block after block in vertex
     (or edge) order, along the last axis; a nonempty leading axis is kept."""
     parts = [np.stack((s.real, s.imag), -3).reshape(s.shape[:-3] + (-1,)) for s in stacks]
-    return np.ascontiguousarray(np.concatenate(parts, axis=-1)[..., layout.real_order]) if parts else np.zeros(0)
+    if not parts:
+        return np.zeros(0)
+    flat = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+    return flat if layout.real_order is None else np.ascontiguousarray(flat[..., layout.real_order])

@@ -20,12 +20,10 @@ import numpy as np
 from .layout import (
     act_stacks,
     dagger,
-    eigh_i_stacks,
     eigh_stacks,
     exp_i_stacks,
     infinitesimal_action_stacks,
     real_coordinates,
-    trial_stacks,
     vdot_real_stacks,
     vertex_layout,
 )
@@ -174,7 +172,14 @@ def _projected(layout, stacks):
     ``LieAlgebraElement.project``)."""
     skewed = [0.5 * (s - dagger(s)) for s in stacks]
     tau = np.complex128(layout.ordered_sum([np.trace(s, axis1=1, axis2=2) for s in skewed])) / sum(layout.dims)
-    return [s - tau * np.eye(d) for s, d in zip(skewed, layout.class_dims)]
+    return [s - tau * _identity(d) for s, d in zip(skewed, layout.class_dims)]
+
+
+@lru_cache(maxsize=None)
+def _identity(d):
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
 
 
 def pairing(y: VertexMatrices, z: VertexMatrices) -> float:
@@ -330,14 +335,6 @@ def exp_action(y: LieAlgebraElement, t, structure, x: Representation) -> Represe
     return act(GroupElement.exp_i(y, t), x, structure)
 
 
-def exp_action_stacks(layout, y_stacks, t, stacks):
-    """Stacks of exp(i t Y).x, or None when the exponential overflows or has a
-    singular block, which descent loops treat as a rejected step: the
-    one-trial case of ``layout.trial_stacks``."""
-    _, ok, trials = trial_stacks(layout, eigh_i_stacks(y_stacks), (t,), stacks)
-    return [s[0] for s in trials] if ok[0] else None
-
-
 def infinitesimal_action(y: VertexMatrices, x: Representation) -> Representation:
     """Derivative of the action: blocks Y_h phi - phi Y_t.
 
@@ -395,20 +392,38 @@ class UvBasis:
             s.flags.writeable = False
         self.stacks = tuple(stacks)
         self._vertices = vertices
-        self._by_class = np.argsort(vertices.real_order)
-        self._matrix = real_coordinates(vertices, stacks) if self.dim else np.zeros((0, vertices.real_order.size))
+        self._by_class = None if vertices.real_order is None else np.argsort(vertices.real_order)
+        self._matrix = real_coordinates(vertices, stacks) if self.dim else np.zeros((0, vertices.real_size))
 
     def coords(self, y: VertexMatrices) -> np.ndarray:
-        return self._matrix @ real_coordinates(self._vertices, y.stacks)
+        return self.coords_of_stacks(y.stacks)
 
     def from_coords(self, c) -> LieAlgebraElement:
-        flat = (np.asarray(c, dtype=float) @ self._matrix)[self._by_class]
+        return LieAlgebraElement.from_stacks(self.dims, self.stacks_from_coords(c))
+
+    def coords_of_stacks(self, stacks) -> np.ndarray:
+        """Coordinates of the element with vertex-class stacks ``stacks``."""
+        return self._matrix @ real_coordinates(self._vertices, stacks)
+
+    def stacks_from_coords(self, c):
+        """Vertex-class stacks of the element with coordinates ``c``."""
+        flat = np.asarray(c, dtype=float) @ self._matrix
+        if self._by_class is not None:
+            flat = flat[self._by_class]
         stacks, pos = [], 0
         for d, m in zip(self._vertices.class_dims, self._vertices.members):
             part = flat[pos:pos + 2 * len(m) * d * d].reshape(len(m), 2, d, d)
             stacks.append(part[:, 0] + 1j * part[:, 1])
             pos += part.size
-        return LieAlgebraElement.from_stacks(self.dims, stacks)
+        return stacks
+
+    def tangent_matrix(self, layout, stacks) -> np.ndarray:
+        """Real matrix of Y -> infinitesimal action of Y at the point with
+        edge stacks ``stacks``: one row per basis element, flattened as real
+        then imaginary parts."""
+        if not (self.dim and layout.groups):
+            return np.zeros((self.dim, layout.real_size))
+        return real_coordinates(layout, infinitesimal_action_stacks(layout, self.stacks, stacks))
 
 
 @lru_cache(maxsize=None)
@@ -419,11 +434,7 @@ def uv_basis(dims) -> UvBasis:
 def tangent_matrix(x: Representation) -> np.ndarray:
     """Real matrix of Y -> infinitesimal_action(Y, x): one row per basis
     element of the compact algebra, flattened as real then imaginary parts."""
-    basis = uv_basis(x.dims)
-    layout = x.layout
-    if not (basis.dim and layout.groups):
-        return np.zeros((basis.dim, layout.real_order.size))
-    return real_coordinates(layout, infinitesimal_action_stacks(layout, basis.stacks, x.stacks))
+    return uv_basis(x.dims).tangent_matrix(x.layout, x.stacks)
 
 
 def stabilizer_lie_dim(x: Representation) -> int:
@@ -451,17 +462,30 @@ def polar_decompose(g: GroupElement):
     iY is half the hermitian logarithm of g^dagger g; the trace-sum constraint
     on Y holds automatically when g has determinant product one.
     """
-    y_stacks, h_stacks = [], []
-    for s in g.stacks:
+    y_stacks, eig = polar_log_stacks(g.layout, g.stacks)
+    # exp(-iY) = gram^{-1/2}
+    h_stacks = [
+        s @ ((e[1] * (1.0 / np.sqrt(e[0]))[:, None, :]) @ e[2]) if e else np.zeros_like(s)
+        for s, e in zip(g.stacks, eig)
+    ]
+    return GroupElement.from_stacks(g.dims, h_stacks), LieAlgebraElement.from_stacks(g.dims, y_stacks)
+
+
+def polar_log_stacks(layout, g_stacks):
+    """The Y of ``polar_decompose`` from group stacks, without the unitary
+    factor: per class, iY = log(g^dagger g)/2, projected onto the compact
+    algebra.  Also returns the diagonalizations (w, u, u^dagger) of
+    g^dagger g, None for a class of dimension zero.  ValueError on a singular
+    or non-finite block."""
+    y_stacks, eig = [], []
+    for s in g_stacks:
         if s.shape[1] == 0:
             y_stacks.append(np.zeros_like(s))
-            h_stacks.append(np.zeros_like(s))
+            eig.append(None)
             continue
         w, u, u_dagger = eigh_stacks(dagger(s) @ s)
-        if np.any(w[:, 0] <= 0) or not np.all(np.isfinite(w)):
+        if (w[:, 0] <= 0).any() or not np.isfinite(w).all():
             raise ValueError("singular block in group element")
-        # iY = log(gram)/2, exp(-iY) = gram^{-1/2}
         y_stacks.append(-1j * ((u * (0.5 * np.log(w))[:, None, :]) @ u_dagger))
-        h_stacks.append(s @ ((u * (1.0 / np.sqrt(w))[:, None, :]) @ u_dagger))
-    y = LieAlgebraElement.from_stacks(g.dims, _projected(g.layout, y_stacks))
-    return GroupElement.from_stacks(g.dims, h_stacks), y
+        eig.append((w, u, u_dagger))
+    return _projected(layout, y_stacks), eig

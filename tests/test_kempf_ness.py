@@ -264,3 +264,83 @@ def test_escaping_solve_makes_one_trial_call_per_iteration(monkeypatch):
     assert calls[0] == [1.0]
     assert all(ts[0] == 1.0 and len(ts) == kempf_ness.TRIAL_STACK for ts in calls[2:])
     assert len(calls) == out.iterations + 1
+
+
+def _count_tangent_matrices(monkeypatch):
+    from quivermoment.lie import UvBasis
+
+    calls = []
+    original = UvBasis.tangent_matrix
+
+    def counting(self, layout, stacks):
+        calls.append(1)
+        return original(self, layout, stacks)
+
+    monkeypatch.setattr(UvBasis, "tangent_matrix", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "edges, dims",
+    [
+        ([(0, 1), (2, 3)], (1, 2, 2, 1)),  # a disconnected quiver
+        ([(0, 1), (1, 2), (2, 3)], (2, 1, 0, 1)),  # connected, cut by a zero-dimension vertex
+        ([(0, 1), (1, 0), (1, 1)], (1, 2, 1, 0)),  # vertex 2 is isolated with d > 0
+    ],
+)
+def test_split_support_solve_builds_no_hessian(monkeypatch, edges, dims):
+    """When the positive-dimension vertices fall into two or more components,
+    the Hessian is singular everywhere, so the solver takes the gradient
+    without building the tangent matrix."""
+    calls = _count_tangent_matrices(monkeypatch)
+    rng = np.random.default_rng(3)
+    x = random_representation(rng, extend(Quiver(len(dims), edges)), dims)
+    out = solve_moment_equation(x, random_theta(rng, dims), opts=SolveOptions(max_iterations=20))
+    assert out.iterations > 0
+    assert calls == []
+
+
+def test_connected_support_solve_builds_one_hessian_per_iteration(monkeypatch):
+    """A zero-dimension vertex that cuts nothing leaves the support connected:
+    the Newton check runs once per iteration, and never in the
+    gradient-descent mode."""
+    calls = _count_tangent_matrices(monkeypatch)
+    rng = np.random.default_rng(5)
+    dims = (2, 1, 1, 0)
+    x = random_representation(rng, extend(Quiver(4, [(0, 1), (1, 2), (2, 0), (0, 3)])), dims)
+    theta = random_theta(rng, dims)
+    out = solve_moment_equation(x, theta, opts=SolveOptions(max_iterations=20))
+    assert out.iterations > 0
+    assert len(calls) == out.iterations
+    calls.clear()
+    gd = SolveOptions(step_control="gradient-descent-armijo", max_iterations=20)
+    assert solve_moment_equation(x, theta, opts=gd).iterations > 0
+    assert calls == []
+
+
+def test_split_support_counts_components():
+    from quivermoment.kempf_ness import _split_support
+
+    path = extend(Quiver(3, [(0, 1), (1, 2)]))
+    assert not _split_support(path, (1, 1, 1))
+    assert _split_support(path, (1, 0, 1))  # the zero-dimension middle vertex cuts
+    assert not _split_support(path, (0, 2, 1))  # a zero-dimension end cuts nothing
+    assert not _split_support(path, (0, 0, 1))
+    assert not _split_support(path, (0, 0, 0))
+    assert _split_support(extend(Quiver(3, [(0, 1)])), (1, 1, 2))  # an isolated vertex with d > 0
+    assert not _split_support(extend(Quiver(3, [(0, 1)])), (1, 1, 0))
+
+
+@pytest.mark.parametrize("scale", [0.0, 1.0])
+def test_initial_y_with_wrong_dims_raises_before_iterating(monkeypatch, a2_rep, theta11, scale):
+    """A zero or nonzero initial Y of another dimension vector is refused at
+    entry, with one message, before any iteration computes a defect."""
+    import quivermoment.kempf_ness as kempf_ness
+
+    def no_iteration(*args, **kwargs):
+        raise AssertionError("an iteration ran")
+
+    monkeypatch.setattr(kempf_ness, "defect_stacks", no_iteration)
+    wrong = scale * random_uv_element(np.random.default_rng(0), (1, 2))
+    with pytest.raises(ValueError, match="^initial_y has a different dimension vector than the representation$"):
+        solve_moment_equation(a2_rep(1, 0), theta11(1, -1), opts=SolveOptions(initial_y=wrong))

@@ -37,7 +37,6 @@ from quivermoment.lie import (
     VertexMatrices,
     center_to_theta,
     character_log_modulus,
-    exp_action_stacks,
     tangent_matrix,
     uv_basis,
 )
@@ -555,10 +554,11 @@ def _sequential_trials(x, y, ts, offset):
     for t in ts:
         with np.errstate(over="ignore", invalid="ignore"):
             g = exp_i_stacks(y.stacks, t)
-            trial = exp_action_stacks(layout, y.stacks, t, x.stacks)
-            if trial is None:
+            _, ok, trials = trial_stacks(layout, eigh_i_stacks(y.stacks), (t,), x.stacks)
+            if not ok[0]:
                 out.append((g, None))
                 continue
+            trial = [s[0] for s in trials]
             defect = defect_stacks(layout, trial, offset)
             out.append((g, (trial, layout.ordered_sum(sq_norm_stacks(trial)), defect,
                             defect_sq_norm(layout, defect))))
