@@ -24,7 +24,8 @@ scatters the edge-ordered contributions with ``np.add.at`` (head term before
 tail term for each edge, starting from zero; along axis 1 under a trial
 axis), and a pairing or norm is a batched row-times-column product per block
 (equal to ``np.vdot``) summed left to right in edge or vertex order, one such
-sum per trial.
+sum per trial (``np.add.accumulate`` over a row that starts with a zero adds
+in that order too).
 """
 
 from __future__ import annotations
@@ -211,11 +212,12 @@ def _item_order(members, sizes):
 def _ordered_sum(parts, order, lead):
     if not parts:
         return np.zeros(lead) if lead else 0.0
+    if not lead:
+        values = [v for p in parts for v in p.tolist()]
+        return _left_to_right(values if order is None else [values[i] for i in order.tolist()])
     values = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
     if order is not None:
         values = values[..., order]
-    if not lead:
-        return _left_to_right(values.tolist())
     # each row's running sum from zero, as the loop below adds it
     rows = values.reshape(-1, values.shape[-1])
     rows = np.concatenate((np.zeros((rows.shape[0], 1), dtype=rows.dtype), rows), axis=1)
@@ -322,10 +324,18 @@ def eigh_stacks(h):
     closed form, w = Re h and u = 1: for N = 1 LAPACK's heevd returns
     W(1) = DBLE(A(1,1)) and Z = 1, so the bytes are the same."""
     if h.shape[-1] == 1:
-        u = np.ones(h.shape, dtype=complex)
-        return h.real[..., 0], u, dagger(u)
+        return (h.real[..., 0],) + _unit_stacks(h.shape)
     w, u = np.linalg.eigh(h)
     return w, u, dagger(u)
+
+
+@lru_cache(maxsize=256)
+def _unit_stacks(shape):
+    """Read-only (u, u^dagger) for u = 1 in every 1x1 block of a stack."""
+    u = np.ones(shape, dtype=complex)
+    u_dagger = dagger(u)
+    u.flags.writeable = u_dagger.flags.writeable = False
+    return u, u_dagger
 
 
 def eigh_i_stacks(y_stacks):
@@ -388,11 +398,10 @@ def trial_stacks(layout: EdgeLayout, eig, ts, stacks):
 
 def vdot_real_stacks(a_stacks, b_stacks):
     """Per pair of stacked blocks, np.vdot(a, b).real; leading axes carry over."""
-    pairs = zip(a_stacks, b_stacks)
-    return [
-        (a.reshape(a.shape[:-2] + (1, -1)).conj() @ b.reshape(b.shape[:-2] + (-1, 1))).reshape(a.shape[:-2]).real
-        for a, b in pairs
-    ]
+    out = []
+    for a, b in zip(a_stacks, b_stacks):
+        out.append((a.reshape(a.shape[:-2] + (1, -1)).conj() @ b.reshape(b.shape[:-2] + (-1, 1)))[..., 0, 0].real)
+    return out
 
 
 def sq_norm_stacks(stacks):

@@ -171,7 +171,7 @@ def _projected(layout, stacks):
     """Stacks of the orthogonal projection onto the compact algebra (see
     ``LieAlgebraElement.project``)."""
     skewed = [0.5 * (s - dagger(s)) for s in stacks]
-    tau = np.complex128(layout.ordered_sum([np.trace(s, axis1=1, axis2=2) for s in skewed])) / sum(layout.dims)
+    tau = np.complex128(layout.ordered_sum([s.trace(axis1=1, axis2=2) for s in skewed])) / sum(layout.dims)
     return [s - tau * _identity(d) for s, d in zip(skewed, layout.class_dims)]
 
 
@@ -484,7 +484,8 @@ def polar_log_stacks(layout, g_stacks):
             eig.append(None)
             continue
         w, u, u_dagger = eigh_stacks(dagger(s) @ s)
-        if (w[:, 0] <= 0).any() or not np.isfinite(w).all():
+        # NaN, a non-positive or an infinite eigenvalue: min and max propagate NaN
+        if not 0.0 < w.min() <= w.max() < math.inf:
             raise ValueError("singular block in group element")
         y_stacks.append(-1j * ((u * (0.5 * np.log(w))[:, None, :]) @ u_dagger))
         eig.append((w, u, u_dagger))
