@@ -6,9 +6,12 @@ are exactly the points whose moment value hits the central target.  The
 solver runs a damped Newton iteration in geodesic coordinates: at the current
 point the gradient is 2(mu - theta) and the Hessian is the Gram matrix of the
 infinitesimal-action tangents, solved by least squares with a gradient-descent
-fallback when ill-conditioned.  Unbounded iterates are reported as divergence
-together with the normalized limiting direction, the witness the
-Hilbert-Mumford criterion extracts from unbounded minimizing sequences.
+fallback when ill-conditioned; when the vertices of positive dimension fall
+into two or more components the Hessian is singular on the whole orbit, and
+the solver takes the gradient without building it.  Unbounded iterates are
+reported as divergence together with the normalized limiting direction, the
+witness the Hilbert-Mumford criterion extracts from unbounded minimizing
+sequences.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .layout import (
     exp_i_stacks,
     sq_norm_stacks,
     trial_stacks,
-    vdot_real_stacks,
 )
 from .lie import (
     GroupElement,
@@ -35,6 +37,7 @@ from .lie import (
     act,
     character_log_modulus,
     pairing,
+    pairing_stacks,
     polar_log_stacks,
     theta_to_center,
     uv_basis,
@@ -150,12 +153,9 @@ def solve_moment_equation(
     # on a split support the Hessian is singular at every point of the orbit
     gradient_only = opts.step_control == "gradient-descent-armijo" or _split_support(x.quiver, x.dims)
 
-    def pairing(a, b):
-        # lie.pairing and lie.pairing_norm on vertex-class stacks
-        return float(vertices.ordered_sum(vdot_real_stacks(b, a)))
-
-    def norm(a):
-        return math.sqrt(max(pairing(a, a), 0.0))
+    def pair_norm(a):
+        # lie.pairing_norm on vertex-class stacks
+        return math.sqrt(max(pairing_stacks(vertices, a, a), 0.0))
 
     def outcome(status, iterations, y, witness=None):
         y = LieAlgebraElement.from_stacks(x.dims, y)
@@ -167,7 +167,7 @@ def solve_moment_equation(
     # exp(iY) of the current Y, kept for the next move; made on first use at Y = 0
     g_y = None
     stacks = x0.stacks
-    if norm(y) > 0:
+    if pair_norm(y) > 0:
         g_y = exp_i_stacks(y, 1.0)
         stacks = act_stacks(layout, g_y, stacks)
 
@@ -179,9 +179,9 @@ def solve_moment_equation(
         for iteration in range(opts.max_iterations + 1):
             defect = defect_stacks(layout, stacks, offset)
             residual = math.sqrt(defect_sq_norm(layout, defect))
-            shift = 2.0 * pairing(center, y)
+            shift = 2.0 * pairing_stacks(vertices, center, y)
             value = layout.ordered_sum(sq_norm_stacks(stacks)) - shift
-            y_norm = norm(y)
+            y_norm = pair_norm(y)
             trace.append(value)
             norms.append(y_norm)
 
@@ -212,7 +212,7 @@ def solve_moment_equation(
                 z_coords = (cap / z_len) * z_coords
                 slope *= cap / z_len
             z = basis.stacks_from_coords(z_coords)
-            z_shift = pairing(center, z)
+            z_shift = pairing_stacks(vertices, center, z)
 
             # Armijo with a rounding floor: near the fiber the functional moves by
             # less than double precision resolves while the residual still
@@ -255,10 +255,9 @@ def solve_moment_equation(
                 stacks = act_stacks(layout, g_y, x0.stacks)
             except (OverflowError, ValueError, np.linalg.LinAlgError):
                 # the accepted move leaves representable range: a runaway ray
-                y_norm = norm(y)
-                witness = [(1.0 / y_norm) * s for s in y] if y_norm > 0 else [(1.0 / norm(z)) * s for s in z]
+                y_norm = pair_norm(y)
+                witness = [(1.0 / y_norm) * s for s in y] if y_norm > 0 else [(1.0 / pair_norm(z)) * s for s in z]
                 return outcome("diverged", iteration + 1, y, witness)
-
 
     raise AssertionError("unreachable")
 
@@ -277,7 +276,7 @@ def _split_support(quiver, dims) -> bool:
             v = parent[v]
         return v
 
-    for t, h in quiver.edges:
+    for t, h in quiver.base.edges:
         if dims[t] and dims[h]:
             parent[root(t)] = root(h)
     return len({root(v) for v in parent}) >= 2

@@ -398,10 +398,11 @@ def trial_stacks(layout: EdgeLayout, eig, ts, stacks):
 
 def vdot_real_stacks(a_stacks, b_stacks):
     """Per pair of stacked blocks, np.vdot(a, b).real; leading axes carry over."""
-    out = []
-    for a, b in zip(a_stacks, b_stacks):
-        out.append((a.reshape(a.shape[:-2] + (1, -1)).conj() @ b.reshape(b.shape[:-2] + (-1, 1)))[..., 0, 0].real)
-    return out
+    pairs = zip(a_stacks, b_stacks)
+    return [
+        (a.reshape(a.shape[:-2] + (1, -1)).conj() @ b.reshape(b.shape[:-2] + (-1, 1)))[..., 0, 0].real
+        for a, b in pairs
+    ]
 
 
 def sq_norm_stacks(stacks):

@@ -188,7 +188,13 @@ def pairing(y: VertexMatrices, z: VertexMatrices) -> float:
     Symmetric, Ad-invariant under the unitary blocks, and positive definite.
     """
     y._check_dims(z)
-    return float(y.layout.ordered_sum(vdot_real_stacks(z.stacks, y.stacks)))
+    return pairing_stacks(y.layout, y.stacks, z.stacks)
+
+
+def pairing_stacks(layout, y_stacks, z_stacks) -> float:
+    """``pairing`` of the elements with vertex-class stacks ``y_stacks`` and
+    ``z_stacks``."""
+    return float(layout.ordered_sum(vdot_real_stacks(z_stacks, y_stacks)))
 
 
 def pairing_norm(y: VertexMatrices) -> float:
