@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from quivermoment import (
     torus_weights,
 )
 from quivermoment.cones import SubsetCapError, WeightSet, theta_coordinates
+from quivermoment import sampling as S
 from quivermoment.sampling import random_rational_triple
 from quivermoment.selftest import (
     _brute_force_d_theta,
@@ -174,3 +176,110 @@ def test_rational_parsing():
     assert tri.theta_I == (Fraction(1, 2), Fraction(-1, 2))
     with pytest.raises(ValueError):
         RationalThetaTriple(("1/3", "0"), ("0", "0"), ("0", "0"), (1, 1))
+
+
+# ---------------------------------------------------------------------------
+# d_theta and in_C_reg pinned on fixed draws, as the exhaustive subset loops
+# computed them: any search over the subcones must land within 1e-12 of these
+# values and keep every verdict
+
+
+def _criterion_6_draws():
+    """The 50 draws of acceptance criterion 6: generic vectors, at most 10."""
+    rng = np.random.default_rng(1006)
+    for _ in range(50):
+        n = int(rng.integers(2, 5))
+        k = int(rng.integers(1, 11))
+        vectors = rng.normal(size=(k, n))
+        theta = rng.normal(size=n)
+        yield WeightSet(vectors=vectors, multiplicities=np.ones(k, dtype=int), num_coords=n), theta
+
+
+def _torus_cases(rng, count, max_weights=13):
+    """Torus weights of generic (dims up to 2) and thin connected instances,
+    at most 2^13 subsets each, with three parameters per weight set: a
+    balanced random theta (outside the cone when the weights miss it), a
+    positive combination of every weight and one of a random few."""
+    cases = []
+    while len(cases) < count:
+        if len(cases) % 2:
+            _, dims, x = S.random_stable_instance(rng)
+        else:
+            _, dims, x = S.random_instance(rng, max_dim=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ws = torus_weights(x.quiver, dims)
+        k = len(ws.vectors)
+        if k > max_weights:
+            continue
+        balanced = theta_coordinates(S.random_theta(rng, dims).values, dims)
+        full = rng.uniform(0.1, 1.0, size=k) @ ws.vectors
+        few = rng.random(k) < 0.4
+        sparse = rng.uniform(0.1, 1.0, size=int(few.sum())) @ ws.vectors[few]
+        cases.append((ws, (balanced, full, sparse)))
+    return cases
+
+
+CRITERION_6_D_THETA = [
+    1.4261117281853555, 0.01409976913214965, 0.19841013247028552,
+    0.0028616528685914545, 0.8104746140218801, 2.696141396626425,
+    5.4445232231624505, 0.1945851978993859, 5.341383037409709,
+    0.0020866092761971165, 0.9248878897866003, 0.9327331093065802,
+    3.7324733641268826e-05, 0.30558123507472335, 0.04513856244551646,
+    1.4211771785034069, 6.476263259576325, 1.5410364420271345, 0.011596628728490465,
+    1.4027628106837575, 0.08109721969002112, 3.2898548838167967, 6.710039345013592,
+    0.09004312118902665, 2.424871507899615, 9.90940994586032, 0.2491641465087662,
+    0.8406870939457634, 1.0681017458153543, 0.00017956792683229767,
+    2.4616806570358563, 0.003085640313798271, 0.00016776724078941088,
+    0.00015306174331945188, 0.041909277370906564, 2.0973732012005657,
+    1.014704517220111, 0.016834387801902505, 0.003105621937181079,
+    2.1904915641288447, 0.0012007974292901906, 0.06695302330581566,
+    0.0028592359690795192, 0.28652653346803025, 0.45555686676765866,
+    0.2316681641948342, 1.3603971494558227, 0.009340801053815165, 2.547183504772393,
+    0.01076089340427667,
+]
+
+TORUS_D_THETA = [
+    math.inf, math.inf, math.inf, 0.44018945238435314, 0.30850239400147733,
+    math.inf, 0.9907007671631826, 0.052700849998576126, 0.26697227556858794,
+    0.3415683431361075, 0.04224010339704944, math.inf, math.inf, math.inf, math.inf,
+    0.7435922006772652, 0.0323917521824267, 0.8629126617382825, math.inf,
+    0.1789409430751283, math.inf, 0.0014058215261409928, 0.0024352791426474588,
+    0.0030144976939161868, 9.721369667005192, 0.00016370246262580366,
+    0.5006767817612018, 0.054311801771780695, 0.0003705372193455452,
+    0.4307545264254764, 0.44993468931852004, 0.15543582306254955,
+    0.04810800815003382, 0.35528711390762946, 0.42078596677572494,
+    0.2588411430039218, math.inf, math.inf, math.inf, 0.03135868611078375,
+    0.005150784011983047, 0.2019887092637092, math.inf, math.inf, math.inf,
+    0.01733656807920951, 0.016618774608151102, 0.0027254073786759144, math.inf,
+    math.inf, math.inf, 0.1589473617992855, 0.0021115640084287952,
+    0.02110093483900021, 0.8911671051872571, 0.8477302769889926,
+    0.09368920458198991, 0.10088772121493446, 0.047571656200571105,
+    0.07572973846796889, 0.9702406884525607, 0.0023343813782648977,
+    0.1971235761082936, 0.006874476801086761, 0.04002449780408815,
+    0.05825498730227833, math.inf, 0.16589665852965754, math.inf,
+    0.008770879559265494, 0.006967439723189945, 0.11787459013218178, math.inf,
+    math.inf, math.inf, 0.024858976096526868, 0.007843556800606858,
+    0.06334378321022596, math.inf, 0.010424896055988517, 0.5184379747926041,
+    0.0954318441984312, 0.11528874880170577, 0.08217224087895504, 7.533973300076324,
+    0.685265862622943, 1.1869166337225971, 0.00024185833237622386,
+    0.005569143446988104, 0.506092214162246,
+]
+# in_C_reg on the same cases, one digit per parameter
+TORUS_IN_C_REG = "111110000110111110010111000110110111111111111111111111000111000110010111111111011111000110"
+
+
+def _assert_radii(got, want):
+    assert [math.isinf(v) for v in got] == [math.isinf(v) for v in want]
+    assert max((abs(g - w) for g, w in zip(got, want) if not math.isinf(w)), default=0.0) <= 1e-12
+
+
+def test_d_theta_pins_on_criterion_6_draws():
+    _assert_radii([d_theta(ws, theta) for ws, theta in _criterion_6_draws()], CRITERION_6_D_THETA)
+
+
+def test_d_theta_and_in_C_reg_pins_on_torus_weights():
+    cases = _torus_cases(np.random.default_rng(1013), 30)
+    _assert_radii([d_theta(ws, th) for ws, thetas in cases for th in thetas], TORUS_D_THETA)
+    verdicts = "".join("1" if in_C_reg(ws, th) else "0" for ws, thetas in cases for th in thetas)
+    assert verdicts == TORUS_IN_C_REG

@@ -292,6 +292,31 @@ def test_flow_classification_pins(a2_rep, theta11):
     ]
 
 
+def test_criterion_5_flow_classification_pins():
+    """Classification and events of the 100 flows of acceptance criterion 5:
+    the one higher stratum there is certified by d_theta, and no flow reports
+    d_theta_unavailable."""
+    rng = np.random.default_rng(1005)
+    classes, events = [], {}
+    for k in range(100):
+        if k % 5 != 0:
+            _, dims, x = S.random_stable_instance(rng)
+            theta, opts = S.random_chamber_theta(rng, dims), None
+        else:
+            _, dims, x = S.random_instance(rng, max_dim=2)
+            theta = S.balanced_theta(rng.normal(size=len(dims)), dims)
+            opts = FlowOptions(max_time=300.0)
+        out = flow_integrate(theta, x, opts)
+        classes.append(out.classification[0])
+        if out.events:
+            events[k] = out.events
+    assert "".join(classes) == (
+        "uaaaaaaaaaaaaaauaaaauaaaaaaaaaaaaaaaaaaauaaaaaaaaauaaaauaaaa"
+        "uaaaaaaaaaaaaaauaaaahaaaauaaaaaaaaaaaaaa"
+    )
+    assert events == {k: ("step_underflow",) for k in (15, 20, 50, 55, 60, 75, 85)}
+
+
 def test_transport_subdivision_pins():
     rng = np.random.default_rng(24)
     plan = TransportPlan(solve_options=SolveOptions(max_iterations=3), max_subdivision_depth=6)
