@@ -77,8 +77,7 @@ def torus_weights(quiver: ExtendedQuiver, dims) -> WeightSet:
     dims = validate_dims(quiver, dims)
     offsets = np.concatenate([[0], np.cumsum(dims)])
     n = int(offsets[-1])
-    seen = {}
-    order = []
+    seen = {}  # weight -> multiplicity, in order of first appearance
     for e in range(quiver.num_edges):
         h, t = quiver.head(e), quiver.tail(e)
         for a in range(dims[h]):
@@ -87,13 +86,9 @@ def torus_weights(quiver: ExtendedQuiver, dims) -> WeightSet:
                 w[offsets[t] + b] += 1.0
                 w[offsets[h] + a] -= 1.0
                 key = tuple(int(round(v)) for v in w)
-                if key in seen:
-                    seen[key] += 1
-                else:
-                    seen[key] = 1
-                    order.append(key)
-    vectors = np.array([list(k) for k in order], dtype=float) if order else np.zeros((0, n))
-    mult = np.array([seen[k] for k in order], dtype=int)
+                seen[key] = seen.get(key, 0) + 1
+    vectors = np.array([list(k) for k in seen], dtype=float) if seen else np.zeros((0, n))
+    mult = np.array(list(seen.values()), dtype=int)
     ws = WeightSet(vectors=vectors, multiplicities=mult, num_coords=n)
     degenerate = vectors.size == 0 or float(np.abs(vectors).max()) == 0.0
     if not ws.spans_torus or degenerate:
@@ -163,16 +158,11 @@ def nonnegative_lstsq(a, b, maxiter=None):
     raise ConeProjectionError("active-set iteration cap exceeded")
 
 
-def cone_project(vectors, theta):
-    """Euclidean projection of theta onto the cone of nonnegative combinations.
-
-    Runs the active-set nonnegative least-squares iteration on the generator
-    matrix and verifies the KKT conditions; returns (projection, squared
-    distance)."""
-    theta = np.asarray(theta, dtype=float)
-    vectors = np.asarray(vectors, dtype=float)
+def _project(vectors, theta):
+    """cone_project on float arrays, also returning the nonnegative
+    coefficients of the projection, one per generator."""
     if vectors.size == 0:
-        return np.zeros_like(theta), float(theta @ theta)
+        return np.zeros_like(theta), float(theta @ theta), np.zeros(len(vectors))
     a = vectors.T  # columns are generators
     coeff, _ = nonnegative_lstsq(a, theta)
     beta = a @ coeff
@@ -183,53 +173,78 @@ def cone_project(vectors, theta):
     )
     if np.any(dual > KKT_TOL * scale) or abs(float(coeff @ dual)) > KKT_TOL * scale:
         raise ConeProjectionError("projection failed the KKT certificate")
-    return beta, float(resid @ resid)
+    return beta, float(resid @ resid), coeff
+
+
+def cone_project(vectors, theta):
+    """Euclidean projection of theta onto the cone of nonnegative combinations.
+
+    Runs the active-set nonnegative least-squares iteration on the generator
+    matrix and verifies the KKT conditions; returns (projection, squared
+    distance)."""
+    return _project(np.asarray(vectors, dtype=float), np.asarray(theta, dtype=float))[:2]
+
+
+def _subcones(vectors, theta, subset_cap):
+    """Search the subset cones of the weights, from the whole set downwards.
+
+    Yields (squared distance, support) per visited subset, the whole set
+    first; the support is the list of weights with a positive coefficient in
+    the projection, or None when the projection misses theta.  Below a cone
+    that reaches theta the search drops one weight of its support at a time,
+    so every subset whose cone misses theta lies under a visited one that
+    misses it too, and every subset is projected at most once.
+    """
+    k = len(vectors)
+    if 2 ** k > subset_cap:
+        raise SubsetCapError(f"2^{k} subsets exceed the cap {subset_cap}")
+    theta = np.asarray(theta, dtype=float)
+    gap = MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(theta)))
+    stack = [(1 << k) - 1]
+    seen = set(stack)
+    while stack:
+        mask = stack.pop()
+        idx = [i for i in range(k) if mask >> i & 1]
+        _, dist_sq, coeff = _project(vectors[idx], theta)
+        if math.sqrt(dist_sq) > gap:
+            yield dist_sq, None
+            continue
+        support = [i for i, c in zip(idx, coeff) if c > 0.0]
+        yield dist_sq, support
+        for i in support:
+            child = mask & ~(1 << i)
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
 
 
 def d_theta(weights: WeightSet, theta, subset_cap=DEFAULT_SUBSET_CAP) -> float:
     """Certified semistability radius: the squared distance from theta to the
     nearest subset-cone projection different from theta itself.
 
-    Enumerates every subset of the distinct weights (capped, never sampled);
-    +inf when every projection lands on theta.
+    The distance only shrinks as a subset grows, so the least one is reached
+    on a maximal subset whose cone misses theta, and the subcone search visits
+    all of those.  The cap counts all 2^k subsets of the distinct weights,
+    not the projections run; +inf when every projection lands on theta.
     """
-    theta = np.asarray(theta, dtype=float)
-    vectors = weights.vectors
-    k = len(vectors)
-    if 2 ** k > subset_cap:
-        raise SubsetCapError(f"2^{k} subsets exceed the cap {subset_cap}")
-    gap = MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(theta)))
-    best = math.inf
-    for mask in range(2 ** k):
-        subset = vectors[[i for i in range(k) if mask >> i & 1]]
-        beta, dist_sq = cone_project(subset, theta)
-        if np.linalg.norm(beta - theta) > gap:
-            best = min(best, dist_sq)
-    return best
+    visits = _subcones(weights.vectors, theta, subset_cap)
+    return min((dist_sq for dist_sq, support in visits if support is None), default=math.inf)
 
 
 def in_C_reg(weights: WeightSet, theta, subset_cap=DEFAULT_SUBSET_CAP) -> bool:
     """Membership of theta in the regular part of the weight cone: inside the
-    full cone but outside every subcone of deficient span."""
-    theta = np.asarray(theta, dtype=float)
-    vectors = weights.vectors
-    k = len(vectors)
-    if 2 ** k > subset_cap:
-        raise SubsetCapError(f"2^{k} subsets exceed the cap {subset_cap}")
-    gap = MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(theta)))
-    _, dist_sq = cone_project(vectors, theta)
-    if math.sqrt(dist_sq) > gap:
+    full cone but outside every subcone of deficient span.
+
+    By Caratheodory theta lies in a subcone of deficient span exactly when it
+    lies in the cone of fewer than ``torus_dim`` weights; the subcone search
+    finds such a set as the support of a visited cone whenever one exists.
+    """
+    visits = _subcones(weights.vectors, theta, subset_cap)
+    _, support = next(visits)  # the whole weight set comes first
+    if support is None:
         return False
     full_dim = weights.torus_dim
-    for mask in range(2 ** k):
-        subset = vectors[[i for i in range(k) if mask >> i & 1]]
-        rank = np.linalg.matrix_rank(subset, tol=1e-10) if subset.size else 0
-        if rank >= full_dim:
-            continue
-        _, dist_sq = cone_project(subset, theta)
-        if math.sqrt(dist_sq) <= gap:
-            return False
-    return True
+    return len(support) >= full_dim and all(s is None or len(s) >= full_dim for _, s in visits)
 
 
 def parse_rational(text) -> Fraction:

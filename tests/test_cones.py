@@ -115,6 +115,8 @@ def test_d_theta_subset_cap():
     ws = WeightSet(vectors=vectors, multiplicities=np.ones(8, dtype=int), num_coords=8)
     with pytest.raises(SubsetCapError):
         d_theta(ws, np.ones(8), subset_cap=4)
+    with pytest.raises(SubsetCapError):
+        in_C_reg(ws, np.ones(8), subset_cap=4)
 
 
 def test_in_C_reg_examples():
@@ -124,6 +126,13 @@ def test_in_C_reg_examples():
     assert in_C_reg(ws, 0.5 * ALPHA)
     assert not in_C_reg(ws, np.zeros(2))
     assert not in_C_reg(ws, np.array([1.0, 1.0]))
+    # theta is the third weight, but the whole set's projection uses the first two
+    ws = WeightSet(
+        vectors=np.array([[10.0, 5.0, 0.0], [10.0, -5.0, 0.0], [1.0, 0.0, 0.0]]),
+        multiplicities=np.ones(3, dtype=int), num_coords=3,
+    )
+    assert not in_C_reg(ws, np.array([1.0, 0.0, 0.0]))
+    assert in_C_reg(ws, np.array([3.0, 1.0, 0.0]))
 
 
 def test_theta_coordinates_expansion():
@@ -283,3 +292,54 @@ def test_d_theta_and_in_C_reg_pins_on_torus_weights():
     _assert_radii([d_theta(ws, th) for ws, thetas in cases for th in thetas], TORUS_D_THETA)
     verdicts = "".join("1" if in_C_reg(ws, th) else "0" for ws, thetas in cases for th in thetas)
     assert verdicts == TORUS_IN_C_REG
+
+
+def _brute_force_in_C_reg(weights, theta):
+    """in_C_reg by exhaustion: theta in the cone of the whole weight set and
+    in no subset cone whose rank (by matrix_rank) falls below torus_dim."""
+    vectors = weights.vectors
+    k = len(vectors)
+    gap = 1e-9 * (1.0 + float(np.linalg.norm(theta)))
+
+    def reaches(subset):
+        return math.sqrt(cone_project(subset, theta)[1]) <= gap
+
+    if not reaches(vectors):
+        return False
+    for mask in range(2 ** k):
+        subset = vectors[[i for i in range(k) if mask >> i & 1]]
+        rank = np.linalg.matrix_rank(subset, tol=1e-10) if subset.size else 0
+        if rank < weights.torus_dim and reaches(subset):
+            return False
+    return True
+
+
+def test_in_C_reg_matches_exhaustive_rank_oracle():
+    cases = [(ws, theta) for ws, thetas in _torus_cases(np.random.default_rng(54), 40, max_weights=10)
+             for theta in thetas]
+    # generic vectors with theta in the cone of a random few: here the whole
+    # set's projection often has a larger support than the smallest one
+    rng = np.random.default_rng(55)
+    for _ in range(60):
+        n = int(rng.integers(3, 6))
+        k = int(rng.integers(2, 11))
+        vectors = rng.normal(size=(k, n))
+        few = rng.random(k) < 0.3
+        theta = rng.uniform(0.1, 1.0, size=int(few.sum())) @ vectors[few]
+        cases.append((WeightSet(vectors=vectors, multiplicities=np.ones(k, dtype=int), num_coords=n), theta))
+    verdicts = [in_C_reg(ws, theta) for ws, theta in cases]
+    assert verdicts == [_brute_force_in_C_reg(ws, theta) for ws, theta in cases]
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_d_theta_projection_count_on_criterion_6_draws(monkeypatch):
+    """The subcone search projects onto far fewer cones than the 2^k subsets
+    (10,946 on these draws when every subset was projected)."""
+    from quivermoment import cones
+
+    calls = []
+    nnls = cones.nonnegative_lstsq
+    monkeypatch.setattr(cones, "nonnegative_lstsq", lambda *a, **kw: calls.append(1) or nnls(*a, **kw))
+    for ws, theta in _criterion_6_draws():
+        d_theta(ws, theta)
+    assert len(calls) <= 600
