@@ -29,7 +29,9 @@ STALL_WINDOW = 20
 MIN_STEP = 1e-18
 # steps dt, dt * STEP_SHRINK, ... tried as one stack of trials
 TRIAL_STACK = 4
-# largest subset enumeration d_theta may run to certify a higher stratum
+# cap on the 2^k subsets of the weight set (not on the projections run) up to
+# which d_theta certifies a higher stratum; it stays because lifting it would
+# turn some undecided flows into higher_stratum
 D_THETA_SUBSET_CAP = 2 ** 14
 
 
