@@ -77,7 +77,8 @@ def torus_weights(quiver: ExtendedQuiver, dims) -> WeightSet:
     dims = validate_dims(quiver, dims)
     offsets = np.concatenate([[0], np.cumsum(dims)])
     n = int(offsets[-1])
-    seen = {}  # weight -> multiplicity, in order of first appearance
+    seen = {}
+    order = []
     for e in range(quiver.num_edges):
         h, t = quiver.head(e), quiver.tail(e)
         for a in range(dims[h]):
@@ -86,9 +87,13 @@ def torus_weights(quiver: ExtendedQuiver, dims) -> WeightSet:
                 w[offsets[t] + b] += 1.0
                 w[offsets[h] + a] -= 1.0
                 key = tuple(int(round(v)) for v in w)
-                seen[key] = seen.get(key, 0) + 1
-    vectors = np.array([list(k) for k in seen], dtype=float) if seen else np.zeros((0, n))
-    mult = np.array(list(seen.values()), dtype=int)
+                if key in seen:
+                    seen[key] += 1
+                else:
+                    seen[key] = 1
+                    order.append(key)
+    vectors = np.array([list(k) for k in order], dtype=float) if order else np.zeros((0, n))
+    mult = np.array([seen[k] for k in order], dtype=int)
     ws = WeightSet(vectors=vectors, multiplicities=mult, num_coords=n)
     degenerate = vectors.size == 0 or float(np.abs(vectors).max()) == 0.0
     if not ws.spans_torus or degenerate:
@@ -159,8 +164,7 @@ def nonnegative_lstsq(a, b, maxiter=None):
 
 
 def _project(vectors, theta):
-    """cone_project on float arrays, also returning the nonnegative
-    coefficients of the projection, one per generator."""
+    """cone_project on float arrays, plus the nonnegative coefficients."""
     if vectors.size == 0:
         return np.zeros_like(theta), float(theta @ theta), np.zeros(len(vectors))
     a = vectors.T  # columns are generators
@@ -186,15 +190,11 @@ def cone_project(vectors, theta):
 
 
 def _subcones(vectors, theta, subset_cap):
-    """Search the subset cones of the weights, from the whole set downwards.
-
-    Yields (squared distance, support) per visited subset, the whole set
-    first; the support is the list of weights with a positive coefficient in
-    the projection, or None when the projection misses theta.  Below a cone
-    that reaches theta the search drops one weight of its support at a time,
-    so every subset whose cone misses theta lies under a visited one that
-    misses it too, and every subset is projected at most once.
-    """
+    """Search the subset cones from the whole weight set down, yielding
+    (squared distance, support) per visited subset, the whole set first.  The
+    support (weights with a positive coefficient) is None when the cone misses
+    theta; below a cone that reaches theta the search drops one support weight
+    at a time, projecting each subset at most once."""
     k = len(vectors)
     if 2 ** k > subset_cap:
         raise SubsetCapError(f"2^{k} subsets exceed the cap {subset_cap}")
@@ -223,9 +223,9 @@ def d_theta(weights: WeightSet, theta, subset_cap=DEFAULT_SUBSET_CAP) -> float:
     nearest subset-cone projection different from theta itself.
 
     The distance only shrinks as a subset grows, so the least one is reached
-    on a maximal subset whose cone misses theta, and the subcone search visits
-    all of those.  The cap counts all 2^k subsets of the distinct weights,
-    not the projections run; +inf when every projection lands on theta.
+    on a maximal subset whose cone misses theta; the subcone search visits all
+    of those.  +inf when every projection lands on theta.  The cap counts the
+    2^k subsets of the distinct weights, not the projections run.
     """
     visits = _subcones(weights.vectors, theta, subset_cap)
     return min((dist_sq for dist_sq, support in visits if support is None), default=math.inf)
@@ -233,12 +233,9 @@ def d_theta(weights: WeightSet, theta, subset_cap=DEFAULT_SUBSET_CAP) -> float:
 
 def in_C_reg(weights: WeightSet, theta, subset_cap=DEFAULT_SUBSET_CAP) -> bool:
     """Membership of theta in the regular part of the weight cone: inside the
-    full cone but outside every subcone of deficient span.
-
-    By Caratheodory theta lies in a subcone of deficient span exactly when it
-    lies in the cone of fewer than ``torus_dim`` weights; the subcone search
-    finds such a set as the support of a visited cone whenever one exists.
-    """
+    full cone but outside every subcone of deficient span, that is (by
+    Caratheodory) outside the cone of every set of fewer than ``torus_dim``
+    weights; the subcone search reaches such a set as a support if one exists."""
     visits = _subcones(weights.vectors, theta, subset_cap)
     _, support = next(visits)  # the whole weight set comes first
     if support is None:
