@@ -343,3 +343,62 @@ def test_d_theta_projection_count_on_criterion_6_draws(monkeypatch):
     for ws, theta in _criterion_6_draws():
         d_theta(ws, theta)
     assert len(calls) <= 600
+
+
+def _integer_complex_regular(dims, xi):
+    """Oracle for ``complex_regular_check``: clear the denominators of xi, then
+    test balance and every wall of ``regular_walls`` in integer arithmetic."""
+    pairs = [(Fraction(re), Fraction(im)) for re, im in xi]
+    scale = math.lcm(*(p.denominator for pair in pairs for p in pair))
+    parts = [[int(p * scale) for p, _ in pairs], [int(q * scale) for _, q in pairs]]
+    if any(sum(d * a for d, a in zip(dims, part)) for part in parts):
+        return False
+    return not any(
+        all(sum(c * a for c, a in zip(w, part)) == 0 for part in parts) for w in regular_walls(dims)
+    )
+
+
+def _orthogonal_rational(rng, constraints, n, denominator=12):
+    """A random rational vector orthogonal to every constraint vector."""
+    v = [Fraction(int(rng.integers(-denominator, denominator + 1)), denominator) for _ in range(n)]
+    basis = []
+    for c in constraints:
+        u = [Fraction(a) for a in c]
+        for b in basis:
+            coef = sum(x * y for x, y in zip(u, b)) / sum(y * y for y in b)
+            u = [x - coef * y for x, y in zip(u, b)]
+        if any(u):
+            basis.append(u)
+    for b in basis:
+        coef = sum(x * y for x, y in zip(v, b)) / sum(y * y for y in b)
+        v = [x - coef * y for x, y in zip(v, b)]
+    return v
+
+
+def test_complex_regular_check_matches_integer_oracle():
+    """Seeded random rational xi, xi built on a random wall, and unbalanced xi,
+    each against the integer-arithmetic oracle over ``regular_walls``."""
+    rng = np.random.default_rng(57)
+    kinds = {"random": 0, "wall": 0, "unbalanced": 0}
+    for _ in range(120):
+        n = int(rng.integers(1, 5))
+        dims = tuple(int(rng.integers(0, 4)) for _ in range(n))
+        walls = regular_walls(dims)
+        kind = ("random", "wall", "unbalanced")[int(rng.integers(3))]
+        if kind == "wall" and not walls:
+            kind = "random"
+        if kind == "unbalanced" and not any(dims):
+            kind = "random"
+        wall = walls[int(rng.integers(len(walls)))] if kind == "wall" else None
+        constraints = [dims] + ([wall] if wall is not None else [])
+        re, im = (_orthogonal_rational(rng, constraints, n) for _ in range(2))
+        if kind == "unbalanced":
+            j = next(j for j, d in enumerate(dims) if d)
+            re[j] += Fraction(int(rng.integers(1, 5)), int(rng.integers(1, 7)))
+        xi = [(str(a), b if k % 2 else str(b)) for k, (a, b) in enumerate(zip(re, im))]
+        expected = _integer_complex_regular(dims, xi)
+        if kind != "random":
+            assert not expected
+        assert complex_regular_check(dims, xi) == expected, (dims, xi)
+        kinds[kind] += 1
+    assert all(count >= 20 for count in kinds.values()), kinds
