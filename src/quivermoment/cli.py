@@ -562,6 +562,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:  # numpy's generators take nonnegative seeds only
+            raise SpecError("--seed: expected a nonnegative integer")
         payload = _load_input(args)
         batch = isinstance(payload, list)
         runs = [_run_one(args.command, spec, args) for spec in (payload if batch else [payload])]

@@ -39,6 +39,9 @@ from .moment import (
 from .quiver import STRUCTURES, Representation, _check_structure, norm_sq, quaternion_act
 
 FIBER_PRE_TOL = 1e-7
+# after about 53 halvings the midpoints of a segment round onto its endpoints,
+# so deeper bisection only recurses without moving
+MAX_SUBDIVISION_DEPTH = 64
 
 
 class TransportError(RuntimeError):
@@ -62,8 +65,8 @@ class TransportPlan:
     regular_gate: tuple = ()  # optional exact rational parameters to pre-check
 
     def __post_init__(self):
-        if self.max_subdivision_depth < 0:
-            raise ValueError("max_subdivision_depth must be nonnegative")
+        if not 0 <= self.max_subdivision_depth <= MAX_SUBDIVISION_DEPTH:
+            raise ValueError(f"max_subdivision_depth must be between 0 and {MAX_SUBDIVISION_DEPTH}")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
         for s in self.leg_order:

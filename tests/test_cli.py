@@ -234,6 +234,10 @@ def test_malformed_input_exit_code(tmp_path):
         ("selftest", {}, "--budget", "nan"),
         ("stability", dict(A2_SPEC, stability={"search_budget": 1e300})),
         ("stability", A2_SPEC, "--budget", "1e300"),
+        # numpy's generators take nonnegative seeds only
+        *[(c, A2_SPEC, "--seed", "-1") for c in ("solve", "moment", "stability", "selftest")],
+        # bisection deeper than the plan's cap cannot move the midpoints
+        ("transport", dict(A2_SPEC, transport={"target_theta": [1e6, -1e6], "max_subdivision_depth": 5000})),
     ]
     for command, spec, *extra in bad:
         path.write_text(json.dumps(spec))
@@ -253,6 +257,28 @@ def test_transport_spec_errors_name_their_field_once(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == EXIT_BAD_INPUT
         assert err.startswith(f"error: {field}: ") and err.count(field) == 1, err
+
+
+def test_negative_seed_and_deep_subdivision_exit_2_before_any_solve(tmp_path, capsys, monkeypatch):
+    """A negative seed and an over-cap subdivision depth are bad inputs: one
+    stderr line each, and no solve runs."""
+    import quivermoment.kempf_ness as kempf_ness
+    import quivermoment.transport as transport
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(kempf_ness, "solve_moment_equation", no_solve)
+    monkeypatch.setattr(transport, "solve_moment_equation", no_solve)
+    deep = dict(A2_SPEC, transport={"target_theta": [1e6, -1e6], "max_subdivision_depth": 900})
+    for command, spec, extra, field in (
+        ("solve", A2_SPEC, ["--seed", "-1"], "--seed"),
+        ("transport", deep, [], "transport"),
+    ):
+        code, _ = run_cli(tmp_path, command, spec, *extra)
+        err = capsys.readouterr().err
+        assert code == EXIT_BAD_INPUT
+        assert err.startswith(f"error: {field}: ") and err.count("\n") == 1, err
 
 
 def test_unwritable_outputs_exit_2(tmp_path, capsys):

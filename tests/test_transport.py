@@ -231,3 +231,14 @@ def test_quaternion_commutes_with_scaling_transport(a2_rep, theta11):
     lifted = quaternion_transport(x, (1, 0, 0, 0), 4.0)  # lands on theta=(4,-4)
     direct = transport_real(x, theta11(4, -4))
     assert np.sqrt(norm_sq(lifted - direct.image)) <= 1e-6
+
+
+def test_subdivision_depth_is_capped():
+    """Past about 53 halvings a segment's midpoints round onto its endpoints,
+    so a plan deeper than MAX_SUBDIVISION_DEPTH is refused where it is made."""
+    from quivermoment.transport import MAX_SUBDIVISION_DEPTH
+
+    assert TransportPlan(max_subdivision_depth=MAX_SUBDIVISION_DEPTH).max_subdivision_depth == MAX_SUBDIVISION_DEPTH
+    for depth in (-1, MAX_SUBDIVISION_DEPTH + 1, 5000):
+        with pytest.raises(ValueError, match="^max_subdivision_depth must be between 0 and 64$"):
+            TransportPlan(max_subdivision_depth=depth)
