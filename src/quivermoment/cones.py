@@ -301,6 +301,15 @@ def _proper_dim_vectors(dims, cap=ENUMERATION_CAP):
             yield w
 
 
+def _first_wall(dims, rational_vectors):
+    """The first intermediate dimension vector w with sum_j w_j v_j = 0 for
+    every exact rational vector v of ``rational_vectors``, or None."""
+    for w in _proper_dim_vectors(dims):
+        if all(sum(c * v for c, v in zip(w, vector)) == 0 for vector in rational_vectors):
+            return w
+    return None
+
+
 def hyperkahler_regular_check(dims, triple: RationalThetaTriple):
     """Exact wall test for the hyperkahler parameter space.
 
@@ -310,13 +319,8 @@ def hyperkahler_regular_check(dims, triple: RationalThetaTriple):
     dims = tuple(int(d) for d in dims)
     if triple.dims != dims:
         raise ValueError("triple is bound to a different dimension vector")
-    for w in _proper_dim_vectors(dims):
-        if all(
-            sum(Fraction(c) * v for c, v in zip(comp, w)) == 0
-            for comp in triple.components()
-        ):
-            return False, w
-    return True, None
+    wall = _first_wall(dims, triple.components())
+    return wall is None, wall
 
 
 def complex_regular_check(dims, xi) -> bool:
@@ -329,18 +333,10 @@ def complex_regular_check(dims, xi) -> bool:
     pairs = [(parse_rational(re), parse_rational(im)) for re, im in xi]
     if len(pairs) != len(dims):
         raise ValueError("xi has the wrong length")
-    if (
-        sum(d * re for d, (re, _) in zip(dims, pairs)) != 0
-        or sum(d * im for d, (_, im) in zip(dims, pairs)) != 0
-    ):
+    parts = [tuple(re for re, _ in pairs), tuple(im for _, im in pairs)]
+    if any(sum(d * v for d, v in zip(dims, part)) != 0 for part in parts):
         return False
-    for w in _proper_dim_vectors(dims):
-        if (
-            sum(Fraction(c) * re for c, (re, _) in zip(w, pairs)) == 0
-            and sum(Fraction(c) * im for c, (_, im) in zip(w, pairs)) == 0
-        ):
-            return False
-    return True
+    return _first_wall(dims, parts) is None
 
 
 def regular_walls(dims):

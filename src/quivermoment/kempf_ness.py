@@ -150,17 +150,22 @@ def solve_moment_equation(
     vertices = layout.vertices
     center = target.stacks
     offset = [-1.0 * s for s in center]
-    # on a split support the Hessian is singular at every point of the orbit
-    gradient_only = opts.step_control == "gradient-descent-armijo" or _split_support(x.quiver, x.dims)
+    # on a split support (two or more components) the central directions
+    # constant on each component act trivially on the whole representation
+    # space, so the Hessian is singular at every point of the orbit
+    gradient_only = opts.step_control == "gradient-descent-armijo" or layout.support_components >= 2
 
     def pair_norm(a):
         # lie.pairing_norm on vertex-class stacks
         return math.sqrt(max(pairing_stacks(vertices, a, a), 0.0))
 
-    def outcome(status, iterations, y, witness=None):
-        y = LieAlgebraElement.from_stacks(x.dims, y)
+    def outcome(status, iterations, y, direction=None):
+        # a divergence direction is reported normalized; a zero one is not reported
+        length = pair_norm(direction) if direction is not None else 0.0
+        witness = [(1.0 / length) * s for s in direction] if length > 0 else None
         if witness is not None:
             witness = LieAlgebraElement.from_stacks(x.dims, witness)
+        y = LieAlgebraElement.from_stacks(x.dims, y)
         return SolveOutcome(status, y, residual, iterations, witness, structure, tuple(trace))
 
     y = list(opts.initial_y.stacks) if opts.initial_y is not None else vertices.zeros()
@@ -188,8 +193,7 @@ def solve_moment_equation(
             if np.isfinite(residual) and residual <= opts.gradient_tolerance:
                 return outcome("converged", iteration, y)
             if y_norm > opts.divergence_norm_bound or _diverging(trace, norms):
-                witness = [(1.0 / y_norm) * s for s in y] if y_norm > 0 else None
-                return outcome("diverged", iteration, y, witness)
+                return outcome("diverged", iteration, y, y)
             if not np.isfinite(residual) or not np.isfinite(value):
                 raise FloatingPointError("non-finite values in moment-equation solve")
             if iteration == opts.max_iterations or basis.dim == 0:
@@ -255,31 +259,9 @@ def solve_moment_equation(
                 stacks = act_stacks(layout, g_y, x0.stacks)
             except (OverflowError, ValueError, np.linalg.LinAlgError):
                 # the accepted move leaves representable range: a runaway ray
-                y_norm = pair_norm(y)
-                witness = [(1.0 / y_norm) * s for s in y] if y_norm > 0 else [(1.0 / pair_norm(z)) * s for s in z]
-                return outcome("diverged", iteration + 1, y, witness)
+                return outcome("diverged", iteration + 1, y, y if pair_norm(y) > 0 else z)
 
     raise AssertionError("unreachable")
-
-
-def _split_support(quiver, dims) -> bool:
-    """Whether the vertices of positive dimension fall into two or more
-    connected components; a vertex of dimension zero cuts every edge at it.
-    Then the central directions constant on each component act trivially on
-    the whole representation space, so the Hessian of the functional is
-    singular at every point of the orbit and the Newton check always falls
-    back to the gradient."""
-    parent = {v: v for v, d in enumerate(dims) if d}
-
-    def root(v):
-        while parent[v] != v:
-            v = parent[v]
-        return v
-
-    for t, h in quiver.base.edges:
-        if dims[t] and dims[h]:
-            parent[root(t)] = root(h)
-    return len({root(v) for v in parent}) >= 2
 
 
 def _newton_direction(basis, layout, stacks, grad):

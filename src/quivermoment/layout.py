@@ -39,16 +39,53 @@ def _indices(values):
     return np.array(list(values), dtype=np.intp)
 
 
-class VertexLayout:
+class _GroupedItems:
+    """Items (vertices or edges) grouped into stacks of blocks of one shape.
+
+    Item k sits at ``slots[k] = (g, i)``: position i of group g.
+    ``real_order`` takes real coordinates, flattened group by group, to item
+    order (see ``real_coordinates``); there are ``real_size`` of them.
+    """
+
+    __slots__ = ("slots", "real_order", "real_size", "_items", "_order")
+
+    def __init__(self, items, shapes):
+        """``items[g]`` lists the items of group g in increasing order, and
+        ``shapes[g]`` is the shape of their blocks."""
+        slots = [None] * sum(len(m) for m in items)
+        for g, members in enumerate(items):
+            for i, k in enumerate(members):
+                slots[k] = (g, i)
+        self.slots = tuple(slots)
+        self._items = items
+        # position of each item in the concatenation of the groups
+        self._order = _item_order(items, [1] * len(items))
+        sizes = [2 * rows * cols for rows, cols in shapes]
+        self.real_order = _item_order(items, sizes)
+        self.real_size = sum(size * len(m) for size, m in zip(sizes, items))
+
+    def stack(self, blocks):
+        """Per-group stacks (n_g, rows, cols) of per-item blocks."""
+        return [np.array([blocks[k] for k in m], dtype=complex) for m in self._items]
+
+    def unstack(self, stacks):
+        """Per-item views into per-group stacks, in item order."""
+        return [stacks[g][i] for g, i in self.slots]
+
+    def ordered_sum(self, per_group, lead=()):
+        """Left-to-right sum in item order of per-group scalar arrays, one per
+        index of a leading axis of shape ``lead``."""
+        return _ordered_sum(per_group, self._order, lead)
+
+
+class VertexLayout(_GroupedItems):
     """Vertices grouped into classes of equal dimension.
 
     ``class_dims[c]`` is the dimension of class c and ``members[c]`` its
     vertices in increasing order; vertex v sits at ``slots[v] = (c, i)``.
-    ``real_order`` takes real coordinates, flattened class by class, to
-    vertex order (see ``real_coordinates``); there are ``real_size`` of them.
     """
 
-    __slots__ = ("dims", "class_dims", "members", "slots", "real_order", "real_size", "_vertex_order")
+    __slots__ = ("dims", "class_dims", "members")
 
     def __init__(self, dims):
         self.dims = tuple(int(d) for d in dims)
@@ -56,32 +93,11 @@ class VertexLayout:
         self.members = tuple(
             [v for v, dv in enumerate(self.dims) if dv == d] for d in self.class_dims
         )
-        slots = [None] * len(self.dims)
-        for c, verts in enumerate(self.members):
-            for i, v in enumerate(verts):
-                slots[v] = (c, i)
-        self.slots = tuple(slots)
-        # position of each vertex in the concatenation of the classes
-        self._vertex_order = _item_order(self.members, [1] * len(self.members))
-        self.real_order = _item_order(self.members, [2 * d * d for d in self.class_dims])
-        self.real_size = sum(2 * d * d for d in self.dims)
-
-    def stack(self, blocks):
-        """Per-class stacks (n_c, d, d) of per-vertex blocks."""
-        return [np.array([blocks[v] for v in m], dtype=complex) for m in self.members]
-
-    def unstack(self, stacks):
-        """Per-vertex views into per-class stacks, in vertex order."""
-        return [stacks[c][i] for c, i in self.slots]
+        super().__init__(self.members, [(d, d) for d in self.class_dims])
 
     def zeros(self, lead=()):
         """Per-class zero stacks (*lead, n_c, d, d)."""
         return [np.zeros(lead + (len(m), d, d), dtype=complex) for d, m in zip(self.class_dims, self.members)]
-
-    def ordered_sum(self, per_class, lead=()):
-        """Left-to-right sum in vertex order of per-class scalar arrays, one
-        per index of a leading axis of shape ``lead``."""
-        return _ordered_sum(per_class, self._vertex_order, lead)
 
 
 class ShapeGroup:
@@ -115,43 +131,33 @@ class ShapeGroup:
         self.reverse_pos = _indices(slots[r][1] for r in reversed_edges)
 
 
-class EdgeLayout:
+class EdgeLayout(_GroupedItems):
     """Edges of one extended quiver with one dimension vector, grouped by block shape.
 
     ``slots[e] = (g, i)`` locates edge e in shape group g.  ``moment_plans[c]``
     says how the per-edge terms of the real moment map reach the vertices of
     class c: which groups contribute head and tail terms, and the order and
     targets that replay the edge loop.  ``complex_moment_plans`` does the same
-    for the complex moment map, which has head terms only.  ``real_order``
-    takes the ``real_size`` real coordinates flattened group by group to edge
-    order.
+    for the complex moment map, which has head terms only.
+    ``support_components`` counts the connected components of the vertices of
+    positive dimension; a vertex of dimension zero cuts every edge at it.
     """
 
-    __slots__ = (
-        "vertices", "groups", "slots", "moment_plans", "complex_moment_plans", "real_order", "real_size",
-        "_edge_order",
-    )
+    __slots__ = ("vertices", "groups", "moment_plans", "complex_moment_plans", "support_components")
 
     def __init__(self, quiver, dims):
         self.vertices = vl = vertex_layout(dims)
         by_shape = {}
         for e, (t, h) in enumerate(quiver.edges):
             by_shape.setdefault((vl.dims[h], vl.dims[t]), []).append(e)
-        slots = [None] * quiver.num_edges
-        for g, edges in enumerate(by_shape.values()):
-            for i, e in enumerate(edges):
-                slots[e] = (g, i)
-        self.slots = tuple(slots)
+        super().__init__(list(by_shape.values()), list(by_shape))
         self.groups = tuple(
-            ShapeGroup(quiver, shape, edges, vl, slots) for shape, edges in by_shape.items()
+            ShapeGroup(quiver, shape, edges, vl, self.slots) for shape, edges in by_shape.items()
         )
-        edges = [g.edges for g in self.groups]
-        self._edge_order = _item_order(edges, [1] * len(edges))
-        self.real_order = _item_order(edges, [2 * g.shape[0] * g.shape[1] for g in self.groups])
-        self.real_size = sum(2 * g.shape[0] * g.shape[1] * len(g.edges) for g in self.groups)
         classes = range(len(vl.class_dims))
         self.moment_plans = tuple(self._scatter_plan(c, tails=True) for c in classes)
         self.complex_moment_plans = tuple(self._scatter_plan(c, tails=False) for c in classes)
+        self.support_components = _support_components(vl.dims, quiver.edges)
 
     def _scatter_plan(self, c, tails):
         head_groups = [g for g, grp in enumerate(self.groups) if grp.head_class == c]
@@ -167,18 +173,21 @@ class EdgeLayout:
         order = np.argsort(_indices(keys))
         return head_groups, tail_groups, order, _indices(targets)[order]
 
-    def stack(self, blocks):
-        """Per-shape stacks (n_g, d_head, d_tail) of per-edge blocks."""
-        return [np.array([blocks[e] for e in g.edges], dtype=complex) for g in self.groups]
 
-    def unstack(self, stacks):
-        """Per-edge views into per-shape stacks, in edge order."""
-        return [stacks[g][i] for g, i in self.slots]
+def _support_components(dims, edges):
+    """Number of connected components of the vertices of positive dimension
+    under the edges that join two of them."""
+    parent = {v: v for v, d in enumerate(dims) if d}
 
-    def ordered_sum(self, per_group, lead=()):
-        """Left-to-right sum in edge order of per-group scalar arrays, one per
-        index of a leading axis of shape ``lead``."""
-        return _ordered_sum(per_group, self._edge_order, lead)
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for t, h in edges:
+        if dims[t] and dims[h]:
+            parent[root(t)] = root(h)
+    return len({root(v) for v in parent})
 
 
 @lru_cache(maxsize=256)

@@ -261,15 +261,8 @@ def theta_to_center(theta: StabilityParameter) -> LieAlgebraElement:
 
 def center_to_theta(mu: VertexMatrices) -> StabilityParameter:
     """Extract the per-vertex weights of an (approximately) central element."""
-    values = []
-    for b in mu.blocks:
-        d = b.shape[0]
-        values.append(float((np.trace(b) / (1j * d)).real) if d else 0.0)
-    values = np.asarray(values)
-    d = np.asarray(mu.dims, dtype=float)
-    if d @ d > 0:
-        values = values - (values @ d) / (d @ d) * d
-    return StabilityParameter(tuple(values), mu.dims)
+    values = [float((np.trace(b) / (1j * b.shape[0])).real) if b.shape[0] else 0.0 for b in mu.blocks]
+    return balanced_theta(values, mu.dims)
 
 
 class GroupElement(_VertexStacks):

@@ -347,19 +347,8 @@ def _every_closure_full(x):
     onto a line with a singular value far above the absorb threshold of
     ``generated_subrep``, so any nonzero seed spreads to every vertex, and
     no word operator overflows."""
-    dims = x.dims
-    if any(d != 1 for d in dims):
-        return False
-    if not all(np.all((m >= 1e-9) & (m <= 1e100)) for m in map(np.abs, x.stacks)):
-        return False
-    reached, grew = {0}, True
-    while grew:
-        grew = False
-        for t, h in x.quiver.base.edges:
-            if (t in reached) != (h in reached):
-                reached |= {t, h}
-                grew = True
-    return len(reached) == len(dims)
+    thin_connected = all(d == 1 for d in x.dims) and x.layout.support_components == 1
+    return thin_connected and all(np.all((m >= 1e-9) & (m <= 1e100)) for m in map(np.abs, x.stacks))
 
 
 def _candidate_subreps(x, rng, budget):
@@ -415,9 +404,11 @@ def certify_stable_numerical(
     """Certification through the moment solver.
 
     Convergence with a trivial stabilizer at the image means the orbit meets
-    the central fiber exactly in a compact orbit: stable.  Divergence hands
-    the normalized escape direction to the one-parameter probe; a confirmed
-    destabilizing direction means unstable.  Everything else is inconclusive.
+    the central fiber exactly in a compact orbit: stable.  Divergence gives
+    the normalized escape direction Y; it destabilizes, and the verdict is
+    unstable, when it pairs with the central target above the tie tolerance
+    and exp(itY).x has a limit (``hm_limit_filtration``, as in
+    ``hm_witness_check``).  Everything else is inconclusive.
     """
     outcome = solve_moment_equation(x, theta, structure, opts)
     if outcome.converged:
@@ -442,9 +433,8 @@ def certify_stable_numerical(
         )
     if outcome.status == "diverged" and outcome.divergence_direction is not None:
         direction = outcome.divergence_direction
-        verdict = hm_witness_check(theta, x, direction, tol=1e-6)
         gap = pairing(theta_to_center(theta), direction)
-        if verdict == "destabilizing" and gap > SLOPE_TIE_TOL:
+        if gap > SLOPE_TIE_TOL and hm_limit_filtration(x, direction, tol=1e-6)[0]:
             return StabilityCertificate(
                 "unstable",
                 witness_direction=direction,

@@ -319,16 +319,23 @@ def test_connected_support_solve_builds_one_hessian_per_iteration(monkeypatch):
 
 
 def test_split_support_counts_components():
-    from quivermoment.kempf_ness import _split_support
+    """The layout counts the components of the positive-dimension support;
+    the solver treats two or more as a split support."""
+    from quivermoment.layout import edge_layout
+
+    def components(quiver, dims):
+        return edge_layout(quiver, dims).support_components
 
     path = extend(Quiver(3, [(0, 1), (1, 2)]))
-    assert not _split_support(path, (1, 1, 1))
-    assert _split_support(path, (1, 0, 1))  # the zero-dimension middle vertex cuts
-    assert not _split_support(path, (0, 2, 1))  # a zero-dimension end cuts nothing
-    assert not _split_support(path, (0, 0, 1))
-    assert not _split_support(path, (0, 0, 0))
-    assert _split_support(extend(Quiver(3, [(0, 1)])), (1, 1, 2))  # an isolated vertex with d > 0
-    assert not _split_support(extend(Quiver(3, [(0, 1)])), (1, 1, 0))
+    assert components(path, (1, 1, 1)) == 1
+    assert components(path, (1, 0, 1)) == 2  # the zero-dimension middle vertex cuts
+    assert components(path, (0, 2, 1)) == 1  # a zero-dimension end cuts nothing
+    assert components(path, (0, 0, 1)) == 1
+    assert components(path, (0, 0, 0)) == 0
+    assert components(extend(Quiver(3, [(0, 1)])), (1, 1, 2)) == 2  # an isolated vertex with d > 0
+    assert components(extend(Quiver(3, [(0, 1)])), (1, 1, 0)) == 1
+    assert components(extend(Quiver(0, [])), ()) == 0
+    assert components(extend(Quiver(4, [(0, 1), (2, 3)])), (1, 1, 1, 1)) == 2  # disconnected thin quiver
 
 
 @pytest.mark.parametrize("scale", [0.0, 1.0])
