@@ -262,13 +262,12 @@ def test_transport_spec_errors_name_their_field_once(tmp_path, capsys):
 def test_negative_seed_and_deep_subdivision_exit_2_before_any_solve(tmp_path, capsys, monkeypatch):
     """A negative seed and an over-cap subdivision depth are bad inputs: one
     stderr line each, and no solve runs."""
-    import quivermoment.kempf_ness as kempf_ness
     import quivermoment.transport as transport
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve ran")
 
-    monkeypatch.setattr(kempf_ness, "solve_moment_equation", no_solve)
+    monkeypatch.setattr(cli, "solve_moment_equation", no_solve)
     monkeypatch.setattr(transport, "solve_moment_equation", no_solve)
     deep = dict(A2_SPEC, transport={"target_theta": [1e6, -1e6], "max_subdivision_depth": 900})
     for command, spec, extra, field in (

@@ -395,6 +395,7 @@ def test_complex_regular_check_matches_integer_oracle():
         if kind == "unbalanced":
             j = next(j for j, d in enumerate(dims) if d)
             re[j] += Fraction(int(rng.integers(1, 5)), int(rng.integers(1, 7)))
+        # parts given as "p/q" strings and as Fractions alike
         xi = [(str(a), b if k % 2 else str(b)) for k, (a, b) in enumerate(zip(re, im))]
         expected = _integer_complex_regular(dims, xi)
         if kind != "random":
