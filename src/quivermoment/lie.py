@@ -261,7 +261,10 @@ def theta_to_center(theta: StabilityParameter) -> LieAlgebraElement:
 
 def center_to_theta(mu: VertexMatrices) -> StabilityParameter:
     """Extract the per-vertex weights of an (approximately) central element."""
-    values = [float((np.trace(b) / (1j * b.shape[0])).real) if b.shape[0] else 0.0 for b in mu.blocks]
+    values = []
+    for b in mu.blocks:
+        d = b.shape[0]
+        values.append(float((np.trace(b) / (1j * d)).real) if d else 0.0)
     return balanced_theta(values, mu.dims)
 
 

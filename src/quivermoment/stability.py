@@ -347,8 +347,9 @@ def _every_closure_full(x):
     onto a line with a singular value far above the absorb threshold of
     ``generated_subrep``, so any nonzero seed spreads to every vertex, and
     no word operator overflows."""
-    thin_connected = all(d == 1 for d in x.dims) and x.layout.support_components == 1
-    return thin_connected and all(np.all((m >= 1e-9) & (m <= 1e100)) for m in map(np.abs, x.stacks))
+    if any(d != 1 for d in x.dims) or x.layout.support_components != 1:
+        return False
+    return all(np.all((m >= 1e-9) & (m <= 1e100)) for m in map(np.abs, x.stacks))
 
 
 def _candidate_subreps(x, rng, budget):

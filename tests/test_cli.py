@@ -160,7 +160,7 @@ HUGE_PAIR = [HUGE_EXPONENT, "-" + HUGE_EXPONENT]  # balanced for dims [1, 1]
 COMPLEX_TRANSPORT = {"mode": "complex", "xi_start": [[0, 0], [0, 0]], "xi_target": [[0, 0], [0, 0]]}
 
 
-def test_malformed_input_exit_code(tmp_path):
+def test_malformed_input_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert main(["moment", "--input", str(path)]) == EXIT_BAD_INPUT
@@ -239,9 +239,12 @@ def test_malformed_input_exit_code(tmp_path):
         # bisection deeper than the plan's cap cannot move the midpoints
         ("transport", dict(A2_SPEC, transport={"target_theta": [1e6, -1e6], "max_subdivision_depth": 5000})),
     ]
+    capsys.readouterr()
     for command, spec, *extra in bad:
         path.write_text(json.dumps(spec))
         assert main([command, "--input", str(path), *extra]) == EXIT_BAD_INPUT, (spec, extra)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (spec, extra, err)
     path.write_text(json.dumps(A2_SPEC).replace("1.0", "1e999"))
     assert main(["moment", "--input", str(path)]) == EXIT_BAD_INPUT
 
@@ -259,25 +262,17 @@ def test_transport_spec_errors_name_their_field_once(tmp_path, capsys):
         assert err.startswith(f"error: {field}: ") and err.count(field) == 1, err
 
 
-def test_negative_seed_and_deep_subdivision_exit_2_before_any_solve(tmp_path, capsys, monkeypatch):
-    """A negative seed and an over-cap subdivision depth are bad inputs: one
-    stderr line each, and no solve runs."""
+def test_deep_subdivision_exits_2_before_any_solve(tmp_path, monkeypatch):
+    """An over-cap subdivision depth is refused before the transport solves."""
     import quivermoment.transport as transport
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve ran")
 
-    monkeypatch.setattr(cli, "solve_moment_equation", no_solve)
     monkeypatch.setattr(transport, "solve_moment_equation", no_solve)
     deep = dict(A2_SPEC, transport={"target_theta": [1e6, -1e6], "max_subdivision_depth": 900})
-    for command, spec, extra, field in (
-        ("solve", A2_SPEC, ["--seed", "-1"], "--seed"),
-        ("transport", deep, [], "transport"),
-    ):
-        code, _ = run_cli(tmp_path, command, spec, *extra)
-        err = capsys.readouterr().err
-        assert code == EXIT_BAD_INPUT
-        assert err.startswith(f"error: {field}: ") and err.count("\n") == 1, err
+    code, _ = run_cli(tmp_path, "transport", deep)
+    assert code == EXIT_BAD_INPUT
 
 
 def test_unwritable_outputs_exit_2(tmp_path, capsys):

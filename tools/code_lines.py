@@ -4,8 +4,7 @@ A code line holds at least one token that is not a comment; blank lines,
 comment lines and the lines of module, class and function docstrings are not
 counted.  Uses only the standard library and does not import the package.
 
-    python3 tools/code_lines.py            # one line per module, then the total
-    python3 tools/code_lines.py src/other  # another package directory
+    python3 tools/code_lines.py   # one line per module, then the total
 """
 
 from __future__ import annotations
@@ -45,11 +44,9 @@ def code_lines(path):
     return len(lines - docstring_lines(ast.parse(source)))
 
 
-def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    package = Path(argv[0]) if argv else PACKAGE
+def main():
     total = 0
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         count = code_lines(path)
         total += count
         print(f"{count:6d}  {path.name}")
