@@ -6,8 +6,13 @@ codes:
 
 * 0 success;
 * 1 invariant or check failure;
-* 2 malformed input, a budget over its cap, or an output that cannot be
-  written;
+* 2 malformed input, a budget or a size over its cap, or an output that
+  cannot be written.  A ``regular`` request meets its two size caps before
+  it enumerates anything: the torus-weight export may hold at most
+  ``MAX_WEIGHT_ENTRIES`` (10^6) floats, counted as matrix entry slots times
+  coordinates, and a wall scan (also that of a transport's
+  ``regular_gate``) at most ``cones.ENUMERATION_CAP`` (10^5) dimension
+  vectors;
 * 3 numerical non-convergence, or a report with non-finite values;
 * 4 internal error: any other exception, reported on one stderr line.
 """
@@ -62,6 +67,8 @@ EXIT_INTERNAL_ERROR = 4
 MAX_SEARCH_BUDGET = 10_000  # stability: the King search's cost grows linearly in it
 # selftest: scales every check's instance count; budget 36 runs in about a minute
 MAX_SELFTEST_BUDGET = 36
+# regular: the torus-weight export holds up to (slots x coordinates) floats
+MAX_WEIGHT_ENTRIES = 10 ** 6
 MAX_COUNT = int(np.iinfo(np.intp).max)
 
 
@@ -356,17 +363,14 @@ def cmd_stability(spec, args, rng):
 
 def cmd_regular(spec, args, rng):
     quiver, dims = parse_quiver(spec)
+    export = spec.get("export_weights")
+    if export:
+        # the weight matrix has up to one row per matrix entry slot
+        slots = sum(dims[quiver.head(e)] * dims[quiver.tail(e)] for e in range(quiver.num_edges))
+        if slots * sum(dims) > MAX_WEIGHT_ENTRIES:
+            raise SpecError(f"export_weights: {slots} slots of {sum(dims)} coordinates exceed the cap "
+                            f"{MAX_WEIGHT_ENTRIES} on weight matrix entries")
     report = {}
-    if spec.get("export_weights"):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ws = torus_weights(quiver, dims)
-        report["torus_weights"] = {
-            "vectors": [[float(v) for v in row] for row in ws.vectors],
-            "multiplicities": [int(m) for m in ws.multiplicities],
-            "spans_torus": bool(ws.spans_torus),
-            "kernel_warning": bool(caught),
-        }
     try:
         if "theta_triple" in spec:
             triple = parse_rational_triple(spec["theta_triple"], dims, "theta_triple")
@@ -380,6 +384,16 @@ def cmd_regular(spec, args, rng):
             report["complex"] = {"in_regular_locus": complex_regular_check(dims, pairs)}
     except EnumerationCapError as exc:
         raise SpecError(f"dims: {exc}") from exc
+    if export:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ws = torus_weights(quiver, dims)
+        report["torus_weights"] = {
+            "vectors": [[float(v) for v in row] for row in ws.vectors],
+            "multiplicities": [int(m) for m in ws.multiplicities],
+            "spans_torus": ws.spans_torus,
+            "kernel_warning": bool(caught),
+        }
     if not report:
         raise SpecError("regular: provide theta_triple and/or xi")
     return report, EXIT_OK
@@ -441,7 +455,7 @@ def cmd_transport(spec, args, rng):
         return {"mode": mode, "error": str(exc)}, EXIT_NO_CONVERGENCE
     except SpecError:
         raise  # already names its field
-    except ValueError as exc:
+    except (ValueError, EnumerationCapError) as exc:
         raise SpecError(f"transport: {exc}") from exc
 
     return {
@@ -511,9 +525,7 @@ def _load_input(args):
 
 
 def _run_one(command, spec, args):
-    """The report of one spec and its exit code.  A report with NaN or
-    infinite floats gets them as null and "non_finite": true, as strict JSON
-    holds it, and exits at least 3."""
+    """The report of one spec and its exit code."""
     rng = np.random.default_rng(args.seed)
     try:
         result, code = COMMANDS[command](_object(spec, "spec"), args, rng)
@@ -530,6 +542,12 @@ def _run_one(command, spec, args):
         "input": spec,
         "result": result,
     }
+    return report, code
+
+
+def _strict(report, code):
+    """The report as strict JSON holds it: NaN and infinite floats become
+    null and "non_finite": true, and the exit code is at least 3."""
     try:
         json.dumps(report, allow_nan=False)
     except ValueError:
@@ -559,6 +577,11 @@ def build_parser():
     return parser
 
 
+def _encode(runs, batch):
+    reports = [report for report, _ in runs]
+    return json.dumps(reports if batch else reports[0], indent=2, sort_keys=True, allow_nan=False)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
@@ -567,8 +590,11 @@ def main(argv=None):
         payload = _load_input(args)
         batch = isinstance(payload, list)
         runs = [_run_one(args.command, spec, args) for spec in (payload if batch else [payload])]
-        reports = [report for report, _ in runs]
-        text = json.dumps(reports if batch else reports[0], indent=2, sort_keys=True, allow_nan=False)
+        try:
+            text = _encode(runs, batch)
+        except ValueError:  # some report holds a non-finite float
+            runs = [_strict(*run) for run in runs]
+            text = _encode(runs, batch)
         if args.output:
             _write(args.output, text + "\n")
         else:

@@ -14,7 +14,7 @@ import itertools
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +24,8 @@ from .quiver import ExtendedQuiver, validate_dims
 MEMBERSHIP_TOL = 1e-9
 KKT_TOL = 1e-10
 DEFAULT_SUBSET_CAP = 2 ** 20
-ENUMERATION_CAP = 10 ** 7
+# one exact wall scan costs about 14 us per dimension vector, so 1.4 s at the cap
+ENUMERATION_CAP = 10 ** 5
 # Fraction expands a decimal exponent exactly ("1e10000000" takes seconds), so
 # rational strings are bounded in length and in the size of their exponent
 RATIONAL_MAX_CHARS = 1000
@@ -48,54 +49,54 @@ class WeightSet:
     """Distinct torus weights with multiplicities.
 
     Vectors are rows in the per-(vertex, diagonal) coordinates; every row sums
-    to zero.  ``spans_torus`` records whether the weights span the trace-free
-    diagonal algebra, i.e. whether the torus acts with finite kernel.
+    to zero.  ``spans_torus``, computed once at construction, records whether
+    the weights span the trace-free diagonal algebra, i.e. whether the torus
+    acts with finite kernel.
     """
 
     vectors: np.ndarray
     multiplicities: np.ndarray
     num_coords: int
+    spans_torus: bool = field(init=False)
+
+    def __post_init__(self):
+        self.spans_torus = bool(np.linalg.matrix_rank(self.vectors, tol=1e-10) >= self.torus_dim)
 
     @property
     def torus_dim(self):
         return max(self.num_coords - 1, 0)
-
-    @property
-    def spans_torus(self):
-        if len(self.vectors) == 0:
-            return self.torus_dim == 0
-        return np.linalg.matrix_rank(self.vectors, tol=1e-10) >= self.torus_dim
 
 
 def torus_weights(quiver: ExtendedQuiver, dims) -> WeightSet:
     """Weights of the diagonal torus on the matrix entry slots.
 
     The slot (edge e, row a, column b) carries the weight
-    delta_(tail(e), b) - delta_(head(e), a); duplicates are merged with
-    multiplicity.  A warning is raised when the weights fail to span.
+    delta_(tail(e), b) - delta_(head(e), a), keyed by that coordinate pair;
+    every diagonal pair is the zero weight.  Duplicates are merged with
+    multiplicity, in the order of first appearance.  A warning is raised when
+    the weights fail to span.
     """
     dims = validate_dims(quiver, dims)
-    offsets = np.concatenate([[0], np.cumsum(dims)])
-    n = int(offsets[-1])
+    offsets = [0, *itertools.accumulate(dims)]
+    n = offsets[-1]
     seen = {}
-    order = []
     for e in range(quiver.num_edges):
         h, t = quiver.head(e), quiver.tail(e)
         for a in range(dims[h]):
             for b in range(dims[t]):
-                w = np.zeros(n)
-                w[offsets[t] + b] += 1.0
-                w[offsets[h] + a] -= 1.0
-                key = tuple(int(round(v)) for v in w)
+                key = (offsets[t] + b, offsets[h] + a)
+                key = key if key[0] != key[1] else (0, 0)
                 if key in seen:
                     seen[key] += 1
                 else:
                     seen[key] = 1
-                    order.append(key)
-    vectors = np.array([list(k) for k in order], dtype=float) if order else np.zeros((0, n))
-    mult = np.array([seen[k] for k in order], dtype=int)
+    vectors = np.zeros((len(seen), n))
+    for row, (plus, minus) in enumerate(seen):
+        vectors[row, plus] += 1.0
+        vectors[row, minus] -= 1.0
+    mult = np.array(list(seen.values()), dtype=int)
     ws = WeightSet(vectors=vectors, multiplicities=mult, num_coords=n)
-    degenerate = vectors.size == 0 or float(np.abs(vectors).max()) == 0.0
+    degenerate = not vectors.any()
     if not ws.spans_torus or degenerate:
         warnings.warn(
             "torus weights do not span: the diagonal torus acts with a kernel",

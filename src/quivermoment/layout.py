@@ -4,12 +4,12 @@ An ``EdgeLayout`` is built once per (extended quiver, dimension vector) and
 cached.  It stacks the edge blocks of a representation by shape
 (dims[head], dims[tail]) into one 3-d array per shape, and it stacks per-vertex
 matrices (group elements, Lie algebra elements, moment values) by dimension
-into one 3-d array per dimension class (``VertexLayout``); these stacks are
-the only storage of points and of algebra and group elements.  The kernels
-below compute the moment maps, the infinitesimal action (also over a leading
-basis axis), the group action, exp(itY), pairings and real coordinates on
-those stacks with one batched numpy call per shape or class instead of one
-Python step per edge or vertex.  The trials of a line search along one
+into one 3-d array per dimension class (``VertexLayout``); these stacks, held
+read-only by the one base ``HeldStacks``, are the only storage of points and
+of algebra and group elements.  The kernels below compute the moment maps,
+the infinitesimal action (also over a leading basis axis), the group action,
+exp(itY), pairings and real coordinates on those stacks with one batched
+numpy call per shape or class instead of one Python step per edge or vertex.  The trials of a line search along one
 direction share one eigendecomposition and run as one stack: their group
 elements, acted points, norms and moment defects carry a leading trial axis.
 
@@ -42,31 +42,31 @@ def _indices(values):
 class _GroupedItems:
     """Items (vertices or edges) grouped into stacks of blocks of one shape.
 
-    Item k sits at ``slots[k] = (g, i)``: position i of group g.
-    ``real_order`` takes real coordinates, flattened group by group, to item
-    order (see ``real_coordinates``); there are ``real_size`` of them.
+    ``members[g]`` lists the items of group g in increasing order, and item k
+    sits at ``slots[k] = (g, i)``: position i of group g.  ``real_order``
+    takes real coordinates, flattened group by group, to item order (see
+    ``real_coordinates``); there are ``real_size`` of them.
     """
 
-    __slots__ = ("slots", "real_order", "real_size", "_items", "_order")
+    __slots__ = ("members", "slots", "real_order", "real_size", "_order")
 
-    def __init__(self, items, shapes):
-        """``items[g]`` lists the items of group g in increasing order, and
-        ``shapes[g]`` is the shape of their blocks."""
-        slots = [None] * sum(len(m) for m in items)
-        for g, members in enumerate(items):
-            for i, k in enumerate(members):
+    def __init__(self, members, shapes):
+        """``shapes[g]`` is the shape of the blocks of group g."""
+        slots = [None] * sum(len(m) for m in members)
+        for g, items in enumerate(members):
+            for i, k in enumerate(items):
                 slots[k] = (g, i)
+        self.members = tuple(members)
         self.slots = tuple(slots)
-        self._items = items
         # position of each item in the concatenation of the groups
-        self._order = _item_order(items, [1] * len(items))
+        self._order = _item_order(members, [1] * len(members))
         sizes = [2 * rows * cols for rows, cols in shapes]
-        self.real_order = _item_order(items, sizes)
-        self.real_size = sum(size * len(m) for size, m in zip(sizes, items))
+        self.real_order = _item_order(members, sizes)
+        self.real_size = sum(size * len(m) for size, m in zip(sizes, members))
 
     def stack(self, blocks):
         """Per-group stacks (n_g, rows, cols) of per-item blocks."""
-        return [np.array([blocks[k] for k in m], dtype=complex) for m in self._items]
+        return [np.array([blocks[k] for k in m], dtype=complex) for m in self.members]
 
     def unstack(self, stacks):
         """Per-item views into per-group stacks, in item order."""
@@ -85,15 +85,15 @@ class VertexLayout(_GroupedItems):
     vertices in increasing order; vertex v sits at ``slots[v] = (c, i)``.
     """
 
-    __slots__ = ("dims", "class_dims", "members")
+    __slots__ = ("dims", "class_dims")
 
     def __init__(self, dims):
         self.dims = tuple(int(d) for d in dims)
         self.class_dims = tuple(dict.fromkeys(self.dims))
-        self.members = tuple(
+        members = tuple(
             [v for v, dv in enumerate(self.dims) if dv == d] for d in self.class_dims
         )
-        super().__init__(self.members, [(d, d) for d in self.class_dims])
+        super().__init__(members, [(d, d) for d in self.class_dims])
 
     def zeros(self, lead=()):
         """Per-class zero stacks (*lead, n_c, d, d)."""
@@ -112,21 +112,19 @@ class ShapeGroup:
     """
 
     __slots__ = (
-        "shape", "edges", "head_class", "tail_class", "head_pos", "tail_pos",
-        "head_take", "tail_take", "epsilon", "reverse_group", "reverse_pos",
+        "head_class", "tail_class", "head_pos", "tail_pos", "head_take", "tail_take", "epsilon",
+        "reverse_group", "reverse_pos",
     )
 
     def __init__(self, quiver, shape, edges, vertices, slots):
-        self.shape = shape
-        self.edges = tuple(edges)
         self.head_class = vertices.class_dims.index(shape[0])
         self.tail_class = vertices.class_dims.index(shape[1])
         self.head_pos = _indices(vertices.slots[quiver.edges[e][1]][1] for e in edges)
         self.tail_pos = _indices(vertices.slots[quiver.edges[e][0]][1] for e in edges)
         self.head_take = _take(self.head_pos)
         self.tail_take = _take(self.tail_pos)
-        self.epsilon = _indices(quiver.epsilon[e] for e in edges)
-        reversed_edges = [quiver.reversal[e] for e in edges]
+        self.epsilon = _indices(quiver.epsilon)[list(edges)]
+        reversed_edges = [quiver.reverse(e) for e in edges]
         self.reverse_group = slots[reversed_edges[0]][0]
         self.reverse_pos = _indices(slots[r][1] for r in reversed_edges)
 
@@ -165,10 +163,10 @@ class EdgeLayout(_GroupedItems):
         # one key per term: the edge, then 0 for its head term and 1 for its tail term
         keys, targets = [], []
         for g in head_groups:
-            keys += [2 * e for e in self.groups[g].edges]
+            keys += [2 * e for e in self.members[g]]
             targets += self.groups[g].head_pos.tolist()
         for g in tail_groups:
-            keys += [2 * e + 1 for e in self.groups[g].edges]
+            keys += [2 * e + 1 for e in self.members[g]]
             targets += self.groups[g].tail_pos.tolist()
         order = np.argsort(_indices(keys))
         return head_groups, tail_groups, order, _indices(targets)[order]
@@ -188,6 +186,27 @@ def _support_components(dims, edges):
         if dims[t] and dims[h]:
             parent[root(t)] = root(h)
     return len({root(v) for v in parent})
+
+
+class HeldStacks:
+    """Blocks held once as ``stacks``: read-only stacks of blocks of one
+    shape, grouped as the subclass's ``layout`` groups its items.  ``blocks``
+    are read-only views into the stacks, made on first use."""
+
+    __slots__ = ("dims", "stacks", "_blocks")
+
+    def _hold(self, dims, stacks):
+        for s in stacks:
+            s.flags.writeable = False
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "stacks", tuple(stacks))
+        object.__setattr__(self, "_blocks", None)
+
+    @property
+    def blocks(self):
+        if self._blocks is None:
+            object.__setattr__(self, "_blocks", tuple(self.layout.unstack(self.stacks)))
+        return self._blocks
 
 
 @lru_cache(maxsize=256)

@@ -18,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .layout import (
+    HeldStacks,
     act_stacks,
     dagger,
     eigh_stacks,
@@ -45,23 +46,15 @@ def _square_blocks(blocks):
     return checked, tuple(b.shape[0] for b in checked)
 
 
-class _VertexStacks:
-    """One square matrix per vertex, held once as ``stacks``: the blocks
-    stacked by dimension class (see ``layout.VertexLayout``), read-only.
-    ``blocks`` are read-only views into the stacks, made on first use."""
+class _VertexStacks(HeldStacks):
+    """One square matrix per vertex, stacked by dimension class (see
+    ``layout.VertexLayout``)."""
 
-    __slots__ = ("dims", "stacks", "_blocks")
+    __slots__ = ()
 
     def __init__(self, blocks):
         blocks, dims = _square_blocks(blocks)
         self._hold(dims, vertex_layout(dims).stack(blocks))
-
-    def _hold(self, dims, stacks):
-        for s in stacks:
-            s.flags.writeable = False
-        self.dims = dims
-        self.stacks = tuple(stacks)
-        self._blocks = None
 
     @classmethod
     def from_stacks(cls, dims, stacks):
@@ -74,12 +67,6 @@ class _VertexStacks:
     @property
     def layout(self):
         return vertex_layout(self.dims)
-
-    @property
-    def blocks(self):
-        if self._blocks is None:
-            self._blocks = tuple(self.layout.unstack(self.stacks))
-        return self._blocks
 
 
 class VertexMatrices(_VertexStacks):

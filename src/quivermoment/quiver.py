@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layout import EdgeLayout, edge_layout, sq_norm_stacks, structure_stacks
+from .layout import EdgeLayout, HeldStacks, edge_layout, sq_norm_stacks, structure_stacks
 
 DimVector = tuple  # per-vertex nonnegative integers, one entry per vertex
 
@@ -50,28 +50,19 @@ class Quiver:
 
 @dataclass(frozen=True)
 class ExtendedQuiver:
-    """A quiver with every edge doubled by its reversal.
+    """A quiver with every edge doubled by its reversal, derived from ``base``.
 
     Edges are ordered: the base edges first, then their reversals in the same
-    order, so serialized data is portable.  ``epsilon`` is +1 on base edges and
-    -1 on reversed ones; ``reversal`` is the pairing involution on edge indices.
+    order, so serialized data is portable.  Edge e < m (the base edge count)
+    has sign ``epsilon`` +1 and reverses to e + m; a reversed edge has sign -1
+    and reverses to e - m.  Equality and hash are those of the base.
     """
 
     base: Quiver
-    edges: tuple = field(default=())
-    epsilon: tuple = field(default=())
-    reversal: tuple = field(default=())
+    edges: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = self.base.num_edges
-        if len(self.edges) != 2 * m or len(self.epsilon) != 2 * m:
-            raise ValueError("extended quiver must have twice the base edge count")
-        for e in range(2 * m):
-            if self.reversal[self.reversal[e]] != e:
-                raise ValueError("reversal is not an involution")
-            want = 1 if e < m else -1
-            if self.epsilon[e] != want:
-                raise ValueError("epsilon must be +1 on base edges, -1 on reversed ones")
+        object.__setattr__(self, "edges", self.base.edges + tuple((h, t) for t, h in self.base.edges))
 
     @property
     def num_vertices(self):
@@ -81,6 +72,15 @@ class ExtendedQuiver:
     def num_edges(self):
         return len(self.edges)
 
+    @property
+    def epsilon(self):
+        m = self.base.num_edges
+        return (1,) * m + (-1,) * m
+
+    @property
+    def reversal(self):
+        return tuple(map(self.reverse, range(self.num_edges)))
+
     def tail(self, e):
         return self.edges[e][0]
 
@@ -88,16 +88,13 @@ class ExtendedQuiver:
         return self.edges[e][1]
 
     def reverse(self, e):
-        return self.reversal[e]
+        m = self.base.num_edges
+        return (e + m) % (2 * m)
 
 
 def extend(quiver: Quiver) -> ExtendedQuiver:
     """Build the extended quiver: base edges followed by their reversals."""
-    m = quiver.num_edges
-    edges = tuple(quiver.edges) + tuple((h, t) for (t, h) in quiver.edges)
-    epsilon = (1,) * m + (-1,) * m
-    reversal = tuple((e + m) % (2 * m) for e in range(2 * m)) if m else ()
-    return ExtendedQuiver(base=quiver, edges=edges, epsilon=epsilon, reversal=reversal)
+    return ExtendedQuiver(quiver)
 
 
 def validate_dims(quiver, dims):
@@ -110,7 +107,7 @@ def validate_dims(quiver, dims):
     return dims
 
 
-class Representation:
+class Representation(HeldStacks):
     """A point of representation space: one complex matrix per extended edge.
 
     The block of edge e has shape (dims[head(e)], dims[tail(e)]).  Instances
@@ -120,7 +117,7 @@ class Representation:
     read-only views into the stacks, made on first use.
     """
 
-    __slots__ = ("quiver", "dims", "stacks", "_blocks")
+    __slots__ = ("quiver",)
 
     def __init__(self, quiver: ExtendedQuiver, dims, blocks):
         dims = validate_dims(quiver, dims)
@@ -135,31 +132,19 @@ class Representation:
             if b.shape != want:
                 raise ValueError(f"block {e} has shape {b.shape}, expected {want}")
             checked.append(b)
-        self._hold(quiver, dims, edge_layout(quiver, dims).stack(checked))
-
-    def _hold(self, quiver, dims, stacks):
-        for a in stacks:
-            a.flags.writeable = False
         object.__setattr__(self, "quiver", quiver)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "stacks", tuple(stacks))
-        object.__setattr__(self, "_blocks", None)
+        self._hold(dims, edge_layout(quiver, dims).stack(checked))
 
     @property
     def layout(self) -> EdgeLayout:
         return edge_layout(self.quiver, self.dims)
 
-    @property
-    def blocks(self):
-        if self._blocks is None:
-            object.__setattr__(self, "_blocks", tuple(self.layout.unstack(self.stacks)))
-        return self._blocks
-
     def replace_stacks(self, stacks) -> "Representation":
         """A point of the same space from per-shape stacks, trusted as they
         come from the kernels: no copy and no shape check."""
         out = object.__new__(Representation)
-        out._hold(self.quiver, self.dims, stacks)
+        object.__setattr__(out, "quiver", self.quiver)
+        out._hold(self.dims, stacks)
         return out
 
     def __setattr__(self, name, value):
@@ -175,9 +160,7 @@ class Representation:
         return cls(quiver, dims, blocks)
 
     def same_space(self, other: "Representation"):
-        if self.dims != other.dims:
-            return False
-        return self.quiver is other.quiver or self.quiver.edges == other.quiver.edges
+        return self.dims == other.dims and self.quiver == other.quiver
 
     def _check_space(self, other):
         if not isinstance(other, Representation) or not self.same_space(other):

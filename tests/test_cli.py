@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -158,6 +159,16 @@ HUGE = 10**400
 HUGE_EXPONENT = "1e10000000"  # an exact rational of ten million digits
 HUGE_PAIR = [HUGE_EXPONENT, "-" + HUGE_EXPONENT]  # balanced for dims [1, 1]
 COMPLEX_TRANSPORT = {"mode": "complex", "xi_start": [[0, 0], [0, 0]], "xi_target": [[0, 0], [0, 0]]}
+A2_TRIPLE = {"theta_I": ["1", "-1"], "theta_J": ["0", "0"], "theta_K": ["0", "0"]}
+# requests over the cap on the torus-weight export or on the wall scan's
+# dimension vectors (401^2 of them, over cones.ENUMERATION_CAP)
+CAPPED_REGULAR = [
+    ("regular", dict(A2_SPEC, dims=[300, 300], export_weights=True)),
+    ("regular", {"quiver": A2_SPEC["quiver"], "dims": [400, 400], "theta_triple": A2_TRIPLE}),
+    ("regular", {"quiver": A2_SPEC["quiver"], "dims": [400, 400], "xi": [["1", "0"], ["-1", "0"]]}),
+    ("transport", {"quiver": A2_SPEC["quiver"], "dims": [400, 400], "transport": {
+        "mode": "hyperkahler", "target_triple": A2_TRIPLE, "regular_gate": [A2_TRIPLE]}}),
+]
 
 
 def test_malformed_input_exit_code(tmp_path, capsys):
@@ -214,6 +225,7 @@ def test_malformed_input_exit_code(tmp_path, capsys):
         ("regular", dict(A2_SPEC, theta_triple={
             "theta_I": HUGE_PAIR, "theta_J": [0, 0], "theta_K": [0, 0],
         })),
+        *CAPPED_REGULAR,
         ("regular", dict(A2_SPEC, xi=[[HUGE_PAIR[0], "0"], [HUGE_PAIR[1], "0"]])),
         ("transport", dict(A2_SPEC, transport={
             "mode": "hyperkahler",
@@ -390,6 +402,38 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["result"]["status"] == "converged"
+
+
+def test_capped_regular_requests_exit_2_at_once(tmp_path, capsys):
+    """The caps are checked before any slot or dimension vector is
+    enumerated, so a request far over one returns at once."""
+    for command, spec in CAPPED_REGULAR:
+        start = time.perf_counter()
+        code, report = run_cli(tmp_path, command, spec)
+        assert time.perf_counter() - start < 1.0, spec
+        assert code == EXIT_BAD_INPUT and report is None, spec
+        assert "exceed the cap" in capsys.readouterr().err, spec
+    # just under the export cap, the weights are exported
+    under = dict(A2_SPEC, dims=[62, 63], export_weights=True)
+    assert 2 * 62 * 63 * 125 <= cli.MAX_WEIGHT_ENTRIES
+    assert run_cli(tmp_path, "regular", under)[0] == EXIT_OK
+
+
+def test_regular_export_ranks_the_weights_once(tmp_path, monkeypatch):
+    """A WeightSet computes spans_torus once, where it is built."""
+    calls = []
+    rank = np.linalg.matrix_rank
+
+    def counted(*a, **k):
+        calls.append(a[0].shape)
+        return rank(*a, **k)
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", counted)
+    spec = dict(A2_SPEC, dims=[2, 3], export_weights=True, theta_triple={
+        "theta_I": ["3", "-2"], "theta_J": ["0", "0"], "theta_K": ["0", "0"]})
+    code, report = run_cli(tmp_path, "regular", spec)
+    assert code == EXIT_OK and report["result"]["torus_weights"]["spans_torus"] is True
+    assert calls == [(12, 5)]
 
 
 def test_regular_command_exports_weights(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from quivermoment import (
     quaternion_act,
     symplectic_form,
 )
-from quivermoment.quiver import quaternion_multiply
+from quivermoment.quiver import ExtendedQuiver, quaternion_multiply
 from quivermoment.sampling import random_instance, random_representation
 
 STRUCTURES = ("I", "J", "K")
@@ -38,6 +40,47 @@ def test_extend_empty():
     xq = extend(Quiver(3, []))
     assert xq.edges == ()
     assert xq.epsilon == ()
+    assert xq.reversal == ()
+    empty = extend(Quiver(0))
+    assert (empty.num_vertices, empty.num_edges, empty.reversal) == (0, 0, ())
+    assert norm_sq(Representation.zero(empty, ())) == 0.0
+
+
+def test_extended_quiver_is_derived_from_its_base():
+    """Equality and hash are the base's; only the base is a constructor field."""
+    base = Quiver(3, [(0, 1), (1, 2), (2, 2)])
+    xq = ExtendedQuiver(base)
+    assert xq == extend(Quiver(3, [(0, 1), (1, 2), (2, 2)])) and hash(xq) == hash(extend(base))
+    assert xq != extend(Quiver(3, [(0, 1), (1, 2)])) and xq != extend(Quiver(4, base.edges))
+    assert [f.name for f in dataclasses.fields(ExtendedQuiver) if f.init] == ["base"]
+    with pytest.raises(TypeError):
+        ExtendedQuiver(base, edges=xq.edges)
+
+
+def test_extended_quiver_reversed_edges():
+    xq = extend(Quiver(3, [(0, 1), (1, 2), (2, 2)]))
+    assert xq.edges == ((0, 1), (1, 2), (2, 2), (1, 0), (2, 1), (2, 2))
+    assert xq.epsilon == (1, 1, 1, -1, -1, -1)
+    assert xq.reversal == (3, 4, 5, 0, 1, 2)
+    for e in range(xq.num_edges):
+        r = xq.reverse(e)
+        assert xq.reverse(r) == e and xq.epsilon[r] == -xq.epsilon[e]
+        assert (xq.tail(r), xq.head(r)) == (xq.head(e), xq.tail(e))
+    assert (xq.tail(4), xq.head(4)) == (2, 1)
+
+
+def test_extended_quiver_and_points_are_immutable(a2_rep):
+    xq = extend(Quiver(2, [(0, 1)]))
+    for name, value in (("base", Quiver(1)), ("edges", ()), ("epsilon", ()), ("reversal", ())):
+        with pytest.raises(AttributeError):
+            setattr(xq, name, value)
+    x = a2_rep(1, 2)
+    with pytest.raises(AttributeError):
+        x.quiver = xq
+    with pytest.raises(ValueError):
+        x.stacks[0][0, 0, 0] = 5.0
+    with pytest.raises(ValueError):
+        x.blocks[0][0, 0] = 5.0
 
 
 def test_extend_rejects_bad_vertex():
