@@ -19,15 +19,8 @@ from .cones import (
     regular_walls,
     torus_weights,
 )
-from .flow import FlowOptions, FlowOutcome, flow_integrate, grad_h, h_value, stratum_distance_bound
-from .kempf_ness import (
-    SolveOptions,
-    SolveOutcome,
-    geodesic_profile,
-    kempf_ness_value,
-    minimum_is_identity_check,
-    solve_moment_equation,
-)
+from .flow import FlowOptions, FlowOutcome, flow_integrate, grad_h, h_value
+from .kempf_ness import SolveOptions, SolveOutcome, solve_moment_equation
 from .lie import (
     GroupElement,
     LieAlgebraElement,
@@ -65,7 +58,6 @@ from .quiver import (
     inner_product,
     norm_sq,
     quaternion_act,
-    symplectic_form,
 )
 from .stability import (
     GradedSubspace,
@@ -73,7 +65,6 @@ from .stability import (
     certify_stable_numerical,
     generated_subrep,
     hm_limit_filtration,
-    hm_witness_check,
     king_slope,
     king_stable_test,
     subrepresentation_residual,

@@ -67,18 +67,16 @@ class WeightSet:
         return max(self.num_coords - 1, 0)
 
 
-def torus_weights(quiver: ExtendedQuiver, dims) -> WeightSet:
-    """Weights of the diagonal torus on the matrix entry slots.
+def weight_keys(quiver: ExtendedQuiver, dims) -> dict:
+    """The distinct torus weights, counted before any vector is built.
 
     The slot (edge e, row a, column b) carries the weight
     delta_(tail(e), b) - delta_(head(e), a), keyed by that coordinate pair;
-    every diagonal pair is the zero weight.  Duplicates are merged with
-    multiplicity, in the order of first appearance.  A warning is raised when
-    the weights fail to span.
+    every diagonal pair is the zero weight (0, 0).  Returns key ->
+    multiplicity, in the order of first appearance.
     """
     dims = validate_dims(quiver, dims)
     offsets = [0, *itertools.accumulate(dims)]
-    n = offsets[-1]
     seen = {}
     for e in range(quiver.num_edges):
         h, t = quiver.head(e), quiver.tail(e)
@@ -90,6 +88,15 @@ def torus_weights(quiver: ExtendedQuiver, dims) -> WeightSet:
                     seen[key] += 1
                 else:
                     seen[key] = 1
+    return seen
+
+
+def torus_weights(quiver: ExtendedQuiver, dims) -> WeightSet:
+    """Weights of the diagonal torus on the matrix entry slots: one row per
+    key of ``weight_keys``, in its order.  Warns when they fail to span."""
+    dims = validate_dims(quiver, dims)
+    n = sum(dims)
+    seen = weight_keys(quiver, dims)
     vectors = np.zeros((len(seen), n))
     for row, (plus, minus) in enumerate(seen):
         vectors[row, plus] += 1.0

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import SubsetCapError, d_theta, theta_coordinates, torus_weights
+from .cones import d_theta, theta_coordinates, torus_weights, weight_keys
 from .layout import eigh_i_stacks, infinitesimal_action_stacks, sq_norm_stacks, trial_stacks
 from .lie import StabilityParameter
 from .moment import defect_offset, defect_sq_norm, defect_stacks
@@ -221,21 +221,13 @@ def _classify(theta, x, h, reason, opts, events):
 
 
 def _certified_radius(theta, x):
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            weights = torus_weights(x.quiver, x.dims)
-        coords = theta_coordinates(theta.values, x.dims)
-        radius = d_theta(weights, coords, subset_cap=D_THETA_SUBSET_CAP)
-    except SubsetCapError:
+    # the distinct weights are counted from their slot keys, so a weight set
+    # over the cap is refused before any of its vectors is built
+    if 2 ** len(weight_keys(x.quiver, x.dims)) > D_THETA_SUBSET_CAP:
         return None
-    return None if math.isinf(radius) else radius
-
-
-def stratum_distance_bound(theta: StabilityParameter, x: Representation) -> bool:
-    """Certificate h(x) < d_theta: the flow from x must reach the zero level,
-    so x is analytically semistable without integrating anything."""
-    weights = torus_weights(x.quiver, x.dims)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        weights = torus_weights(x.quiver, x.dims)
     coords = theta_coordinates(theta.values, x.dims)
-    radius = d_theta(weights, coords)
-    return h_value(theta, x) < radius
+    radius = d_theta(weights, coords, subset_cap=D_THETA_SUBSET_CAP)
+    return None if math.isinf(radius) else radius

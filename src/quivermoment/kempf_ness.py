@@ -31,19 +31,15 @@ from .layout import (
     trial_stacks,
 )
 from .lie import (
-    GroupElement,
     LieAlgebraElement,
     StabilityParameter,
-    act,
-    character_log_modulus,
-    pairing,
     pairing_stacks,
     polar_log_stacks,
     theta_to_center,
     uv_basis,
 )
-from .moment import defect_sq_norm, defect_stacks, moment_residual
-from .quiver import Representation, norm_sq, rotate_to_I
+from .moment import defect_sq_norm, defect_stacks
+from .quiver import Representation, rotate_to_I
 
 logger = logging.getLogger(__name__)
 
@@ -95,28 +91,6 @@ class SolveOutcome:
     @property
     def converged(self):
         return self.status == "converged"
-
-
-def kempf_ness_value(theta: StabilityParameter, x: Representation, g: GroupElement) -> float:
-    """||g.x||^2 - log|chi_theta(g)|^2; invariant under left unitary factors."""
-    return norm_sq(act(g, x, "I")) - character_log_modulus(theta, g)
-
-
-def geodesic_profile(theta, x, z: LieAlgebraElement, ts):
-    """Sample the functional along the geodesic t -> exp(itZ); convex in t."""
-    theta_sharp = theta_to_center(theta)
-    slope = 2.0 * pairing(theta_sharp, z)
-    values = []
-    for t in ts:
-        g = GroupElement.exp_i(z, float(t))
-        values.append(norm_sq(act(g, x, "I")) - slope * float(t))
-    return values
-
-
-def minimum_is_identity_check(theta, x, tol) -> bool:
-    """True iff the functional is critical (hence minimal) at the identity,
-    i.e. the moment value of x already equals the central target."""
-    return moment_residual(x, theta) <= tol
 
 
 def solve_moment_equation(

@@ -281,11 +281,6 @@ def hyperkahler_metric(u: Representation, v: Representation) -> float:
     return inner_product(u, v).real
 
 
-def symplectic_form(structure, u: Representation, v: Representation) -> float:
-    """Real symplectic form of the given structure: g(s.u, v)."""
-    return hyperkahler_metric(apply_structure(structure, u), v)
-
-
 def hermitian_pairing(structure, u: Representation, v: Representation) -> complex:
     """Hermitian pairing compatible with a complex structure.
 

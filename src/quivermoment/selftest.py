@@ -1,4 +1,6 @@
-"""Seeded invariant suite covering every module, runnable from the CLI.
+"""Seeded invariant suite covering every module, runnable from the CLI, and
+the independent oracles that it and the test suite share (public here, not
+exported by the package).
 
 Each check draws its own child generator from the master seed, so checks are
 independent of ordering and the whole report is reproducible byte for byte.
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -79,6 +82,203 @@ def _random_xs(rng, count, **kw):
         yield quiver, dims, x
 
 
+# ---------------------------------------------------------------------------
+# Oracles.  The cone oracles run least squares on every support, never the
+# active-set iteration they check; the wall oracle computes in integers, never
+# through the exact wall scan of cones.
+
+
+def support_projections(vectors, theta):
+    """(mask, projection, squared distance) of every nonempty support of the
+    rows of ``vectors`` whose least-squares coefficients are at least -1e-12,
+    in mask order."""
+    k = len(vectors)
+    for mask in range(1, 2 ** k):
+        a = vectors[[i for i in range(k) if mask >> i & 1]].T
+        coeff, *_ = np.linalg.lstsq(a, theta, rcond=None)
+        if np.any(coeff < -1e-12):
+            continue
+        beta = a @ coeff
+        yield mask, beta, float((theta - beta) @ (theta - beta))
+
+
+def projection_oracle(vectors, theta):
+    """``cone_project`` by exhaustion: the feasible support nearest theta,
+    where a later support must be nearer by more than 1e-15."""
+    best = (np.zeros_like(theta), float(theta @ theta))
+    for _, beta, dist in support_projections(vectors, theta):
+        if dist < best[1] - 1e-15:
+            best = (beta, dist)
+    return best
+
+
+def subset_distances(vectors, theta):
+    """Squared distance from theta to the cone of every subset, by mask: the
+    least over its feasible supports, by a subset min-transform."""
+    k = len(vectors)
+    dist = np.full(2 ** k, np.inf)
+    dist[0] = float(theta @ theta)
+    for mask, _, d in support_projections(vectors, theta):
+        dist[mask] = d
+    for bit in range(k):
+        step = 1 << bit
+        for mask in range(2 ** k):
+            if mask & step:
+                dist[mask] = min(dist[mask], dist[mask ^ step])
+    return dist
+
+
+def d_theta_oracle(weights, theta):
+    """``d_theta`` by exhaustion: the least squared distance over the subset
+    cones whose projection stays away from theta; inf when there is none."""
+    dist = subset_distances(weights.vectors, theta)
+    gap = 1e-9 * (1.0 + float(np.linalg.norm(theta)))
+    candidates = dist[np.sqrt(dist) > gap]
+    return float(candidates.min()) if len(candidates) else math.inf
+
+
+def in_C_reg_oracle(weights, theta):
+    """``in_C_reg`` by exhaustion: the whole set's cone reaches theta, and no
+    subset of ``matrix_rank`` below ``torus_dim`` reaches it."""
+    vectors = weights.vectors
+    k = len(vectors)
+    gap = 1e-9 * (1.0 + float(np.linalg.norm(theta)))
+    reaches = np.sqrt(subset_distances(vectors, theta)) <= gap
+    if not reaches[-1]:
+        return False
+    for mask in np.flatnonzero(reaches):
+        subset = vectors[[i for i in range(k) if mask >> i & 1]]
+        rank = np.linalg.matrix_rank(subset, tol=1e-10) if subset.size else 0
+        if rank < weights.torus_dim:
+            return False
+    return True
+
+
+def wall_oracle(dims, rational_vectors, check_balance=False):
+    """The regular-locus test of ``hyperkahler_regular_check`` (a triple's
+    components) and ``complex_regular_check`` (the parts of xi, with
+    ``check_balance``) over cleared-denominator integers: balance where asked,
+    and no wall of ``regular_walls(dims)`` annihilates every vector."""
+    rows = []
+    for vector in rational_vectors:
+        vector = [Fraction(v) for v in vector]
+        scale = math.lcm(*(v.denominator for v in vector))
+        rows.append([int(v * scale) for v in vector])
+    if check_balance and any(sum(d * a for d, a in zip(dims, row)) for row in rows):
+        return False
+    return not any(
+        all(sum(c * a for c, a in zip(w, row)) == 0 for row in rows) for w in cones.regular_walls(dims)
+    )
+
+
+def kempf_ness_value(theta, x, g):
+    """The Kempf-Ness functional ||g.x||^2 - log|chi_theta(g)|^2; invariant
+    under left unitary factors."""
+    return norm_sq(act(g, x, "I")) - character_log_modulus(theta, g)
+
+
+def geodesic_profile(theta, x, z, ts):
+    """The functional along the geodesic t -> exp(itZ); convex in t."""
+    theta_sharp = theta_to_center(theta)
+    slope = 2.0 * pairing(theta_sharp, z)
+    values = []
+    for t in ts:
+        g = GroupElement.exp_i(z, float(t))
+        values.append(norm_sq(act(g, x, "I")) - slope * float(t))
+    return values
+
+
+def hm_witness_check(theta, x, y, tol=stability.WITNESS_TOL) -> str:
+    """Single-direction Hilbert-Mumford probe: "destabilizing" when the limit
+    along exp(itY) exists and Y pairs nonnegatively with the central target,
+    else "consistent_with_stable" (not a proof of stability)."""
+    if pairing(y, y) == 0.0:
+        raise ValueError("witness direction must be nonzero")
+    limit_exists, _ = stability.hm_limit_filtration(x, y, tol)
+    if limit_exists and pairing(theta_to_center(theta), y) >= 0.0:
+        return "destabilizing"
+    return "consistent_with_stable"
+
+
+def moment_oracle_defect(rng, count):
+    """Worst scaled gap between pairing(mu_s(x), y) and its finite-difference
+    oracle over ``count`` draws of (x, y, s)."""
+    worst = 0.0
+    for _ in range(count):
+        quiver, dims, x = sampling.random_instance(rng)
+        y = sampling.random_uv_element(rng, dims)
+        s = STRUCTURES[int(rng.integers(3))]
+        lhs = pairing(moment.moment_real(x, s), y)
+        rhs = moment.moment_pairing_fd_oracle(x, y, s)
+        scale = 1.0 + norm_sq(x) * math.sqrt(pairing(y, y))
+        worst = max(worst, abs(lhs - rhs) / scale)
+    return worst
+
+
+def quaternion_relations_defect(x):
+    """Scaled defect of s^2 = -1 for s = I, J, K and of IJK = -1 at x."""
+    worst = 0.0
+    scale = math.sqrt(norm_sq(x)) + 1.0
+    for s in STRUCTURES:
+        twice = apply_structure(s, apply_structure(s, x))
+        worst = max(worst, math.sqrt(norm_sq(twice + x)) / scale)
+    ijk = apply_structure("I", apply_structure("J", apply_structure("K", x)))
+    return max(worst, math.sqrt(norm_sq(ijk + x)) / scale)
+
+
+def rotation_identities_defect(x):
+    """Scaled defect of the hyperkahler rotation at x: isometry, inverse, and
+    I, J, K carried to J, K, I."""
+    scale = math.sqrt(norm_sq(x)) + 1.0
+    rot = hyperkahler_rotation(x)
+    worst = abs(norm_sq(rot) - norm_sq(x)) / scale ** 2
+    back = hyperkahler_rotation(rot, "inverse")
+    worst = max(worst, math.sqrt(norm_sq(back - x)) / scale)
+    for s, s_next in (("I", "J"), ("J", "K"), ("K", "I")):
+        lhs = hyperkahler_rotation(apply_structure(s, x))
+        rhs = apply_structure(s_next, rot)
+        worst = max(worst, math.sqrt(norm_sq(lhs - rhs)) / scale)
+    return worst
+
+
+def rotation_intertwining_defect(x):
+    """Scaled defect of mu_s(rotation of x) = mu_s'(x), s' carried to s."""
+    worst = 0.0
+    rot = hyperkahler_rotation(x)
+    scale = 1.0 + norm_sq(x)
+    for s, s_from in {"I": "K", "J": "I", "K": "J"}.items():
+        lhs = moment.moment_real(rot, s)
+        rhs = moment.moment_real(x, s_from)
+        worst = max(worst, pairing_norm(lhs - rhs) / scale)
+    return worst
+
+
+def quaternion_equivariance_defect(x, q):
+    """Scaled defect of mu(q.x) = q mu(x) q^-1 for a unit quaternion q."""
+    lhs = moment.moment_hyperkahler(quaternion_act(q, x))
+    rhs = moment.quaternion_conjugate_triple(q, moment.moment_hyperkahler(x))
+    return (lhs - rhs).norm() / (1.0 + norm_sq(x))
+
+
+def complex_real_proportionality(rng, count):
+    """The constants c of mu_J + i mu_K = c mu_C over ``count`` instances,
+    degenerate ones skipped, and the worst residual scaled by 1 + |x|^2."""
+    values = []
+    worst_resid = 0.0
+    for _ in range(count):
+        quiver, dims, x = sampling.random_instance(rng)
+        c, resid = moment.complex_vs_real_identity(x)
+        if c is None:
+            continue
+        values.append(c)
+        worst_resid = max(worst_resid, resid / (1.0 + norm_sq(x)))
+    return values, worst_resid
+
+
+# ---------------------------------------------------------------------------
+# Checks
+
+
 def check_structure_isometries(rng, budget):
     worst = 0.0
     for _, _, x in _random_xs(rng, _scaled(30, budget)):
@@ -91,28 +291,14 @@ def check_structure_isometries(rng, budget):
 def check_quaternion_relations(rng, budget):
     worst = 0.0
     for _, _, x in _random_xs(rng, _scaled(30, budget)):
-        scale = math.sqrt(norm_sq(x)) + 1.0
-        for s in STRUCTURES:
-            twice = apply_structure(s, apply_structure(s, x))
-            worst = max(worst, math.sqrt(norm_sq(twice + x)) / scale)
-        ijk = apply_structure("I", apply_structure("J", apply_structure("K", x)))
-        worst = max(worst, math.sqrt(norm_sq(ijk + x)) / scale)
+        worst = max(worst, quaternion_relations_defect(x))
     return worst <= 1e-12, f"max defect {worst:.2e}"
 
 
 def check_rotation_identities(rng, budget):
     worst = 0.0
-    pairs = (("I", "J"), ("J", "K"), ("K", "I"))
     for _, _, x in _random_xs(rng, _scaled(30, budget)):
-        scale = math.sqrt(norm_sq(x)) + 1.0
-        rot = hyperkahler_rotation(x)
-        worst = max(worst, abs(norm_sq(rot) - norm_sq(x)) / scale ** 2)
-        back = hyperkahler_rotation(rot, "inverse")
-        worst = max(worst, math.sqrt(norm_sq(back - x)) / scale)
-        for s, s_next in pairs:
-            lhs = hyperkahler_rotation(apply_structure(s, x))
-            rhs = apply_structure(s_next, rot)
-            worst = max(worst, math.sqrt(norm_sq(lhs - rhs)) / scale)
+        worst = max(worst, rotation_identities_defect(x))
     return worst <= 1e-12, f"max defect {worst:.2e}"
 
 
@@ -229,15 +415,7 @@ def check_stabilizer_conjugation(rng, budget):
 
 
 def check_moment_oracle(rng, budget):
-    worst = 0.0
-    for _ in range(_scaled(60, budget)):
-        quiver, dims, x = sampling.random_instance(rng)
-        y = sampling.random_uv_element(rng, dims)
-        s = STRUCTURES[int(rng.integers(3))]
-        lhs = pairing(moment.moment_real(x, s), y)
-        rhs = moment.moment_pairing_fd_oracle(x, y, s)
-        scale = 1.0 + norm_sq(x) * math.sqrt(pairing(y, y))
-        worst = max(worst, abs(lhs - rhs) / scale)
+    worst = moment_oracle_defect(rng, _scaled(60, budget))
     return worst <= 1e-6, f"max oracle mismatch {worst:.2e}"
 
 
@@ -260,24 +438,15 @@ def check_moment_complex_trace(rng, budget):
 
 def check_rotation_intertwining(rng, budget):
     worst = 0.0
-    mapping = {"I": "K", "J": "I", "K": "J"}
     for _, _, x in _random_xs(rng, _scaled(20, budget)):
-        rot = hyperkahler_rotation(x)
-        scale = 1.0 + norm_sq(x)
-        for s, s_from in mapping.items():
-            lhs = moment.moment_real(rot, s)
-            rhs = moment.moment_real(x, s_from)
-            worst = max(worst, pairing_norm(lhs - rhs) / scale)
+        worst = max(worst, rotation_intertwining_defect(x))
     return worst <= 1e-10, f"max intertwining defect {worst:.2e}"
 
 
 def check_quaternion_equivariance(rng, budget):
     worst = 0.0
     for _, _, x in _random_xs(rng, _scaled(30, budget)):
-        q = _random_unit_quaternion(rng)
-        lhs = moment.moment_hyperkahler(quaternion_act(q, x))
-        rhs = moment.quaternion_conjugate_triple(q, moment.moment_hyperkahler(x))
-        worst = max(worst, (lhs - rhs).norm() / (1.0 + norm_sq(x)))
+        worst = max(worst, quaternion_equivariance_defect(x, _random_unit_quaternion(rng)))
     return worst <= 1e-9, f"max equivariance defect {worst:.2e}"
 
 
@@ -293,15 +462,7 @@ def check_moment_homogeneity(rng, budget):
 
 
 def check_complex_real_proportionality(rng, budget):
-    values = []
-    worst_resid = 0.0
-    for _ in range(_scaled(50, budget)):
-        quiver, dims, x = sampling.random_instance(rng)
-        c, resid = moment.complex_vs_real_identity(x)
-        if c is None:
-            continue
-        values.append(c)
-        worst_resid = max(worst_resid, resid / (1.0 + norm_sq(x)))
+    values, worst_resid = complex_real_proportionality(rng, _scaled(50, budget))
     if not values:
         return False, "no nondegenerate instances"
     spread = max(values) - min(values)
@@ -414,41 +575,10 @@ def check_cone_projection(rng, budget):
         vectors = rng.normal(size=(k, n))
         theta = rng.normal(size=n)
         beta, dist_sq = cones.cone_project(vectors, theta)
-        brute_beta, brute_dist = _brute_force_projection(vectors, theta)
+        brute_beta, brute_dist = projection_oracle(vectors, theta)
         worst = max(worst, abs(dist_sq - brute_dist))
         worst = max(worst, float(np.linalg.norm(beta - brute_beta)))
     return worst <= 1e-8, f"max disagreement with active-set brute force {worst:.2e}"
-
-
-def _brute_force_projection(vectors, theta):
-    """Exhaustive quadratic programming over supports; independent oracle."""
-    k = len(vectors)
-    best = (np.zeros_like(theta), float(theta @ theta))
-    for mask in range(1, 2 ** k):
-        idx = [i for i in range(k) if mask >> i & 1]
-        a = vectors[idx].T
-        coeff, *_ = np.linalg.lstsq(a, theta, rcond=None)
-        if np.any(coeff < -1e-12):
-            continue
-        beta = a @ coeff
-        dist = float((theta - beta) @ (theta - beta))
-        if dist < best[1] - 1e-15:
-            best = (beta, dist)
-    return best
-
-
-def _brute_force_d_theta(vectors, theta):
-    """d_theta by exhaustion: the least projection distance over every subset
-    cone whose projection stays away from theta; inf when there is none."""
-    k = len(vectors)
-    brute = math.inf
-    gap = 1e-9 * (1.0 + float(np.linalg.norm(theta)))
-    for mask in range(2 ** k):
-        subset = vectors[[i for i in range(k) if mask >> i & 1]]
-        beta, dist = _brute_force_projection(subset, theta)
-        if np.linalg.norm(beta - theta) > gap:
-            brute = min(brute, dist)
-    return brute
 
 
 def check_d_theta_brute_force(rng, budget):
@@ -460,7 +590,7 @@ def check_d_theta_brute_force(rng, budget):
         ws = cones.WeightSet(vectors=vectors, multiplicities=np.ones(k, dtype=int), num_coords=n)
         theta = rng.normal(size=n)
         mine = cones.d_theta(ws, theta)
-        brute = _brute_force_d_theta(vectors, theta)
+        brute = d_theta_oracle(ws, theta)
         if math.isinf(mine) != math.isinf(brute):
             return False, "d_theta finiteness disagrees with brute force"
         if not math.isinf(mine):
@@ -477,21 +607,12 @@ def check_regular_loci(rng, budget):
         except ValueError:
             continue  # divisible dims have an empty regular locus
         ok, witness = cones.hyperkahler_regular_check(dims, triple)
-        float_ok = _float_regular_check(dims, triple)
-        if ok != float_ok:
-            return False, f"exact and float regular checks disagree on {dims}"
+        if ok != wall_oracle(dims, triple.components()):
+            return False, f"exact and integer regular checks disagree on {dims}"
     tri0 = cones.RationalThetaTriple(("0",), ("0",), ("0",), (2,))
     if cones.hyperkahler_regular_check((2,), tri0)[0]:
         return False, "divisible dimension vector accepted"
-    return True, "exact and float checks agree; divisible case rejected"
-
-
-def _float_regular_check(dims, triple):
-    comps = triple.as_floats()
-    for w in cones.regular_walls(dims):
-        if all(abs(sum(c * v for c, v in zip(comp, w))) <= 1e-9 for comp in comps):
-            return False
-    return True
+    return True, "exact and integer checks agree; divisible case rejected"
 
 
 def check_stability_agreement(rng, budget):

@@ -235,21 +235,6 @@ def _eigen_levels(y, gap=1e-8):
     return [u for _, u in eig], levels, level_of
 
 
-def hm_witness_check(theta: StabilityParameter, x, y, tol=WITNESS_TOL) -> str:
-    """Single-direction stability probe.
-
-    "destabilizing" when the limit along exp(itY) exists and the pairing with
-    the central target is nonnegative; otherwise "consistent_with_stable".
-    Not a proof of stability, only of its failure.
-    """
-    if pairing(y, y) == 0.0:
-        raise ValueError("witness direction must be nonzero")
-    limit_exists, _ = hm_limit_filtration(x, y, tol)
-    if limit_exists and pairing(theta_to_center(theta), y) >= 0.0:
-        return "destabilizing"
-    return "consistent_with_stable"
-
-
 @dataclass
 class StabilityCertificate:
     """Structured verdict with verifiable witness data."""
@@ -409,7 +394,7 @@ def certify_stable_numerical(
     the normalized escape direction Y; it destabilizes, and the verdict is
     unstable, when it pairs with the central target above the tie tolerance
     and exp(itY).x has a limit (``hm_limit_filtration``, as in
-    ``hm_witness_check``).  Everything else is inconclusive.
+    ``selftest.hm_witness_check``).  Everything else is inconclusive.
     """
     outcome = solve_moment_equation(x, theta, structure, opts)
     if outcome.converged:

@@ -26,16 +26,12 @@ from quivermoment import (
     d_theta,
     exp_action,
     flow_integrate,
-    hyperkahler_rotation,
     king_slope,
     king_stable_test,
     moment_hyperkahler,
-    moment_pairing_fd_oracle,
     moment_real,
     norm_sq,
-    pairing,
     pairing_norm,
-    quaternion_act,
     solve_moment_equation,
     subrepresentation_residual,
     transport_hyperkahler,
@@ -44,7 +40,6 @@ from quivermoment import (
 from quivermoment.cones import WeightSet, regular_walls
 from quivermoment.flow import FlowOptions
 from quivermoment.lie import center_to_theta
-from quivermoment.moment import complex_vs_real_identity, quaternion_conjugate_triple
 from quivermoment.sampling import (
     random_chamber_theta,
     random_instance,
@@ -52,6 +47,16 @@ from quivermoment.sampling import (
     random_stable_instance,
     random_unitary,
     random_uv_element,
+)
+from quivermoment.selftest import (
+    complex_real_proportionality,
+    d_theta_oracle,
+    moment_oracle_defect,
+    quaternion_equivariance_defect,
+    quaternion_relations_defect,
+    rotation_identities_defect,
+    rotation_intertwining_defect,
+    wall_oracle,
 )
 from quivermoment.transport import TransportPlan
 
@@ -73,18 +78,8 @@ def a2_pair():
 
 def test_criterion_1_moment_oracle_suite():
     start = time.perf_counter()
-    rng = np.random.default_rng(1001)
-    worst = 0.0
-    for _ in range(200):
-        quiver, dims, x = random_instance(rng)
-        y = random_uv_element(rng, dims)
-        s = STRUCTURES[int(rng.integers(3))]
-        lhs = pairing(moment_real(x, s), y)
-        rhs = moment_pairing_fd_oracle(x, y, s)
-        scale = 1.0 + norm_sq(x) * math.sqrt(pairing(y, y))
-        gap = abs(lhs - rhs) / scale
-        worst = max(worst, gap)
-        assert gap <= 1e-6
+    worst = moment_oracle_defect(np.random.default_rng(1001), 200)
+    assert worst <= 1e-6
     elapsed = time.perf_counter() - start
     assert elapsed <= 5.0
     report(1, elapsed, 5, f"200 oracle instances, worst scaled gap {worst:.2e}")
@@ -93,33 +88,12 @@ def test_criterion_1_moment_oracle_suite():
 def test_criterion_2_quaternionic_algebra_suite():
     start = time.perf_counter()
     rng = np.random.default_rng(1002)
-    from quivermoment import apply_structure
-
     worst_rel = 0.0
     worst_mu = 0.0
-    mapping = {"I": "K", "J": "I", "K": "J"}
     for _ in range(100):
         quiver, dims, x = random_instance(rng)
-        scale = math.sqrt(norm_sq(x)) + 1.0
-        for s in STRUCTURES:
-            twice = apply_structure(s, apply_structure(s, x))
-            worst_rel = max(worst_rel, math.sqrt(norm_sq(twice + x)) / scale)
-        ijk = apply_structure("I", apply_structure("J", apply_structure("K", x)))
-        worst_rel = max(worst_rel, math.sqrt(norm_sq(ijk + x)) / scale)
-        rot = hyperkahler_rotation(x)
-        worst_rel = max(worst_rel, abs(norm_sq(rot) - norm_sq(x)) / scale ** 2)
-        back = hyperkahler_rotation(rot, "inverse")
-        worst_rel = max(worst_rel, math.sqrt(norm_sq(back - x)) / scale)
-        for s, s_next in (("I", "J"), ("J", "K"), ("K", "I")):
-            lhs = hyperkahler_rotation(apply_structure(s, x))
-            rhs = apply_structure(s_next, rot)
-            worst_rel = max(worst_rel, math.sqrt(norm_sq(lhs - rhs)) / scale)
-        for s, s_from in mapping.items():
-            worst_mu = max(
-                worst_mu,
-                pairing_norm(moment_real(rot, s) - moment_real(x, s_from))
-                / (1.0 + norm_sq(x)),
-            )
+        worst_rel = max(worst_rel, quaternion_relations_defect(x), rotation_identities_defect(x))
+        worst_mu = max(worst_mu, rotation_intertwining_defect(x))
     assert worst_rel <= 1e-12
     assert worst_mu <= 1e-10
     elapsed = time.perf_counter() - start
@@ -236,41 +210,6 @@ def test_criterion_5_flow_classification():
     )
 
 
-def _support_distances(vectors, theta):
-    """Squared distance to the span-cone of every support, by least squares."""
-    k = len(vectors)
-    d = np.full(2 ** k, np.inf)
-    d[0] = float(theta @ theta)
-    for mask in range(1, 2 ** k):
-        idx = [i for i in range(k) if mask >> i & 1]
-        a = vectors[idx].T
-        sol, *_ = np.linalg.lstsq(a, theta, rcond=None)
-        if np.any(sol < -1e-12):
-            continue
-        beta = a @ sol
-        d[mask] = float((theta - beta) @ (theta - beta))
-    return d
-
-
-def _brute_force_d_theta(vectors, theta):
-    """Independent oracle: support enumeration plus a subset min-transform.
-
-    The projection distance of a subset-cone is the least distance over its
-    feasible supports; the lattice zeta transform turns per-support distances
-    into per-subset distances without running any active-set iteration.
-    """
-    k = len(vectors)
-    dist = _support_distances(vectors, theta)
-    for bit in range(k):
-        step = 1 << bit
-        for mask in range(2 ** k):
-            if mask & step:
-                dist[mask] = min(dist[mask], dist[mask ^ step])
-    gap = 1e-9 * (1.0 + float(np.linalg.norm(theta)))
-    candidates = dist[np.sqrt(dist) > gap]
-    return float(candidates.min()) if len(candidates) else math.inf
-
-
 def test_criterion_6_cone_projection_and_d_theta():
     start = time.perf_counter()
     rng = np.random.default_rng(1006)
@@ -287,7 +226,7 @@ def test_criterion_6_cone_projection_and_d_theta():
         assert np.all(dual <= 1e-10 * (1 + np.abs(theta).max() * np.abs(vectors).max()))
         ws = WeightSet(vectors=vectors, multiplicities=np.ones(k, dtype=int), num_coords=n)
         mine = d_theta(ws, theta)
-        brute = _brute_force_d_theta(vectors, theta)
+        brute = d_theta_oracle(ws, theta)
         assert math.isinf(mine) == math.isinf(brute)
         if not math.isinf(mine):
             worst_gap = max(worst_gap, abs(mine - brute))
@@ -298,20 +237,6 @@ def test_criterion_6_cone_projection_and_d_theta():
         6, elapsed, 5,
         f"50 instances |A|<=10, KKT max dual {worst_kkt:.2e}, d_theta gap max {worst_gap:.2e}",
     )
-
-
-def _walls_by_integers(dims, triple):
-    """Independent regular-locus oracle over cleared-denominator integers."""
-    comps = []
-    for comp in triple.components():
-        denom = 1
-        for v in comp:
-            denom = denom * v.denominator // math.gcd(denom, v.denominator)
-        comps.append([int(v * denom) for v in comp])
-    for w in regular_walls(dims):
-        if all(sum(c * wi for c, wi in zip(comp, w)) == 0 for comp in comps):
-            return False
-    return True
 
 
 def test_criterion_7_regular_loci():
@@ -331,7 +256,7 @@ def test_criterion_7_regular_loci():
                 checked += 1
             continue
         ok, _ = hyperkahler_regular_check(dims, triple)
-        assert ok == _walls_by_integers(dims, triple)
+        assert ok == wall_oracle(dims, triple.components())
         walls = regular_walls(dims)
         if walls:
             zero = RationalThetaTriple(
@@ -486,9 +411,7 @@ def test_criterion_10_quaternion_scaling_equivariance():
         quiver, dims, x = random_instance(rng)
         q = rng.normal(size=4)
         q = tuple(q / np.linalg.norm(q))
-        lhs = moment_hyperkahler(quaternion_act(q, x))
-        rhs = quaternion_conjugate_triple(q, moment_hyperkahler(x))
-        worst_q = max(worst_q, (lhs - rhs).norm() / (1.0 + norm_sq(x)))
+        worst_q = max(worst_q, quaternion_equivariance_defect(x, q))
         base = moment_hyperkahler(x)
         for t in (0.5, 2.0, 3.0):
             gap = (moment_hyperkahler(t * x) - base.scale(t * t)).norm()
@@ -505,15 +428,8 @@ def test_criterion_10_quaternion_scaling_equivariance():
 
 def test_criterion_11_proportionality_constant():
     start = time.perf_counter()
-    rng = np.random.default_rng(1011)
-    values = []
-    for _ in range(50):
-        quiver, dims, x = random_instance(rng)
-        c, resid = complex_vs_real_identity(x)
-        if c is None:
-            continue
-        values.append(c)
-        assert resid <= 1e-9 * (1.0 + norm_sq(x))
+    values, worst_resid = complex_real_proportionality(np.random.default_rng(1011), 50)
+    assert worst_resid <= 1e-9
     spread = max(values) - min(values)
     assert spread <= 1e-8
     elapsed = time.perf_counter() - start

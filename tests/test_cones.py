@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from quivermoment import (
+    GroupElement,
+    LieAlgebraElement,
     Quiver,
     RationalThetaTriple,
     complex_regular_check,
@@ -20,11 +22,7 @@ from quivermoment import (
 from quivermoment.cones import SubsetCapError, WeightSet, theta_coordinates
 from quivermoment import sampling as S
 from quivermoment.sampling import random_rational_triple
-from quivermoment.selftest import (
-    _brute_force_d_theta,
-    _brute_force_projection,
-    _float_regular_check,
-)
+from quivermoment.selftest import d_theta_oracle, in_C_reg_oracle, projection_oracle, wall_oracle
 
 ALPHA = np.array([1.0, -1.0])
 
@@ -77,7 +75,7 @@ def test_cone_project_kkt_against_brute_force():
         vectors = rng.normal(size=(k, n))
         theta = rng.normal(size=n)
         beta, dist = cone_project(vectors, theta)
-        bbeta, bdist = _brute_force_projection(vectors, theta)
+        bbeta, bdist = projection_oracle(vectors, theta)
         assert dist == pytest.approx(bdist, abs=1e-8)
         assert np.allclose(beta, bbeta, atol=1e-7)
         if k:
@@ -95,7 +93,7 @@ def test_d_theta_examples():
     assert d_theta(ws, 0.5 * ALPHA) == pytest.approx(0.5)
 
 
-def test_d_theta_brute_force_agreement():
+def test_d_theta_matches_exhaustive_oracle():
     rng = np.random.default_rng(52)
     for _ in range(15):
         n = int(rng.integers(2, 4))
@@ -104,7 +102,7 @@ def test_d_theta_brute_force_agreement():
         ws = WeightSet(vectors=vectors, multiplicities=np.ones(k, dtype=int), num_coords=n)
         theta = rng.normal(size=n)
         mine = d_theta(ws, theta)
-        brute = _brute_force_d_theta(vectors, theta)
+        brute = d_theta_oracle(ws, theta)
         assert math.isinf(mine) == math.isinf(brute)
         if not math.isinf(mine):
             assert mine == pytest.approx(brute, abs=1e-12)
@@ -159,7 +157,7 @@ def test_complex_regular_examples():
     assert not complex_regular_check((1, 1), [("1", "0"), ("1", "0")])
 
 
-def test_regular_checks_agree_with_float_oracle():
+def test_regular_checks_agree_with_integer_oracle():
     rng = np.random.default_rng(53)
     checked = 0
     while checked < 30:
@@ -170,7 +168,7 @@ def test_regular_checks_agree_with_float_oracle():
         except ValueError:
             continue
         ok, _ = hyperkahler_regular_check(dims, tri)
-        assert ok == _float_regular_check(dims, tri)
+        assert ok == wall_oracle(dims, tri.components())
         checked += 1
 
 
@@ -294,26 +292,6 @@ def test_d_theta_and_in_C_reg_pins_on_torus_weights():
     assert verdicts == TORUS_IN_C_REG
 
 
-def _brute_force_in_C_reg(weights, theta):
-    """in_C_reg by exhaustion: theta in the cone of the whole weight set and
-    in no subset cone whose rank (by matrix_rank) falls below torus_dim."""
-    vectors = weights.vectors
-    k = len(vectors)
-    gap = 1e-9 * (1.0 + float(np.linalg.norm(theta)))
-
-    def reaches(subset):
-        return math.sqrt(cone_project(subset, theta)[1]) <= gap
-
-    if not reaches(vectors):
-        return False
-    for mask in range(2 ** k):
-        subset = vectors[[i for i in range(k) if mask >> i & 1]]
-        rank = np.linalg.matrix_rank(subset, tol=1e-10) if subset.size else 0
-        if rank < weights.torus_dim and reaches(subset):
-            return False
-    return True
-
-
 def test_in_C_reg_matches_exhaustive_rank_oracle():
     cases = [(ws, theta) for ws, thetas in _torus_cases(np.random.default_rng(54), 40, max_weights=10)
              for theta in thetas]
@@ -328,7 +306,7 @@ def test_in_C_reg_matches_exhaustive_rank_oracle():
         theta = rng.uniform(0.1, 1.0, size=int(few.sum())) @ vectors[few]
         cases.append((WeightSet(vectors=vectors, multiplicities=np.ones(k, dtype=int), num_coords=n), theta))
     verdicts = [in_C_reg(ws, theta) for ws, theta in cases]
-    assert verdicts == [_brute_force_in_C_reg(ws, theta) for ws, theta in cases]
+    assert verdicts == [in_C_reg_oracle(ws, theta) for ws, theta in cases]
     assert 0 < sum(verdicts) < len(verdicts)
 
 
@@ -343,19 +321,6 @@ def test_d_theta_projection_count_on_criterion_6_draws(monkeypatch):
     for ws, theta in _criterion_6_draws():
         d_theta(ws, theta)
     assert len(calls) <= 600
-
-
-def _integer_complex_regular(dims, xi):
-    """Oracle for ``complex_regular_check``: clear the denominators of xi, then
-    test balance and every wall of ``regular_walls`` in integer arithmetic."""
-    pairs = [(Fraction(re), Fraction(im)) for re, im in xi]
-    scale = math.lcm(*(p.denominator for pair in pairs for p in pair))
-    parts = [[int(p * scale) for p, _ in pairs], [int(q * scale) for _, q in pairs]]
-    if any(sum(d * a for d, a in zip(dims, part)) for part in parts):
-        return False
-    return not any(
-        all(sum(c * a for c, a in zip(w, part)) == 0 for part in parts) for w in regular_walls(dims)
-    )
 
 
 def _orthogonal_rational(rng, constraints, n, denominator=12):
@@ -397,9 +362,37 @@ def test_complex_regular_check_matches_integer_oracle():
             re[j] += Fraction(int(rng.integers(1, 5)), int(rng.integers(1, 7)))
         # parts given as "p/q" strings and as Fractions alike
         xi = [(str(a), b if k % 2 else str(b)) for k, (a, b) in enumerate(zip(re, im))]
-        expected = _integer_complex_regular(dims, xi)
+        expected = wall_oracle(dims, [[a for a, _ in xi], [b for _, b in xi]], check_balance=True)
         if kind != "random":
             assert not expected
         assert complex_regular_check(dims, xi) == expected, (dims, xi)
         kinds[kind] += 1
     assert all(count >= 20 for count in kinds.values()), kinds
+
+
+def test_selftest_oracles_are_independent_of_cones(monkeypatch, a2_rep, theta11):
+    """Every oracle of ``selftest`` answers a small hand case with the active-set
+    iteration, the projection and the exact wall scan of ``cones`` broken."""
+    from quivermoment import cones, selftest
+
+    def broken(*args, **kwargs):
+        raise AssertionError("an oracle reached the code it checks")
+
+    for name in ("nonnegative_lstsq", "_project", "_first_wall"):
+        monkeypatch.setattr(cones, name, broken)
+    ws = WeightSet(vectors=np.vstack([ALPHA, -ALPHA]), multiplicities=np.array([1, 1]), num_coords=2)
+    beta, dist = selftest.projection_oracle(ws.vectors, 0.5 * ALPHA)
+    assert np.allclose(beta, 0.5 * ALPHA) and dist <= 1e-20
+    assert selftest.subset_distances(ws.vectors, 0.5 * ALPHA)[0] == pytest.approx(0.5)
+    assert selftest.d_theta_oracle(ws, 0.8 * ALPHA) == pytest.approx(1.28)
+    assert selftest.in_C_reg_oracle(ws, 0.5 * ALPHA)
+    assert not selftest.in_C_reg_oracle(ws, np.zeros(2))
+    tri = RationalThetaTriple(("1", "-1"), ("0", "0"), ("0", "0"), (1, 1))
+    assert selftest.wall_oracle((1, 1), tri.components())
+    assert not selftest.wall_oracle((2,), [("0",)])
+    assert not selftest.wall_oracle((1, 1), [("1", "1"), ("0", "0")], check_balance=True)
+    x, theta = a2_rep(1, 0), theta11(-1, 1)
+    y = LieAlgebraElement([np.array([[-1j]]), np.array([[1j]])])
+    assert selftest.kempf_ness_value(theta, x, GroupElement.identity((1, 1))) == pytest.approx(1.0)
+    assert selftest.geodesic_profile(theta, x, y, [0.0]) == pytest.approx([1.0])
+    assert selftest.hm_witness_check(theta, x, y) == "destabilizing"

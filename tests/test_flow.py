@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from quivermoment import (
     FlowOptions,
     Representation,
+    StabilityParameter,
+    d_theta,
     exp_action,
     flow_integrate,
     grad_h,
@@ -15,8 +18,10 @@ from quivermoment import (
     norm_sq,
     pairing_norm,
     solve_moment_equation,
-    stratum_distance_bound,
+    torus_weights,
 )
+from quivermoment import cones, flow
+from quivermoment.cones import theta_coordinates
 from quivermoment.sampling import (
     random_chamber_theta,
     random_instance,
@@ -134,13 +139,29 @@ def test_grad_norm_iff_on_fiber():
         assert np.sqrt(norm_sq(grad_h(theta, away))) > 1e-10
 
 
-def test_stratum_distance_bound_examples(a2_rep, theta11):
+def test_stratum_distance_bound_examples(a2, a2_rep, theta11):
+    # h(x) < d_theta certifies that the flow from x reaches the zero level
     theta = theta11(1, -1)
-    assert stratum_distance_bound(theta, a2_rep(1, 0))
+    radius = d_theta(torus_weights(a2, (1, 1)), theta_coordinates(theta.values, (1, 1)))
+    assert h_value(theta, a2_rep(1, 0)) < radius
     # h = 2(|a|^2 - 1)^2 = 10 at |a|^2 = 1 + sqrt(5), beyond d_theta = 2
     far = a2_rep(np.sqrt(1 + np.sqrt(5.0)), 0)
     assert h_value(theta, far) == pytest.approx(10.0)
-    assert not stratum_distance_bound(theta, far)
+    assert not h_value(theta, far) < radius
+
+
+def test_certified_radius_refuses_a_capped_weight_set_before_building_it(a2, monkeypatch):
+    """On A2 with dims (300, 300) the 180,000 distinct weights are over the
+    cap, which is read from their slot keys: no weight set is built."""
+
+    def no_weight_set(*args, **kwargs):
+        raise AssertionError("a weight set was built")
+
+    monkeypatch.setattr(cones, "WeightSet", no_weight_set)
+    x = Representation.zero(a2, (300, 300))
+    start = time.perf_counter()
+    assert flow._certified_radius(StabilityParameter((1.0, -1.0), (300, 300)), x) is None
+    assert time.perf_counter() - start < 1.0
 
 
 def test_flow_options_validation():
@@ -159,8 +180,6 @@ def test_flow_trajectory_columns(a2_rep, theta11):
 def test_flow_step_makes_one_trial_call(monkeypatch):
     """The steps dt, dt/2, dt/4, dt/8 run as one trial stack, so almost every
     outer step of a thin flow needs a single call of the trial kernel."""
-    import quivermoment.flow as flow
-
     points = []
     original = flow.trial_stacks
 

@@ -10,9 +10,6 @@ from quivermoment import (
     act,
     exp_action,
     extend,
-    geodesic_profile,
-    kempf_ness_value,
-    minimum_is_identity_check,
     moment_real,
     norm_sq,
     pairing_norm,
@@ -20,6 +17,7 @@ from quivermoment import (
     theta_to_center,
 )
 from quivermoment.lie import center_to_theta
+from quivermoment.moment import moment_residual
 from quivermoment.sampling import (
     random_chamber_theta,
     random_representation,
@@ -28,6 +26,7 @@ from quivermoment.sampling import (
     random_unitary,
     random_uv_element,
 )
+from quivermoment.selftest import geodesic_profile, kempf_ness_value
 
 LN4_OVER_4 = np.log(4.0) / 4.0
 
@@ -97,11 +96,12 @@ def test_geodesic_profile_convexity():
 
 
 def test_minimum_is_identity_check(a2_rep, theta11, a2):
+    # the functional is minimal at the identity exactly when mu(x) hits theta
     x = a2_rep(1, 0)
-    assert minimum_is_identity_check(theta11(1, -1), x, 1e-10)
-    assert not minimum_is_identity_check(theta11(0, 0), x, 1e-10)
+    assert moment_residual(x, theta11(1, -1)) <= 1e-10
+    assert not moment_residual(x, theta11(0, 0)) <= 1e-10
     zero = Representation.zero(a2, (1, 1))
-    assert minimum_is_identity_check(theta11(0, 0), zero, 1e-10)
+    assert moment_residual(zero, theta11(0, 0)) <= 1e-10
 
 
 def test_solver_fixed_point(a2_rep, theta11):

@@ -14,7 +14,6 @@ from quivermoment import (
     inner_product,
     norm_sq,
     quaternion_act,
-    symplectic_form,
 )
 from quivermoment.quiver import ExtendedQuiver, quaternion_multiply
 from quivermoment.sampling import random_instance, random_representation
@@ -205,10 +204,11 @@ def test_quaternion_act_is_group_action():
 
 
 def test_symplectic_form_examples(a2_rep):
+    # the symplectic form of a structure s is g(s.u, v)
     u = a2_rep(1, 0)
-    assert symplectic_form("I", u, u) == pytest.approx(0.0, abs=1e-14)
+    assert hyperkahler_metric(apply_structure("I", u), u) == pytest.approx(0.0, abs=1e-14)
     v = a2_rep(1j, 0)
-    assert symplectic_form("I", u, v) == pytest.approx(1.0)
+    assert hyperkahler_metric(apply_structure("I", u), v) == pytest.approx(1.0)
 
 
 def test_symplectic_antisymmetry_random():
@@ -217,8 +217,8 @@ def test_symplectic_antisymmetry_random():
         quiver, dims, u = random_instance(rng)
         v = random_representation(rng, quiver, dims)
         for s in STRUCTURES:
-            assert symplectic_form(s, u, v) == pytest.approx(
-                -symplectic_form(s, v, u), abs=1e-12 * (1 + norm_sq(u) + norm_sq(v))
+            assert hyperkahler_metric(apply_structure(s, u), v) == pytest.approx(
+                -hyperkahler_metric(apply_structure(s, v), u), abs=1e-12 * (1 + norm_sq(u) + norm_sq(v))
             )
 
 

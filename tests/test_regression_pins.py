@@ -409,7 +409,7 @@ def test_cli_report_pins(tmp_path):
         if command == "flow":
             h.update(csv.read_bytes())
     assert codes == [0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0]
-    assert h.hexdigest()[:16] == "8a3558d90d1674b3"
+    assert h.hexdigest()[:16] == "a35c3fe9c12837ab"
 
 
 def test_flow_outcome_pins(a2_rep, theta11):

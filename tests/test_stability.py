@@ -9,7 +9,6 @@ from quivermoment import (
     certify_stable_numerical,
     generated_subrep,
     hm_limit_filtration,
-    hm_witness_check,
     king_slope,
     king_stable_test,
     pairing,
@@ -24,6 +23,7 @@ from quivermoment.sampling import (
     random_theta,
     random_uv_element,
 )
+from quivermoment.selftest import hm_witness_check
 
 
 def y11(a, b):
