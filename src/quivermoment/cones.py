@@ -197,15 +197,15 @@ def cone_project(vectors, theta):
     return _project(np.asarray(vectors, dtype=float), np.asarray(theta, dtype=float))[:2]
 
 
-def _subcones(vectors, theta, subset_cap):
+def _subcones(vectors, theta):
     """Search the subset cones from the whole weight set down, yielding
     (squared distance, support) per visited subset, the whole set first.  The
     support (weights with a positive coefficient) is None when the cone misses
     theta; below a cone that reaches theta the search drops one support weight
     at a time, projecting each subset at most once."""
     k = len(vectors)
-    if 2 ** k > subset_cap:
-        raise SubsetCapError(f"2^{k} subsets exceed the cap {subset_cap}")
+    if 2 ** k > DEFAULT_SUBSET_CAP:
+        raise SubsetCapError(f"2^{k} subsets exceed the cap {DEFAULT_SUBSET_CAP}")
     theta = np.asarray(theta, dtype=float)
     gap = MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(theta)))
     stack = [(1 << k) - 1]
@@ -226,25 +226,26 @@ def _subcones(vectors, theta, subset_cap):
                 stack.append(child)
 
 
-def d_theta(weights: WeightSet, theta, subset_cap=DEFAULT_SUBSET_CAP) -> float:
+def d_theta(weights: WeightSet, theta) -> float:
     """Certified semistability radius: the squared distance from theta to the
     nearest subset-cone projection different from theta itself.
 
     The distance only shrinks as a subset grows, so the least one is reached
     on a maximal subset whose cone misses theta; the subcone search visits all
-    of those.  +inf when every projection lands on theta.  The cap counts the
-    2^k subsets of the distinct weights, not the projections run.
+    of those.  +inf when every projection lands on theta.  Raises
+    ``SubsetCapError`` when the 2^k subsets of the distinct weights (not the
+    projections run) exceed ``DEFAULT_SUBSET_CAP``.
     """
-    visits = _subcones(weights.vectors, theta, subset_cap)
+    visits = _subcones(weights.vectors, theta)
     return min((dist_sq for dist_sq, support in visits if support is None), default=math.inf)
 
 
-def in_C_reg(weights: WeightSet, theta, subset_cap=DEFAULT_SUBSET_CAP) -> bool:
+def in_C_reg(weights: WeightSet, theta) -> bool:
     """Membership of theta in the regular part of the weight cone: inside the
     full cone but outside every subcone of deficient span, that is (by
     Caratheodory) outside the cone of every set of fewer than ``torus_dim``
     weights; the subcone search reaches such a set as a support if one exists."""
-    visits = _subcones(weights.vectors, theta, subset_cap)
+    visits = _subcones(weights.vectors, theta)
     _, support = next(visits)  # the whole weight set comes first
     if support is None:
         return False

@@ -229,5 +229,5 @@ def _certified_radius(theta, x):
         warnings.simplefilter("ignore")
         weights = torus_weights(x.quiver, x.dims)
     coords = theta_coordinates(theta.values, x.dims)
-    radius = d_theta(weights, coords, subset_cap=D_THETA_SUBSET_CAP)
+    radius = d_theta(weights, coords)
     return None if math.isinf(radius) else radius

@@ -65,8 +65,17 @@ class _GroupedItems:
         self.real_size = sum(size * len(m) for size, m in zip(sizes, members))
 
     def stack(self, blocks):
-        """Per-group stacks (n_g, rows, cols) of per-item blocks."""
-        return [np.array([blocks[k] for k in m], dtype=complex) for m in self.members]
+        """Per-group stacks (n_g, rows, cols) of per-item blocks.  A block
+        with a non-finite entry is refused: one ``isfinite`` pass per stack,
+        and the error names the first such block."""
+        stacks = [np.array([blocks[k] for k in m], dtype=complex) for m in self.members]
+        bad = []
+        for m, s in zip(self.members, stacks):
+            finite = np.isfinite(s).all(axis=(1, 2))
+            bad += [m[i] for i in np.flatnonzero(~finite)]
+        if bad:
+            raise ValueError(f"block {min(bad)} has a non-finite entry")
+        return stacks
 
     def unstack(self, stacks):
         """Per-item views into per-group stacks, in item order."""

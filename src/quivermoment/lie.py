@@ -36,14 +36,16 @@ DET_TOL = 1e-10
 
 
 def _square_blocks(blocks):
-    """Complex square blocks and their sizes."""
+    """The sizes of complex square blocks and their per-class stacks; a
+    block that is not square or has a non-finite entry is refused."""
     checked = []
     for j, b in enumerate(blocks):
         b = np.asarray(b, dtype=complex)
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError(f"block {j} is not square")
         checked.append(b)
-    return checked, tuple(b.shape[0] for b in checked)
+    dims = tuple(b.shape[0] for b in checked)
+    return dims, vertex_layout(dims).stack(checked)
 
 
 class _VertexStacks(HeldStacks):
@@ -53,8 +55,7 @@ class _VertexStacks(HeldStacks):
     __slots__ = ()
 
     def __init__(self, blocks):
-        blocks, dims = _square_blocks(blocks)
-        self._hold(dims, vertex_layout(dims).stack(blocks))
+        self._hold(*_square_blocks(blocks))
 
     @classmethod
     def from_stacks(cls, dims, stacks):

@@ -114,7 +114,8 @@ class Representation(HeldStacks):
     are immutable values; all operations return new objects.  A point holds
     its data once, as ``stacks``: the blocks stacked by shape (see
     ``layout.EdgeLayout``), which the array kernels run on.  ``blocks`` are
-    read-only views into the stacks, made on first use.
+    read-only views into the stacks, made on first use.  A block of the wrong
+    shape or with a non-finite entry is refused with ``ValueError``.
     """
 
     __slots__ = ("quiver",)

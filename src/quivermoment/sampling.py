@@ -80,6 +80,12 @@ def random_theta(rng, dims, scale=1.0) -> StabilityParameter:
     return balanced_theta(scale * rng.normal(size=len(dims)), dims)
 
 
+def random_unit_quaternion(rng):
+    """A unit quaternion (a, b, c, d): four normal draws, normalized."""
+    q = rng.normal(size=4)
+    return tuple(q / np.linalg.norm(q))
+
+
 def random_unitary(rng, dims) -> GroupElement:
     """Haar-like unitary blocks, phase-corrected to determinant product one."""
     blocks = []

@@ -13,14 +13,11 @@ from quivermoment import (
     flow_integrate,
     grad_h,
     h_value,
-    hyperkahler_metric,
-    moment_real,
     norm_sq,
-    pairing_norm,
     solve_moment_equation,
     torus_weights,
 )
-from quivermoment import cones, flow
+from quivermoment import cones, flow, selftest
 from quivermoment.cones import theta_coordinates
 from quivermoment.sampling import (
     random_chamber_theta,
@@ -58,11 +55,7 @@ def test_grad_h_finite_difference_match():
     for _ in range(100):
         quiver, dims, x = random_instance(rng, max_dim=3)
         theta = random_theta(rng, dims)
-        g = grad_h(theta, x)
-        d = random_representation(rng, quiver, dims)
-        eps = 1e-6
-        fd = (h_value(theta, x + eps * d) - h_value(theta, x - eps * d)) / (2 * eps)
-        assert hyperkahler_metric(g, d) == pytest.approx(fd, rel=1e-6, abs=1e-6 * (1 + abs(fd)))
+        assert selftest.grad_h_defect(theta, x, random_representation(rng, quiver, dims)) <= 1e-6
 
 
 def test_flow_stationary_start(a2_rep, theta11):
@@ -91,9 +84,7 @@ def test_flow_monotone():
     for _ in range(10):
         quiver, dims, x = random_stable_instance(rng)
         theta = random_chamber_theta(rng, dims)
-        out = flow_integrate(theta, x)
-        hs = [s[1] for s in out.trajectory_summary]
-        assert all(hs[i + 1] <= hs[i] + 1e-12 for i in range(len(hs) - 1))
+        assert selftest.flow_monotone(flow_integrate(theta, x))
 
 
 def test_flow_solver_consistency():
@@ -103,13 +94,8 @@ def test_flow_solver_consistency():
         theta = random_chamber_theta(rng, dims)
         out = flow_integrate(theta, x)
         assert out.classification == "analytically_semistable"
-        solved = solve_moment_equation(x, theta)
-        assert solved.converged
-        gap = pairing_norm(
-            moment_real(out.limit_point, "I")
-            - moment_real(exp_action(solved.y, 1.0, "I", x), "I")
-        )
-        assert gap <= 1e-8
+        gap = selftest.flow_solver_gap(x, theta, out.limit_point)
+        assert gap is not None and gap <= 1e-8
 
 
 def test_flow_orbit_confinement(a2_rep, theta11):

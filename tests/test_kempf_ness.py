@@ -16,6 +16,7 @@ from quivermoment import (
     solve_moment_equation,
     theta_to_center,
 )
+from quivermoment import selftest
 from quivermoment.lie import center_to_theta
 from quivermoment.moment import moment_residual
 from quivermoment.sampling import (
@@ -26,7 +27,6 @@ from quivermoment.sampling import (
     random_unitary,
     random_uv_element,
 )
-from quivermoment.selftest import geodesic_profile, kempf_ness_value
 
 LN4_OVER_4 = np.log(4.0) / 4.0
 
@@ -39,11 +39,11 @@ def test_value_examples(a2_rep, theta11):
     x = a2_rep(0.4, -1.2)
     theta = theta11(1, -1)
     ident = GroupElement.identity((1, 1))
-    assert kempf_ness_value(theta, x, ident) == pytest.approx(norm_sq(x))
+    assert selftest.kempf_ness_value(theta, x, ident) == pytest.approx(norm_sq(x))
     y = 0.3
     g = GroupElement([np.array([[np.exp(-y)]], dtype=complex), np.array([[np.exp(y)]], dtype=complex)])
     x10 = a2_rep(1, 0)
-    assert kempf_ness_value(theta, x10, g) == pytest.approx(np.exp(4 * y) - 4 * y)
+    assert selftest.kempf_ness_value(theta, x10, g) == pytest.approx(np.exp(4 * y) - 4 * y)
 
 
 def test_value_left_invariance(a2_rep, theta11):
@@ -52,8 +52,8 @@ def test_value_left_invariance(a2_rep, theta11):
     theta = theta11(2, -2)
     g = GroupElement.exp_i(y11(0.7, -0.7))
     u = random_unitary(rng, (1, 1))
-    assert kempf_ness_value(theta, x, u.compose(g)) == pytest.approx(
-        kempf_ness_value(theta, x, g), rel=1e-10
+    assert selftest.kempf_ness_value(theta, x, u.compose(g)) == pytest.approx(
+        selftest.kempf_ness_value(theta, x, g), rel=1e-10
     )
 
 
@@ -67,8 +67,8 @@ def test_value_cocycle_property(a2_rep, theta11):
         v, w = rng.normal() * 0.4, rng.normal() * 0.4
         g = GroupElement.exp_i(y11(v, -v))
         gp = GroupElement.exp_i(y11(w, -w))
-        lhs = kempf_ness_value(theta, act(g, x), gp)
-        rhs = kempf_ness_value(theta, x, gp.compose(g)) + character_log_modulus(theta, g)
+        lhs = selftest.kempf_ness_value(theta, act(g, x), gp)
+        rhs = selftest.kempf_ness_value(theta, x, gp.compose(g)) + character_log_modulus(theta, g)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
@@ -76,10 +76,10 @@ def test_geodesic_profile_examples(a2_rep, theta11):
     x = a2_rep(1, 0)
     theta = theta11(1, -1)
     zero = LieAlgebraElement.zero((1, 1))
-    flat = geodesic_profile(theta, x, zero, [-1.0, 0.0, 2.0])
+    flat = selftest.geodesic_profile(theta, x, zero, [-1.0, 0.0, 2.0])
     assert max(flat) - min(flat) <= 1e-14
     ts = np.linspace(-1, 1, 9)
-    prof = geodesic_profile(theta, x, y11(1, -1), ts)
+    prof = selftest.geodesic_profile(theta, x, y11(1, -1), ts)
     assert np.allclose(prof, np.exp(4 * ts) - 4 * ts, rtol=1e-12)
 
 
@@ -90,7 +90,7 @@ def test_geodesic_profile_convexity():
         theta = random_chamber_theta(rng, dims)
         z = random_uv_element(rng, dims)
         ts = np.linspace(-2, 2, 101)
-        prof = np.array(geodesic_profile(theta, x, z, ts))
+        prof = np.array(selftest.geodesic_profile(theta, x, z, ts))
         second = np.diff(prof, 2)
         assert np.all(second >= -1e-8 * max(1.0, np.abs(prof).max()))
 
@@ -145,27 +145,19 @@ def test_solver_residual_recompute():
     for _ in range(10):
         quiver, dims, x = random_stable_instance(rng)
         theta = random_chamber_theta(rng, dims)
-        out = solve_moment_equation(x, theta)
+        out, gap, monotone = selftest.solver_fixed_point(x, theta)
         assert out.converged
-        recomputed = pairing_norm(
-            moment_real(exp_action(out.y, 1.0, "I", x), "I") - theta_to_center(theta)
-        )
-        assert abs(recomputed - out.residual) <= 1e-12
+        assert gap <= 1e-12
+        assert monotone
 
 
 def test_solver_uniqueness_restarts():
     rng = np.random.default_rng(35)
     quiver, dims, x = random_stable_instance(rng)
     theta = random_chamber_theta(rng, dims)
-    base = solve_moment_equation(x, theta)
-    assert base.converged
-    for _ in range(10):
-        direction = random_uv_element(rng, dims)
-        nrm = pairing_norm(direction)
-        perturbed = base.y + (0.1 / nrm) * direction
-        out = solve_moment_equation(x, theta, opts=SolveOptions(initial_y=perturbed))
-        assert out.converged
-        assert pairing_norm(out.y - base.y) <= 1e-7
+    failure, spread = selftest.restart_spread(x, theta, (random_uv_element(rng, dims) for _ in range(10)))
+    assert failure is None
+    assert spread <= 1e-7
 
 
 def test_solver_equivariance():
@@ -175,13 +167,9 @@ def test_solver_equivariance():
         theta = random_chamber_theta(rng, dims)
         base = solve_moment_equation(x, theta)
         assert base.converged
-        u = random_unitary(rng, dims)
-        moved = solve_moment_equation(act(u, x), theta)
+        moved, defect = selftest.solution_equivariance_defect(x, theta, base.y, random_unitary(rng, dims))
         assert moved.converged
-        expected = LieAlgebraElement.project(
-            [ub @ b @ ub.conj().T for ub, b in zip(u.blocks, base.y.blocks)]
-        )
-        assert pairing_norm(moved.y - expected) <= 1e-7
+        assert defect <= 1e-7
 
 
 def test_solver_inverse_relation():
@@ -195,11 +183,9 @@ def test_solver_inverse_relation():
         theta1 = random_chamber_theta(rng, dims)
         forward = solve_moment_equation(x, theta1)
         assert forward.converged
-        image = exp_action(forward.y, 1.0, "I", x)
-        theta_back = center_to_theta(moment_real(x, "I"))
-        back = solve_moment_equation(image, theta_back)
+        back, defect = selftest.solution_inverse_defect(x, forward.y, center_to_theta(moment_real(x, "I")))
         assert back.converged
-        assert pairing_norm(back.y + forward.y) <= 1e-7
+        assert defect <= 1e-7
 
 
 def test_solver_structures_j_and_k():

@@ -7,27 +7,21 @@ from quivermoment import (
     Representation,
     act,
     extend,
-    hyperkahler_rotation,
     moment_complex,
     moment_hyperkahler,
     moment_pairing_fd_oracle,
     moment_real,
     norm_sq,
-    pairing,
     pairing_norm,
-    quaternion_act,
     theta_to_center,
 )
-from quivermoment.moment import (
-    MU_C_FROM_JK,
-    complex_vs_real_identity,
-    quaternion_conjugate_triple,
-)
+from quivermoment import selftest
+from quivermoment.moment import MU_C_FROM_JK, complex_vs_real_identity
 from quivermoment.sampling import (
     random_instance,
     random_representation,
+    random_unit_quaternion,
     random_unitary,
-    random_uv_element,
 )
 
 STRUCTURES = ("I", "J", "K")
@@ -65,15 +59,7 @@ def test_fd_oracle_examples(a2_rep):
 
 
 def test_fd_oracle_agreement_random():
-    rng = np.random.default_rng(21)
-    for _ in range(100):
-        quiver, dims, x = random_instance(rng)
-        y = random_uv_element(rng, dims)
-        s = STRUCTURES[int(rng.integers(3))]
-        lhs = pairing(moment_real(x, s), y)
-        rhs = moment_pairing_fd_oracle(x, y, s)
-        scale = 1 + norm_sq(x) * np.sqrt(pairing(y, y))
-        assert abs(lhs - rhs) <= 1e-6 * scale
+    assert selftest.moment_oracle_defect(np.random.default_rng(21), 100) <= 1e-6
 
 
 def test_moment_in_compact_algebra():
@@ -105,8 +91,8 @@ def test_moment_complex_trace_and_equivariance():
     rng = np.random.default_rng(23)
     for _ in range(20):
         quiver, dims, x = random_instance(rng)
+        assert selftest.complex_trace_defect(x) <= 1e-10
         mc = moment_complex(x)
-        assert abs(mc.trace_sum()) <= 1e-10 * (1 + norm_sq(x))
         u = random_unitary(rng, dims)
         lhs = moment_complex(act(u, x))
         rhs = [ub @ b @ np.linalg.inv(ub) for ub, b in zip(u.blocks, mc.blocks)]
@@ -120,13 +106,7 @@ def test_moment_equivariance_unitary():
     rng = np.random.default_rng(24)
     for _ in range(15):
         quiver, dims, x = random_instance(rng)
-        u = random_unitary(rng, dims)
-        mu = moment_real(x, "I")
-        lhs = moment_real(act(u, x), "I")
-        rhs = LieAlgebraElement.project(
-            [ub @ b @ ub.conj().T for ub, b in zip(u.blocks, mu.blocks)]
-        )
-        assert pairing_norm(lhs - rhs) <= 1e-10 * (1 + pairing_norm(mu))
+        assert selftest.moment_equivariance_defect(x, random_unitary(rng, dims)) <= 1e-10
 
 
 def test_hyperkahler_triple_examples(a2_rep, theta11):
@@ -143,33 +123,21 @@ def test_homogeneity_random():
     rng = np.random.default_rng(25)
     for _ in range(10):
         _, _, x = random_instance(rng)
-        base = moment_hyperkahler(x)
-        for t in (0.5, 2.0, 3.0):
-            assert (moment_hyperkahler(t * x) - base.scale(t * t)).norm() <= 1e-12 * (
-                1 + base.norm()
-            )
+        assert selftest.moment_homogeneity_defect(x) <= 1e-12
 
 
 def test_rotation_intertwining():
     rng = np.random.default_rng(26)
-    mapping = {"I": "K", "J": "I", "K": "J"}
     for _ in range(15):
         _, _, x = random_instance(rng)
-        rot = hyperkahler_rotation(x)
-        for s, s_from in mapping.items():
-            gap = pairing_norm(moment_real(rot, s) - moment_real(x, s_from))
-            assert gap <= 1e-10 * (1 + norm_sq(x))
+        assert selftest.rotation_intertwining_defect(x) <= 1e-10
 
 
 def test_quaternion_equivariance():
     rng = np.random.default_rng(27)
     for _ in range(20):
         _, _, x = random_instance(rng)
-        q = rng.normal(size=4)
-        q = tuple(q / np.linalg.norm(q))
-        lhs = moment_hyperkahler(quaternion_act(q, x))
-        rhs = quaternion_conjugate_triple(q, moment_hyperkahler(x))
-        assert (lhs - rhs).norm() <= 1e-9 * (1 + norm_sq(x))
+        assert selftest.quaternion_equivariance_defect(x, random_unit_quaternion(rng)) <= 1e-9
 
 
 def test_proportionality_examples(a2, a2_rep):

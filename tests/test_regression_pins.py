@@ -409,7 +409,7 @@ def test_cli_report_pins(tmp_path):
         if command == "flow":
             h.update(csv.read_bytes())
     assert codes == [0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0]
-    assert h.hexdigest()[:16] == "a35c3fe9c12837ab"
+    assert h.hexdigest()[:16] == "414d373d8d055cea"
 
 
 def test_flow_outcome_pins(a2_rep, theta11):

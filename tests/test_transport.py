@@ -6,7 +6,6 @@ from quivermoment import (
     TransportError,
     TransportPlan,
     act,
-    balanced_theta,
     exp_action,
     moment_hyperkahler,
     moment_real,
@@ -19,13 +18,15 @@ from quivermoment import (
     transport_hyperkahler,
     transport_real,
 )
+from quivermoment import selftest
 from quivermoment.lie import center_to_theta
 from quivermoment.sampling import (
     random_chamber_theta,
     random_stable_instance,
+    random_unit_quaternion,
     random_unitary,
 )
-from quivermoment.transport import central_xi, predicted_quaternion_moment, replay_transport
+from quivermoment.transport import central_xi, replay_transport
 
 LN4_OVER_4 = np.log(4.0) / 4.0
 
@@ -91,18 +92,11 @@ def test_transport_real_random_suite():
     for _ in range(6):
         dims, x, theta0 = seat_on_fiber(rng)
         theta1 = random_chamber_theta(rng, dims)
-        res = transport_real(x, theta1)
-        assert res.residual <= 1e-8
-        back = transport_real(res.image, theta0)
-        assert np.sqrt(norm_sq(back.image - x)) <= 1e-7
-        u = random_unitary(rng, dims)
-        res_u = transport_real(act(u, x), theta1)
-        assert np.sqrt(norm_sq(res_u.image - act(u, res.image))) <= 1e-7
-        mid = balanced_theta(
-            [0.5 * (a + b) for a, b in zip(theta0.values, theta1.values)], dims
-        )
-        res2 = transport_real(x, theta1, TransportPlan(waypoints=(mid,)))
-        assert np.sqrt(norm_sq(res2.image - res.image)) <= 1e-6
+        defects = selftest.real_transport_defects(x, theta0, theta1, random_unitary(rng, dims))
+        assert defects["fiber"] <= 1e-8
+        assert defects["round"] <= 1e-7
+        assert defects["equiv"] <= 1e-7
+        assert defects["path"] <= 1e-6
 
 
 def test_transport_diverging_target(a2_rep, theta11):
@@ -133,21 +127,15 @@ def test_transport_hyperkahler_random_suite():
     rng = np.random.default_rng(73)
     for _ in range(4):
         quiver, dims, x = random_stable_instance(rng)
-        start = tuple(
-            tuple(center_to_theta(moment_real(x, s)).values) for s in ("I", "J", "K")
-        )
         target = tuple(
             tuple(random_chamber_theta(rng, dims, scale=0.5).values) for _ in range(3)
         )
-        res = transport_hyperkahler(x, target)
-        assert res.residual <= 1e-8
-        back = transport_hyperkahler(
-            res.image, start, TransportPlan(leg_order=("K", "J", "I"))
-        )
-        assert np.sqrt(norm_sq(back.image - x)) <= 1e-7
+        image, fiber, round_trip = selftest.hyperkahler_round_trip(x, target)
+        assert fiber <= 1e-8
+        assert round_trip <= 1e-7
         u = random_unitary(rng, dims)
         res_u = transport_hyperkahler(act(u, x), target)
-        assert np.sqrt(norm_sq(res_u.image - act(u, res.image))) <= 1e-7
+        assert np.sqrt(norm_sq(res_u.image - act(u, image))) <= 1e-7
 
 
 def test_transport_hyperkahler_regular_gate(a2_rep):
@@ -217,12 +205,8 @@ def test_quaternion_transport_matches_prediction():
 
     for _ in range(10):
         _, _, x = random_instance(rng)
-        q = rng.normal(size=4)
-        q = tuple(q / np.linalg.norm(q))
-        t = float(rng.uniform(0.2, 4.0))
-        actual = moment_hyperkahler(quaternion_transport(x, q, t))
-        predicted = predicted_quaternion_moment(x, q, t)
-        assert (actual - predicted).norm() <= 1e-9 * (1 + norm_sq(x))
+        q = random_unit_quaternion(rng)
+        assert selftest.quaternion_transport_defect(x, q, float(rng.uniform(0.2, 4.0))) <= 1e-9
 
 
 def test_quaternion_commutes_with_scaling_transport(a2_rep, theta11):
