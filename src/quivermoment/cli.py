@@ -7,7 +7,13 @@ codes:
 * 0 success;
 * 1 invariant or check failure;
 * 2 malformed input, a budget or a size over its cap, or an output that
-  cannot be written.  A ``regular`` request meets its two size caps before
+  cannot be written.  Each kind of JSON value has one reader: every number
+  field (blocks, theta, waypoints, ``target_triple``, complex-transport xi,
+  ``q``, ``t`` and the options) is a JSON number, never a string or
+  true/false (``_number``); a rational is a "p/q" or decimal string or a
+  JSON number, never a bool (``_rational``); a pair has exactly two entries
+  (``_pair``).  A constructor that refuses what was read exits 2 through
+  ``_made``, with the field's path.  A ``regular`` request meets its two size caps before
   it enumerates anything: the torus-weight export may hold at most
   ``MAX_WEIGHT_ENTRIES`` (10^6) floats, counted as matrix entry slots times
   coordinates, and a wall scan (also that of a transport's
@@ -24,7 +30,7 @@ import json
 import math
 import sys
 import warnings
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -84,14 +90,6 @@ def matrix_to_json(m):
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
-def matrix_from_json(data, path):
-    try:
-        rows = [[complex(float(e[0]), float(e[1])) for e in row] for row in data]
-        return np.array(rows, dtype=complex) if rows else np.zeros((0, 0), dtype=complex)
-    except (TypeError, ValueError, IndexError, OverflowError) as exc:
-        raise SpecError(f"{path}: expected a matrix of [re, im] pairs") from exc
-
-
 def blocks_to_json(value):
     """Blocks of a representation or of per-vertex matrices, in order."""
     return {"blocks": [matrix_to_json(b) for b in value.blocks]}
@@ -136,12 +134,6 @@ def _list(value, path, what):
     return value
 
 
-def _per_vertex(values, dims, path, what):
-    if not isinstance(values, list) or len(values) != len(dims):
-        raise SpecError(f"{path}: expected one {what} per vertex")
-    return values
-
-
 def _number(value, path, integer=False):
     """A JSON number a float holds finitely, or an integer when ``integer``;
     true/false are neither."""
@@ -155,9 +147,52 @@ def _number(value, path, integer=False):
     return value
 
 
-def _is_count(value):
+def _count(value, path):
     """A nonnegative integer that numpy can use as an array size."""
-    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value <= MAX_COUNT
+    if not 0 <= _number(value, path, integer=True) <= MAX_COUNT:
+        raise SpecError(f"{path}: expected a nonnegative integer")
+    return value
+
+
+def _rational(value, path):
+    """An exact rational: a "p/q" or decimal string or a JSON number, never
+    true/false."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise SpecError(f"{path}: expected a rational (a \"p/q\" string or a number)")
+    return _made(path, parse_rational, value)
+
+
+def _pair(value, path, read=_number):
+    """A list of exactly two entries, each read by ``read``: the complex
+    number re + i im of an [re, im] pair of numbers, else the two entries."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise SpecError(f"{path}: expected a list of two entries")
+    first, second = read(value[0], path), read(value[1], path)
+    return complex(first, second) if read is _number else (first, second)
+
+
+def _per_vertex(values, dims, path, read, *args):
+    """One entry per vertex, each read by ``read(entry, path, *args)``."""
+    if not isinstance(values, list) or len(values) != len(dims):
+        raise SpecError(f"{path}: expected a list of one entry per vertex")
+    return tuple(read(v, path, *args) for v in values)
+
+
+def _triple(data, dims, path, read):
+    """The theta_I, theta_J and theta_K vectors of the object ``data``, each
+    read by ``read(values, dims, path)``."""
+    data = _object(data, path)
+    return tuple(read(data.get(name), dims, f"{path}.{name}") for name in ("theta_I", "theta_J", "theta_K"))
+
+
+def _made(path, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; the TypeError, ValueError or
+    ZeroDivisionError of a constructor that refuses its input is a SpecError
+    naming ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise SpecError(f"{path}: {exc}") from exc
 
 
 def _budget(args, value, path, cap):
@@ -168,6 +203,12 @@ def _budget(args, value, path, cap):
     if _number(value, path) > cap:
         raise SpecError(f"{path}: at most {cap}")
     return value
+
+
+def matrix_from_json(data, path):
+    """A complex matrix from rows of [re, im] pairs."""
+    rows = [[_pair(e, path) for e in _list(row, path, "[re, im] pairs")] for row in _list(data, path, "rows")]
+    return _made(path, np.array, rows, complex) if rows else np.zeros((0, 0), dtype=complex)
 
 
 def _matrices(data, count, path):
@@ -189,36 +230,19 @@ def _options(cls, data, path, args, tolerance, integers=(), numbers=(), **extra)
     }
     if args.tolerance is not None:
         kwargs[tolerance] = _number(args.tolerance, "--tolerance")
-    try:
-        return cls(**kwargs, **extra)
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"{path}: {exc}") from exc
+    return _made(path, cls, **kwargs, **extra)
 
 
 def parse_quiver(spec):
     q = _object(_require(spec, "quiver"), "quiver")
-    vertices = q.get("vertices")
-    edges = q.get("edges", [])
-    if not _is_count(vertices):
-        raise SpecError("quiver.vertices: expected a nonnegative integer")
-    try:
-        quiver = extend(Quiver(vertices, [tuple(e) for e in edges]))
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"quiver.edges: {exc}") from exc
-    dims = _require(spec, "dims")
-    if not isinstance(dims, list) or len(dims) != vertices:
-        raise SpecError("dims: expected one integer per vertex")
-    if not all(_is_count(d) for d in dims):
-        raise SpecError("dims: entries must be nonnegative integers")
-    return quiver, tuple(dims)
+    vertices = _count(q.get("vertices"), "quiver.vertices")
+    edges = [_pair(e, "quiver.edges", _count) for e in _list(q.get("edges", []), "quiver.edges", "edges")]
+    dims = _per_vertex(_require(spec, "dims"), range(vertices), "dims", _count)
+    return extend(_made("quiver.edges", Quiver, vertices, edges)), dims
 
 
 def parse_theta(values, dims, path):
-    _per_vertex(values, dims, path, "real")
-    try:
-        return StabilityParameter(tuple(float(v) for v in values), dims)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SpecError(f"{path}: {exc}") from exc
+    return _made(path, StabilityParameter, _per_vertex(values, dims, path, _number), dims)
 
 
 def parse_point(spec, rng, theta=True):
@@ -230,43 +254,17 @@ def parse_point(spec, rng, theta=True):
         x = random_representation(rng, quiver, dims)
     else:
         blocks = _matrices(data, quiver.num_edges, "representation.blocks")
-        try:
-            x = Representation(quiver, dims, blocks)
-        except ValueError as exc:
-            raise SpecError(f"representation: {exc}") from exc
+        x = _made("representation", Representation, quiver, dims, blocks)
     return x, (parse_theta(_require(spec, "theta"), dims, "theta") if theta else None)
 
 
 def algebra_element_from_json(data, dims, path):
-    blocks = _matrices(data, len(dims), path)
-    try:
-        return LieAlgebraElement(blocks)
-    except ValueError as exc:
-        raise SpecError(f"{path}: {exc}") from exc
-
-
-def parse_pairs(values, dims, path, parse):
-    """One [re, im] pair per vertex, each part read by ``parse``."""
-    _per_vertex(values, dims, path, "[re, im] pair")
-    try:
-        return [(parse(p[0]), parse(p[1])) for p in values]
-    except (ValueError, TypeError, IndexError, ZeroDivisionError, OverflowError) as exc:
-        raise SpecError(f"{path}: {exc}") from exc
+    return _made(path, LieAlgebraElement, _matrices(data, len(dims), path))
 
 
 def parse_rational_triple(data, dims, path):
-    data = _object(data, path)
-    comps = []
-    for name in ("theta_I", "theta_J", "theta_K"):
-        values = _per_vertex(data.get(name), dims, f"{path}.{name}", "rational")
-        try:
-            comps.append(tuple(parse_rational(v) for v in values))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SpecError(f"{path}.{name}: {exc}") from exc
-    try:
-        return RationalThetaTriple(*comps, dims=dims)
-    except ValueError as exc:
-        raise SpecError(f"{path}: {exc}") from exc
+    rationals = partial(_per_vertex, read=_rational)
+    return _made(path, RationalThetaTriple, *_triple(data, dims, path, rationals), dims)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +378,7 @@ def cmd_regular(spec, args, rng):
                 "violating_w": list(witness) if witness is not None else None,
             }
         if "xi" in spec:
-            pairs = parse_pairs(spec["xi"], dims, "xi", parse_rational)
+            pairs = _per_vertex(spec["xi"], dims, "xi", _pair, _rational)
             report["complex"] = {"in_regular_locus": complex_regular_check(dims, pairs)}
     except EnumerationCapError as exc:
         raise SpecError(f"dims: {exc}") from exc
@@ -423,15 +421,12 @@ def cmd_transport(spec, args, rng):
             target = parse_theta(_require(tspec, "target_theta", "transport"), dims, "target_theta")
             result = transport_real(x, target, plan)
         elif mode == "hyperkahler":
-            data = _object(_require(tspec, "target_triple", "transport"), "transport.target_triple")
-            target = tuple(
-                parse_theta(data.get(name), dims, f"transport.target_triple.{name}").values
-                for name in ("theta_I", "theta_J", "theta_K")
-            )
+            data = _require(tspec, "target_triple", "transport")
+            target = tuple(t.values for t in _triple(data, dims, "transport.target_triple", parse_theta))
             result = transport_hyperkahler(x, target, plan)
         elif mode == "complex":
             xi_start, xi_target = (
-                [complex(*p) for p in parse_pairs(_require(tspec, k, "transport"), dims, k, float)]
+                _per_vertex(_require(tspec, k, "transport"), dims, f"transport.{k}", _pair)
                 for k in ("xi_start", "xi_target")
             )
             result = transport_complex(x, xi_start, xi_target, plan)

@@ -119,7 +119,7 @@ def theta_coordinates(theta_values, dims) -> np.ndarray:
     ) if len(dims) else np.zeros(0)
 
 
-def nonnegative_lstsq(a, b, maxiter=None):
+def nonnegative_lstsq(a, b):
     """Lawson-Hanson active-set iteration for min ||a c - b|| over c >= 0.
 
     ``a`` has one column per generator.  Builds the passive set one most
@@ -129,8 +129,7 @@ def nonnegative_lstsq(a, b, maxiter=None):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n, k = a.shape
-    if maxiter is None:
-        maxiter = 3 * max(k, 1) + 20
+    maxiter = 3 * max(k, 1) + 20
     dual_tol = 10 * np.finfo(float).eps * max(n, k) * max(
         1.0, float(np.abs(b).max(initial=0.0))
     ) * max(1.0, float(np.abs(a).max(initial=1.0)))
@@ -295,14 +294,12 @@ class RationalThetaTriple:
         return tuple(tuple(float(v) for v in comp) for comp in self.components())
 
 
-def _proper_dim_vectors(dims, cap=ENUMERATION_CAP):
+def _proper_dim_vectors(dims):
     total = 1
     for d in dims:
         total *= d + 1
-    if total > cap:
-        raise EnumerationCapError(
-            f"{total} dimension vectors exceed the cap {cap}"
-        )
+    if total > ENUMERATION_CAP:
+        raise EnumerationCapError(f"{total} dimension vectors exceed the cap {ENUMERATION_CAP}")
     zero = tuple(0 for _ in dims)
     full = tuple(dims)
     for w in itertools.product(*(range(d + 1) for d in dims)):

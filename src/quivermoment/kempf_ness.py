@@ -46,6 +46,7 @@ logger = logging.getLogger(__name__)
 ARMIJO_SLOPE = 1e-4
 MAX_BACKTRACKS = 60
 NEWTON_COND_LIMIT = 1e12
+DIVERGENCE_WINDOW = 12  # iterations the early divergence call looks back over
 # The line search tries the steps 1, 1/2, ..., up to MAX_BACKTRACKS trials,
 # in that order and in stacks of TRIAL_STACK trials (the last stack shorter).
 # On the first iteration and after one that accepted step 1, which the next
@@ -257,13 +258,14 @@ def _newton_direction(basis, layout, stacks, grad):
     return z
 
 
-def _diverging(trace, norms, window=12):
-    """Early divergence call: the functional keeps descending at a stable
-    negative rate per unit of growth of ||Y|| while ||Y|| runs away."""
-    if len(norms) < window or norms[-1] < 10.0:
+def _diverging(trace, norms):
+    """Early divergence call: over the last ``DIVERGENCE_WINDOW`` iterations the
+    functional keeps descending at a stable negative rate per unit of growth
+    of ||Y|| while ||Y|| runs away."""
+    if len(norms) < DIVERGENCE_WINDOW or norms[-1] < 10.0:
         return False
-    dn = np.diff(norms[-window:])
-    dv = np.diff(trace[-window:])
+    dn = np.diff(norms[-DIVERGENCE_WINDOW:])
+    dv = np.diff(trace[-DIVERGENCE_WINDOW:])
     if np.any(dn <= 1e-12):
         return False
     rates = dv / dn

@@ -16,8 +16,6 @@ import numpy as np
 
 from .layout import EdgeLayout, HeldStacks, edge_layout, sq_norm_stacks, structure_stacks
 
-DimVector = tuple  # per-vertex nonnegative integers, one entry per vertex
-
 STRUCTURES = ("I", "J", "K")
 
 
@@ -43,9 +41,6 @@ class Quiver:
     @property
     def num_edges(self):
         return len(self.edges)
-
-    def extend(self) -> "ExtendedQuiver":
-        return extend(self)
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,19 @@ def _scaled(count, budget):
     return max(1, int(round(count * budget)))
 
 
+def worse(*defects):
+    """The largest of 0.0 and ``defects``, or NaN when one of them is NaN, so
+    that a NaN defect fails every ``<= tolerance`` bound (``max`` keeps its
+    first argument against a NaN)."""
+    worst = 0.0
+    for d in defects:
+        if d != d:
+            return math.nan
+        if d > worst:
+            worst = d
+    return worst
+
+
 def run_selftest(seed=0, budget=1.0):
     """Run every invariant check; returns a list of CheckResult."""
     master = np.random.default_rng(seed)
@@ -216,7 +229,7 @@ def structure_isometry_defect(x):
     worst = 0.0
     n = norm_sq(x)
     for s in STRUCTURES:
-        worst = max(worst, abs(norm_sq(apply_structure(s, x)) - n) / (1.0 + n))
+        worst = worse(worst, abs(norm_sq(apply_structure(s, x)) - n) / (1.0 + n))
     return worst
 
 
@@ -226,9 +239,9 @@ def quaternion_relations_defect(x):
     scale = math.sqrt(norm_sq(x)) + 1.0
     for s in STRUCTURES:
         twice = apply_structure(s, apply_structure(s, x))
-        worst = max(worst, math.sqrt(norm_sq(twice + x)) / scale)
+        worst = worse(worst, math.sqrt(norm_sq(twice + x)) / scale)
     ijk = apply_structure("I", apply_structure("J", apply_structure("K", x)))
-    return max(worst, math.sqrt(norm_sq(ijk + x)) / scale)
+    return worse(worst, math.sqrt(norm_sq(ijk + x)) / scale)
 
 
 def rotation_identities_defect(x):
@@ -238,11 +251,11 @@ def rotation_identities_defect(x):
     rot = hyperkahler_rotation(x)
     worst = abs(norm_sq(rot) - norm_sq(x)) / scale ** 2
     back = hyperkahler_rotation(rot, "inverse")
-    worst = max(worst, math.sqrt(norm_sq(back - x)) / scale)
+    worst = worse(worst, math.sqrt(norm_sq(back - x)) / scale)
     for s, s_next in (("I", "J"), ("J", "K"), ("K", "I")):
         lhs = hyperkahler_rotation(apply_structure(s, x))
         rhs = apply_structure(s_next, rot)
-        worst = max(worst, math.sqrt(norm_sq(lhs - rhs)) / scale)
+        worst = worse(worst, math.sqrt(norm_sq(lhs - rhs)) / scale)
     return worst
 
 
@@ -260,7 +273,7 @@ def metric_polarisation_defect(u, v):
     g = hyperkahler_metric(u, v)
     scale = abs(g) + 1.0
     for s in STRUCTURES:
-        worst = max(worst, abs(hermitian_pairing(s, u, v).real - g) / scale)
+        worst = worse(worst, abs(hermitian_pairing(s, u, v).real - g) / scale)
     return worst
 
 
@@ -296,7 +309,7 @@ def exp_group_law_defect(x, y, s, t):
     for structure in STRUCTURES:
         lhs = exp_action(y, s + t, structure, x)
         rhs = exp_action(y, s, structure, exp_action(y, t, structure, x))
-        worst = max(worst, math.sqrt(norm_sq(lhs - rhs)) / (1.0 + math.sqrt(norm_sq(x))))
+        worst = worse(worst, math.sqrt(norm_sq(lhs - rhs)) / (1.0 + math.sqrt(norm_sq(x))))
     return worst
 
 
@@ -314,7 +327,7 @@ def polar_reconstruction(g):
     whether h is unitary within 1e-10."""
     h, y = polar_decompose(g)
     rec = h.compose(GroupElement.exp_i(y))
-    err = max(float(np.abs(a - b).max(initial=0.0)) for a, b in zip(rec.blocks, g.blocks))
+    err = worse(*(float(np.abs(a - b).max(initial=0.0)) for a, b in zip(rec.blocks, g.blocks)))
     return err, h.is_unitary(1e-10)
 
 
@@ -334,7 +347,7 @@ def moment_oracle_defect(rng, count):
         lhs = pairing(moment.moment_real(x, s), y)
         rhs = moment.moment_pairing_fd_oracle(x, y, s)
         scale = 1.0 + norm_sq(x) * math.sqrt(pairing(y, y))
-        worst = max(worst, abs(lhs - rhs) / scale)
+        worst = worse(worst, abs(lhs - rhs) / scale)
     return worst
 
 
@@ -358,7 +371,7 @@ def rotation_intertwining_defect(x):
     for s, s_from in {"I": "K", "J": "I", "K": "J"}.items():
         lhs = moment.moment_real(rot, s)
         rhs = moment.moment_real(x, s_from)
-        worst = max(worst, pairing_norm(lhs - rhs) / scale)
+        worst = worse(worst, pairing_norm(lhs - rhs) / scale)
     return worst
 
 
@@ -377,7 +390,7 @@ def moment_homogeneity_defect(x):
     for t in (0.5, 2.0, 3.0):
         lhs = moment.moment_hyperkahler(t * x)
         rhs = base.scale(t * t)
-        worst = max(worst, (lhs - rhs).norm() / (1.0 + min(base.norm(), rhs.norm())))
+        worst = worse(worst, (lhs - rhs).norm() / (1.0 + min(base.norm(), rhs.norm())))
     return worst
 
 
@@ -392,7 +405,7 @@ def complex_real_proportionality(rng, count):
         if c is None:
             continue
         values.append(c)
-        worst_resid = max(worst_resid, resid / (1.0 + norm_sq(x)))
+        worst_resid = worse(worst_resid, resid / (1.0 + norm_sq(x)))
     return values, worst_resid
 
 
@@ -429,7 +442,7 @@ def restart_spread(x, theta, directions):
         )
         if not restart.converged:
             return "perturbed restart failed", None
-        spread = max(spread, pairing_norm(restart.y - base.y))
+        spread = worse(spread, pairing_norm(restart.y - base.y))
     return None, spread
 
 
@@ -576,21 +589,21 @@ def quaternion_transport_defect(x, q, t):
 def check_structure_isometries(rng, budget):
     worst = 0.0
     for _, _, x in _random_xs(rng, _scaled(30, budget)):
-        worst = max(worst, structure_isometry_defect(x))
+        worst = worse(worst, structure_isometry_defect(x))
     return worst <= 1e-12, f"max relative norm drift {worst:.2e}"
 
 
 def check_quaternion_relations(rng, budget):
     worst = 0.0
     for _, _, x in _random_xs(rng, _scaled(30, budget)):
-        worst = max(worst, quaternion_relations_defect(x))
+        worst = worse(worst, quaternion_relations_defect(x))
     return worst <= 1e-12, f"max defect {worst:.2e}"
 
 
 def check_rotation_identities(rng, budget):
     worst = 0.0
     for _, _, x in _random_xs(rng, _scaled(30, budget)):
-        worst = max(worst, rotation_identities_defect(x))
+        worst = worse(worst, rotation_identities_defect(x))
     return worst <= 1e-12, f"max defect {worst:.2e}"
 
 
@@ -599,7 +612,7 @@ def check_quaternion_action(rng, budget):
     for _, _, x in _random_xs(rng, _scaled(20, budget)):
         q1 = sampling.random_unit_quaternion(rng)
         q2 = sampling.random_unit_quaternion(rng)
-        worst = max(worst, quaternion_action_defect(x, q1, q2))
+        worst = worse(worst, quaternion_action_defect(x, q1, q2))
     return worst <= 1e-12, f"max composition defect {worst:.2e}"
 
 
@@ -607,7 +620,7 @@ def check_metric_polarisation(rng, budget):
     worst = 0.0
     for quiver, dims, u in _random_xs(rng, _scaled(20, budget)):
         v = sampling.random_representation(rng, quiver, dims)
-        worst = max(worst, metric_polarisation_defect(u, v))
+        worst = worse(worst, metric_polarisation_defect(u, v))
     return worst <= 1e-10, f"max metric disagreement {worst:.2e}"
 
 
@@ -620,7 +633,7 @@ def check_pairing_properties(rng, budget):
         if not pairing_is_positive(y):
             return False, "pairing not positive on a nonzero element"
         gap, reference = ad_invariance_gap(y, z, sampling.random_unitary(rng, dims))
-        worst = max(worst, gap / (1.0 + abs(reference)))
+        worst = worse(worst, gap / (1.0 + abs(reference)))
     return worst <= 1e-12, f"max Ad-invariance defect {worst:.2e}"
 
 
@@ -631,7 +644,7 @@ def check_character_pairing(rng, budget):
         theta = sampling.random_theta(rng, dims)
         y = sampling.random_uv_element(rng, dims)
         gap, rhs = character_pairing_gap(theta, y, float(rng.uniform(-2, 2)))
-        worst = max(worst, gap / (1.0 + abs(rhs)))
+        worst = worse(worst, gap / (1.0 + abs(rhs)))
     return worst <= 1e-10, f"max defect {worst:.2e}"
 
 
@@ -640,7 +653,7 @@ def check_left_action(rng, budget):
     for quiver, dims, x in _random_xs(rng, _scaled(15, budget)):
         g1 = GroupElement.exp_i(sampling.random_uv_element(rng, dims, 0.4))
         g2 = sampling.random_unitary(rng, dims)
-        worst = max(worst, left_action_defect(x, g1, g2))
+        worst = worse(worst, left_action_defect(x, g1, g2))
     return worst <= 1e-11, f"max defect {worst:.2e}"
 
 
@@ -649,7 +662,7 @@ def check_exp_action_consistency(rng, budget):
     for quiver, dims, x in _random_xs(rng, _scaled(15, budget)):
         y = sampling.random_uv_element(rng, dims, 0.5)
         s, t = float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))
-        worst = max(worst, exp_group_law_defect(x, y, s, t), flow_derivative_defect(x, y))
+        worst = worse(worst, exp_group_law_defect(x, y, s, t), flow_derivative_defect(x, y))
     return worst <= 1e-8, f"max defect {worst:.2e}"
 
 
@@ -661,7 +674,7 @@ def check_polar_decomposition(rng, budget):
             GroupElement.exp_i(sampling.random_uv_element(rng, dims, 0.7))
         )
         err, unitary = polar_reconstruction(g)
-        worst = max(worst, err)
+        worst = worse(worst, err)
         if not unitary:
             return False, "polar factor is not unitary"
     return worst <= 1e-10, f"max reconstruction error {worst:.2e}"
@@ -686,35 +699,35 @@ def check_moment_oracle(rng, budget):
 def check_moment_equivariance(rng, budget):
     worst = 0.0
     for quiver, dims, x in _random_xs(rng, _scaled(20, budget)):
-        worst = max(worst, moment_equivariance_defect(x, sampling.random_unitary(rng, dims)))
+        worst = worse(worst, moment_equivariance_defect(x, sampling.random_unitary(rng, dims)))
     return worst <= 1e-10, f"max equivariance defect {worst:.2e}"
 
 
 def check_moment_complex_trace(rng, budget):
     worst = 0.0
     for _, _, x in _random_xs(rng, _scaled(20, budget)):
-        worst = max(worst, complex_trace_defect(x))
+        worst = worse(worst, complex_trace_defect(x))
     return worst <= 1e-10, f"max trace sum {worst:.2e}"
 
 
 def check_rotation_intertwining(rng, budget):
     worst = 0.0
     for _, _, x in _random_xs(rng, _scaled(20, budget)):
-        worst = max(worst, rotation_intertwining_defect(x))
+        worst = worse(worst, rotation_intertwining_defect(x))
     return worst <= 1e-10, f"max intertwining defect {worst:.2e}"
 
 
 def check_quaternion_equivariance(rng, budget):
     worst = 0.0
     for _, _, x in _random_xs(rng, _scaled(30, budget)):
-        worst = max(worst, quaternion_equivariance_defect(x, sampling.random_unit_quaternion(rng)))
+        worst = worse(worst, quaternion_equivariance_defect(x, sampling.random_unit_quaternion(rng)))
     return worst <= 1e-9, f"max equivariance defect {worst:.2e}"
 
 
 def check_moment_homogeneity(rng, budget):
     worst = 0.0
     for _, _, x in _random_xs(rng, _scaled(10, budget)):
-        worst = max(worst, moment_homogeneity_defect(x))
+        worst = worse(worst, moment_homogeneity_defect(x))
     return worst <= 1e-12, f"max homogeneity defect {worst:.2e}"
 
 
@@ -722,7 +735,7 @@ def check_complex_real_proportionality(rng, budget):
     values, worst_resid = complex_real_proportionality(rng, _scaled(50, budget))
     if not values:
         return False, "no nondegenerate instances"
-    spread = max(values) - min(values)
+    spread = float(np.ptp(values))  # NaN when a constant is NaN
     expected = 1.0 / moment.MU_C_FROM_JK
     ok = spread <= 1e-8 and worst_resid <= 1e-9 and abs(values[0] - expected) <= 1e-9
     return ok, f"c={values[0]:.12f}, spread {spread:.2e}, residual {worst_resid:.2e}"
@@ -736,7 +749,7 @@ def check_solver_fixed_point(rng, budget):
         outcome, gap, monotone = solver_fixed_point(x, theta)
         if not outcome.converged:
             return False, f"solver failed on a stable instance ({outcome.status})"
-        worst = max(worst, gap)
+        worst = worse(worst, gap)
         if not monotone:
             return False, "objective increased across accepted iterations"
     return worst <= 1e-12, f"max residual recompute gap {worst:.2e}"
@@ -752,7 +765,7 @@ def check_solver_uniqueness(rng, budget):
         )
         if failure:
             return False, failure
-        worst = max(worst, spread)
+        worst = worse(worst, spread)
     return worst <= 1e-7, f"max restart spread {worst:.2e}"
 
 
@@ -766,13 +779,13 @@ def check_solver_equivariance_inverse(rng, budget):
             return False, "solve failed"
         u = sampling.random_unitary(rng, dims)
         _, defect = solution_equivariance_defect(x, theta, outcome.y, u)
-        worst = max(worst, defect)
+        worst = worse(worst, defect)
         theta_back = center_to_theta(moment.moment_real(x, "I"))
         if pairing_norm(
             moment.moment_real(x, "I") - theta_to_center(theta_back)
         ) <= 1e-8:
             _, defect = solution_inverse_defect(x, outcome.y, theta_back)
-            worst = max(worst, defect)
+            worst = worse(worst, defect)
     return worst <= 1e-7, f"max defect {worst:.2e}"
 
 
@@ -797,7 +810,7 @@ def check_flow_gradient(rng, budget):
         quiver, dims, x = sampling.random_instance(rng, max_dim=3)
         theta = sampling.random_theta(rng, dims)
         d = sampling.random_representation(rng, quiver, dims)
-        worst = max(worst, grad_h_defect(theta, x, d))
+        worst = worse(worst, grad_h_defect(theta, x, d))
     return worst <= 1e-6, f"max gradient mismatch {worst:.2e}"
 
 
@@ -809,7 +822,7 @@ def check_cone_projection(rng, budget):
         vectors = rng.normal(size=(k, n))
         theta = rng.normal(size=n)
         _, dist_gap, beta_gap = projection_gaps(vectors, theta)
-        worst = max(worst, dist_gap, beta_gap)
+        worst = worse(worst, dist_gap, beta_gap)
     return worst <= 1e-8, f"max disagreement with active-set brute force {worst:.2e}"
 
 
@@ -823,7 +836,7 @@ def check_d_theta_brute_force(rng, budget):
         gap = d_theta_gap(ws, rng.normal(size=n))
         if gap is None:
             return False, "d_theta finiteness disagrees with brute force"
-        worst = max(worst, gap)
+        worst = worse(worst, gap)
     return worst <= 1e-12, f"max d_theta disagreement {worst:.2e}"
 
 
@@ -882,7 +895,7 @@ def check_transport_suite(rng, budget):
         theta1 = sampling.random_chamber_theta(rng, dims)
         u = sampling.random_unitary(rng, dims)
         for key, value in real_transport_defects(x, theta0, theta1, u).items():
-            worst[key] = max(worst[key], value)
+            worst[key] = worse(worst[key], value)
     ok = (
         worst["fiber"] <= 1e-8
         and worst["round"] <= 1e-7
@@ -902,8 +915,8 @@ def check_hyperkahler_transport(rng, budget):
         quiver, dims, x = sampling.random_stable_instance(rng)
         target = tuple(sampling.random_chamber_theta(rng, dims, scale=0.5).values for _ in range(3))
         _, fiber, round_trip = hyperkahler_round_trip(x, target)
-        worst_fiber = max(worst_fiber, fiber)
-        worst_round = max(worst_round, round_trip)
+        worst_fiber = worse(worst_fiber, fiber)
+        worst_round = worse(worst_round, round_trip)
     ok = worst_fiber <= 1e-8 and worst_round <= 1e-7
     return ok, f"fiber {worst_fiber:.2e}, round trip {worst_round:.2e}"
 
@@ -913,7 +926,7 @@ def check_quaternion_transport(rng, budget):
     for _, _, x in _random_xs(rng, _scaled(15, budget)):
         q = sampling.random_unit_quaternion(rng)
         t = float(rng.uniform(0.3, 3.0))
-        worst = max(worst, quaternion_transport_defect(x, q, t))
+        worst = worse(worst, quaternion_transport_defect(x, q, t))
     return worst <= 1e-9, f"max moment prediction defect {worst:.2e}"
 
 

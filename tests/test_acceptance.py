@@ -77,9 +77,9 @@ def test_criterion_2_quaternionic_algebra_suite():
     worst_mu = 0.0
     for _ in range(100):
         quiver, dims, x = random_instance(rng)
-        worst_rel = max(worst_rel, selftest.quaternion_relations_defect(x))
-        worst_rel = max(worst_rel, selftest.rotation_identities_defect(x))
-        worst_mu = max(worst_mu, selftest.rotation_intertwining_defect(x))
+        worst_rel = selftest.worse(worst_rel, selftest.quaternion_relations_defect(x))
+        worst_rel = selftest.worse(worst_rel, selftest.rotation_identities_defect(x))
+        worst_mu = selftest.worse(worst_mu, selftest.rotation_intertwining_defect(x))
     assert worst_rel <= 1e-12
     assert worst_mu <= 1e-10
     elapsed = time.perf_counter() - start
@@ -104,7 +104,7 @@ def test_criterion_3_kempf_ness_solver():
         theta = random_chamber_theta(rng, dims)
         sol = solve_moment_equation(xr, theta)
         assert sol.converged
-        worst_resid = max(worst_resid, sol.residual)
+        worst_resid = selftest.worse(worst_resid, sol.residual)
     assert worst_resid <= 1e-10
 
     worst_spread = 0.0
@@ -114,7 +114,7 @@ def test_criterion_3_kempf_ness_solver():
         directions = (random_uv_element(rng, dims) for _ in range(10))
         failure, spread = selftest.restart_spread(xr, theta, directions)
         assert failure is None
-        worst_spread = max(worst_spread, spread)
+        worst_spread = selftest.worse(worst_spread, spread)
     assert worst_spread <= 1e-7
     elapsed = time.perf_counter() - start
     assert elapsed <= 10.0
@@ -142,7 +142,7 @@ def test_criterion_4_equivariance_and_inverse():
         assert moved.converged
         back, inverse = selftest.solution_inverse_defect(x, forward.y, theta0)
         assert back.converged
-        worst = max(worst, equivariance, inverse)
+        worst = selftest.worse(worst, equivariance, inverse)
     assert worst <= 1e-7
     elapsed = time.perf_counter() - start
     assert elapsed <= 5.0
@@ -203,7 +203,7 @@ def test_criterion_6_cone_projection_and_d_theta():
         ws = WeightSet(vectors=vectors, multiplicities=np.ones(k, dtype=int), num_coords=n)
         gap = selftest.d_theta_gap(ws, theta)
         assert gap is not None and gap <= 1e-12
-        worst_gap = max(worst_gap, gap)
+        worst_gap = selftest.worse(worst_gap, gap)
     elapsed = time.perf_counter() - start
     assert elapsed <= 5.0
     report(
@@ -318,7 +318,7 @@ def test_criterion_9_transport():
         theta1 = random_chamber_theta(rng, dims)
         u = random_unitary(rng, dims)
         for key, value in selftest.real_transport_defects(xf, theta0, theta1, u).items():
-            worst[key] = max(worst[key], value)
+            worst[key] = selftest.worse(worst[key], value)
 
         if k % 3 == 0:
             triple = random_rational_triple(rng, dims, attempts=100)
@@ -329,13 +329,13 @@ def test_criterion_9_transport():
             hk = transport_hyperkahler(
                 xf, target, TransportPlan(regular_gate=(triple,))
             )
-            worst_hk["fiber"] = max(worst_hk["fiber"], hk.residual)
+            worst_hk["fiber"] = selftest.worse(worst_hk["fiber"], hk.residual)
             hk_back = transport_hyperkahler(
                 hk.image, start_triple, TransportPlan(leg_order=("K", "J", "I"))
             )
-            worst_hk["round"] = max(worst_hk["round"], math.sqrt(norm_sq(hk_back.image - xf)))
+            worst_hk["round"] = selftest.worse(worst_hk["round"], math.sqrt(norm_sq(hk_back.image - xf)))
             hk_u = transport_hyperkahler(act(u, xf), target)
-            worst_hk["equiv"] = max(
+            worst_hk["equiv"] = selftest.worse(
                 worst_hk["equiv"], math.sqrt(norm_sq(hk_u.image - act(u, hk.image)))
             )
             mid_triple = tuple(
@@ -343,7 +343,7 @@ def test_criterion_9_transport():
                 for sc, tc in zip(start_triple, target)
             )
             hk2 = transport_hyperkahler(xf, target, TransportPlan(waypoints=(mid_triple,)))
-            worst_hk["path"] = max(worst_hk["path"], math.sqrt(norm_sq(hk2.image - hk.image)))
+            worst_hk["path"] = selftest.worse(worst_hk["path"], math.sqrt(norm_sq(hk2.image - hk.image)))
 
     for w in (worst, worst_hk):
         assert w["round"] <= 1e-7
@@ -369,8 +369,10 @@ def test_criterion_10_quaternion_scaling_equivariance():
     worst_t = 0.0
     for _ in range(100):
         quiver, dims, x = random_instance(rng)
-        worst_q = max(worst_q, selftest.quaternion_equivariance_defect(x, random_unit_quaternion(rng)))
-        worst_t = max(worst_t, selftest.moment_homogeneity_defect(x))
+        worst_q = selftest.worse(
+            worst_q, selftest.quaternion_equivariance_defect(x, random_unit_quaternion(rng))
+        )
+        worst_t = selftest.worse(worst_t, selftest.moment_homogeneity_defect(x))
     assert worst_q <= 1e-9
     assert worst_t <= 1e-12
     elapsed = time.perf_counter() - start
@@ -385,7 +387,7 @@ def test_criterion_11_proportionality_constant():
     start = time.perf_counter()
     values, worst_resid = selftest.complex_real_proportionality(np.random.default_rng(1011), 50)
     assert worst_resid <= 1e-9
-    spread = max(values) - min(values)
+    spread = float(np.ptp(values))
     assert spread <= 1e-8
     elapsed = time.perf_counter() - start
     assert elapsed <= 2.0

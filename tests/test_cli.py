@@ -160,6 +160,7 @@ HUGE_EXPONENT = "1e10000000"  # an exact rational of ten million digits
 HUGE_PAIR = [HUGE_EXPONENT, "-" + HUGE_EXPONENT]  # balanced for dims [1, 1]
 COMPLEX_TRANSPORT = {"mode": "complex", "xi_start": [[0, 0], [0, 0]], "xi_target": [[0, 0], [0, 0]]}
 A2_TRIPLE = {"theta_I": ["1", "-1"], "theta_J": ["0", "0"], "theta_K": ["0", "0"]}
+A2_TARGET = {"theta_I": [1.0, -1.0], "theta_J": [0.0, 0.0], "theta_K": [0.0, 0.0]}
 # requests over the cap on the torus-weight export or on the wall scan's
 # dimension vectors (401^2 of them, over cones.ENUMERATION_CAP)
 CAPPED_REGULAR = [
@@ -167,7 +168,7 @@ CAPPED_REGULAR = [
     ("regular", {"quiver": A2_SPEC["quiver"], "dims": [400, 400], "theta_triple": A2_TRIPLE}),
     ("regular", {"quiver": A2_SPEC["quiver"], "dims": [400, 400], "xi": [["1", "0"], ["-1", "0"]]}),
     ("transport", {"quiver": A2_SPEC["quiver"], "dims": [400, 400], "transport": {
-        "mode": "hyperkahler", "target_triple": A2_TRIPLE, "regular_gate": [A2_TRIPLE]}}),
+        "mode": "hyperkahler", "target_triple": A2_TARGET, "regular_gate": [A2_TRIPLE]}}),
 ]
 
 
@@ -272,6 +273,38 @@ def test_transport_spec_errors_name_their_field_once(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == EXIT_BAD_INPUT
         assert err.startswith(f"error: {field}: ") and err.count(field) == 1, err
+
+
+def test_every_number_is_read_strictly(tmp_path, capsys):
+    """A JSON number field holds a number, a rational field a "p/q" string or
+    a number, never true/false, and a pair exactly two entries; anything else
+    exits 2 with one error line that names its field."""
+    a2_xi = [["1", "0"], ["-1", "0"]]
+    cases = [
+        ("moment", dict(A2_SPEC, representation={"blocks": [[[{"a": 1}]], [[[0.0, 0.0]]]]}),
+         "representation.blocks[0]"),
+        ("moment", dict(A2_SPEC, representation={"blocks": [[["12"]], [[[0.0, 0.0]]]]}),
+         "representation.blocks[0]"),
+        ("moment", dict(A2_SPEC, representation={"blocks": [[[[1.0, 0.0, 7.0]]], [[[0.0, 0.0]]]]}),
+         "representation.blocks[0]"),
+        ("solve", dict(A2_SPEC, theta=["4", "-4"]), "theta"),
+        ("regular", dict(A2_SPEC, xi=[{"a": 1}, a2_xi[1]]), "xi"),
+        ("regular", dict(A2_SPEC, xi=[[True, "0"], a2_xi[1]]), "xi"),
+        ("regular", dict(A2_SPEC, theta_triple=dict(A2_TRIPLE, theta_I=[True, "-1"])),
+         "theta_triple.theta_I"),
+        ("transport", dict(A2_SPEC, transport=dict(COMPLEX_TRANSPORT, xi_start=[{"a": 1}, [0, 0]])),
+         "transport.xi_start"),
+        ("transport", dict(A2_SPEC, transport=dict(COMPLEX_TRANSPORT, xi_target=[["0", "0"], [0, 0]])),
+         "transport.xi_target"),
+        ("transport", dict(A2_SPEC, transport={"mode": "hyperkahler", "target_triple": A2_TRIPLE}),
+         "transport.target_triple.theta_I"),
+        ("transport", dict(A2_SPEC, transport={"mode": "quaternion", "q": ["1", 0, 0, 0]}), "transport.q"),
+    ]
+    for command, spec, field in cases:
+        code, report = run_cli(tmp_path, command, spec)
+        err = capsys.readouterr().err
+        assert code == EXIT_BAD_INPUT and report is None, (spec, err)
+        assert err.startswith(f"error: {field}: ") and err.count("\n") == 1, (spec, err)
 
 
 def test_deep_subdivision_exits_2_before_any_solve(tmp_path, monkeypatch):

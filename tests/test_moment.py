@@ -96,8 +96,8 @@ def test_moment_complex_trace_and_equivariance():
         u = random_unitary(rng, dims)
         lhs = moment_complex(act(u, x))
         rhs = [ub @ b @ np.linalg.inv(ub) for ub, b in zip(u.blocks, mc.blocks)]
-        worst = max(
-            float(np.abs(a - b).max(initial=0)) for a, b in zip(lhs.blocks, rhs)
+        worst = selftest.worse(
+            *(float(np.abs(a - b).max(initial=0)) for a, b in zip(lhs.blocks, rhs))
         )
         assert worst <= 1e-10 * (1 + norm_sq(x))
 

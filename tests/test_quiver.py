@@ -159,6 +159,23 @@ def test_structure_isometries_random():
         assert selftest.structure_isometry_defect(x) <= 1e-12
 
 
+def test_check_with_a_nan_defect_fails(monkeypatch):
+    """One NaN defect among finite ones fails the check and shows in its
+    detail, wherever it falls among the draws."""
+    assert selftest.worse(0.5, float("nan"), 2.0) != selftest.worse(0.5, float("nan"), 2.0)
+    assert selftest.worse() == 0.0 and selftest.worse(-1.0, 3.0, 2.0) == 3.0
+    calls = []
+
+    def nan_on_second_draw(x):
+        calls.append(x)
+        return float("nan") if len(calls) == 2 else 0.0
+
+    monkeypatch.setattr(selftest, "structure_isometry_defect", nan_on_second_draw)
+    passed, detail = selftest.check_structure_isometries(np.random.default_rng(0), 1.0)
+    assert len(calls) > 2
+    assert not passed and "nan" in detail
+
+
 def test_rotation_example(a2_rep):
     x = a2_rep(1, 0)
     rot = hyperkahler_rotation(x)

@@ -62,7 +62,7 @@ def _extras(command, base):
 # hostile values; raw JSON tokens stand in a placeholder string until the
 # spec is written out
 RAW = {"__1e999__": "1e999", "__nan__": "NaN", "__inf__": "Infinity", "__neg_inf__": "-Infinity"}
-HOSTILE = [None, True, False, "x", [], [1.0], 10**400, -(10**400), "1e10000000", *RAW]
+HOSTILE = [None, True, False, "x", [], {}, [1.0], 10**400, -(10**400), "1e10000000", *RAW]
 
 
 def _paths(node, prefix=()):
