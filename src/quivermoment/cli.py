@@ -6,14 +6,16 @@ codes:
 
 * 0 success;
 * 1 invariant or check failure;
-* 2 malformed input, a budget or a size over its cap, or an output that
-  cannot be written.  Each kind of JSON value has one reader: every number
-  field (blocks, theta, waypoints, ``target_triple``, complex-transport xi,
-  ``q``, ``t`` and the options) is a JSON number, never a string or
-  true/false (``_number``); a rational is a "p/q" or decimal string or a
-  JSON number, never a bool (``_rational``); a pair has exactly two entries
-  (``_pair``).  A constructor that refuses what was read exits 2 through
-  ``_made``, with the field's path.  A ``regular`` request meets its two size caps before
+* 2 malformed input, a budget not above 0 or over its cap (a stability
+  search budget is also a whole number), a size over its cap, or an output
+  that cannot be written.  Each kind of JSON value has one reader: every
+  number field (blocks, theta, waypoints, ``target_triple``,
+  complex-transport xi, ``q``, ``t`` and the options) is a JSON number,
+  never a string or true/false (``_number``); a rational is a "p/q" or
+  decimal string or a JSON number, never a bool (``_rational``); a pair has
+  exactly two entries (``_pair``); ``export_weights`` is true or false.  A
+  constructor that refuses what was read exits 2 through ``_made``, with
+  the field's path.  A ``regular`` request meets its two size caps before
   it enumerates anything: the torus-weight export may hold at most
   ``MAX_WEIGHT_ENTRIES`` (10^6) floats, counted as matrix entry slots times
   coordinates, and a wall scan (also that of a transport's
@@ -21,6 +23,10 @@ codes:
   vectors;
 * 3 numerical non-convergence, or a report with non-finite values;
 * 4 internal error: any other exception, reported on one stderr line.
+
+Each command imports the library modules it runs, inside its function, so a
+run loads only those: ``regular`` never loads the solver, and only
+``selftest`` loads ``selftest``.
 """
 
 from __future__ import annotations
@@ -34,36 +40,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from . import __version__, selftest
-from .cones import (
-    EnumerationCapError,
-    RationalThetaTriple,
-    complex_regular_check,
-    hyperkahler_regular_check,
-    parse_rational,
-    torus_weights,
-)
-from .flow import FlowOptions, flow_integrate
-from .kempf_ness import SolveOptions, solve_moment_equation
-from .lie import LieAlgebraElement, StabilityParameter, pairing
-from .moment import (
-    complex_vs_real_identity,
-    moment_complex,
-    moment_hyperkahler,
-    moment_pairing_fd_oracle,
-)
-from .quiver import STRUCTURES, Quiver, Representation, extend
-from .sampling import random_representation, random_uv_element
-from .stability import certify_stable_numerical, king_stable_test
-from .transport import (
-    TransportError,
-    TransportPlan,
-    quaternion_transport,
-    replay_transport,
-    transport_complex,
-    transport_hyperkahler,
-    transport_real,
-)
+from . import __version__
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -157,6 +134,8 @@ def _count(value, path):
 def _rational(value, path):
     """An exact rational: a "p/q" or decimal string or a JSON number, never
     true/false."""
+    from .cones import parse_rational
+
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise SpecError(f"{path}: expected a rational (a \"p/q\" string or a number)")
     return _made(path, parse_rational, value)
@@ -195,13 +174,14 @@ def _made(path, make, *args, **kwargs):
         raise SpecError(f"{path}: {exc}") from exc
 
 
-def _budget(args, value, path, cap):
-    """``--budget`` when given, else the spec's ``value``: a finite number at
-    most ``cap``, because the work it buys grows with it."""
+def _budget(args, value, path, cap, whole=False):
+    """``--budget`` when given, else the spec's ``value``: a number above 0
+    and at most ``cap``, because the work it buys grows with it, and a whole
+    number when ``whole``."""
     if args.budget is not None:
         value, path = args.budget, "--budget"
-    if _number(value, path) > cap:
-        raise SpecError(f"{path}: at most {cap}")
+    if not 0 < _number(value, path) <= cap or (whole and value != int(value)):
+        raise SpecError(f"{path}: expected a {'whole ' if whole else ''}number above 0 and at most {cap}")
     return value
 
 
@@ -234,6 +214,8 @@ def _options(cls, data, path, args, tolerance, integers=(), numbers=(), **extra)
 
 
 def parse_quiver(spec):
+    from .quiver import Quiver, extend
+
     q = _object(_require(spec, "quiver"), "quiver")
     vertices = _count(q.get("vertices"), "quiver.vertices")
     edges = [_pair(e, "quiver.edges", _count) for e in _list(q.get("edges", []), "quiver.edges", "edges")]
@@ -242,6 +224,8 @@ def parse_quiver(spec):
 
 
 def parse_theta(values, dims, path):
+    from .lie import StabilityParameter
+
     return _made(path, StabilityParameter, _per_vertex(values, dims, path, _number), dims)
 
 
@@ -251,18 +235,26 @@ def parse_point(spec, rng, theta=True):
     quiver, dims = parse_quiver(spec)
     data = spec.get("representation")
     if data is None:
+        from .sampling import random_representation
+
         x = random_representation(rng, quiver, dims)
     else:
+        from .quiver import Representation
+
         blocks = _matrices(data, quiver.num_edges, "representation.blocks")
         x = _made("representation", Representation, quiver, dims, blocks)
     return x, (parse_theta(_require(spec, "theta"), dims, "theta") if theta else None)
 
 
 def algebra_element_from_json(data, dims, path):
+    from .lie import LieAlgebraElement
+
     return _made(path, LieAlgebraElement, _matrices(data, len(dims), path))
 
 
 def parse_rational_triple(data, dims, path):
+    from .cones import RationalThetaTriple
+
     rationals = partial(_per_vertex, read=_rational)
     return _made(path, RationalThetaTriple, *_triple(data, dims, path, rationals), dims)
 
@@ -271,6 +263,11 @@ def parse_rational_triple(data, dims, path):
 # commands
 
 def cmd_moment(spec, args, rng):
+    from .lie import pairing
+    from .moment import complex_vs_real_identity, moment_complex, moment_hyperkahler, moment_pairing_fd_oracle
+    from .quiver import STRUCTURES
+    from .sampling import random_uv_element
+
     x, _ = parse_point(spec, rng, theta=False)
     triple = moment_hyperkahler(x)
     mu_c = moment_complex(x)
@@ -294,6 +291,8 @@ def cmd_moment(spec, args, rng):
 
 
 def _solve_options(spec, args):
+    from .kempf_ness import SolveOptions
+
     data = _object(spec.get("solve", {}), "solve")
     extra = {"step_control": data["step_control"]} if "step_control" in data else {}
     return _options(SolveOptions, data, "solve", args, "gradient_tolerance", ("max_iterations",),
@@ -301,6 +300,9 @@ def _solve_options(spec, args):
 
 
 def cmd_solve(spec, args, rng):
+    from .kempf_ness import solve_moment_equation
+    from .quiver import STRUCTURES
+
     x, theta = parse_point(spec, rng)
     structure = spec.get("structure", "I")
     if structure not in STRUCTURES:
@@ -327,6 +329,8 @@ def _write(path, text):
 
 
 def cmd_flow(spec, args, rng):
+    from .flow import FlowOptions, flow_integrate
+
     x, theta = parse_point(spec, rng)
     data = _object(spec.get("flow", {}), "flow")
     opts = _options(FlowOptions, data, "flow", args, "stall_tolerance",
@@ -348,9 +352,11 @@ def cmd_flow(spec, args, rng):
 
 
 def cmd_stability(spec, args, rng):
+    from .stability import certify_stable_numerical, king_stable_test
+
     x, theta = parse_point(spec, rng)
     data = _object(spec.get("stability", {}), "stability")
-    budget = _budget(args, data.get("search_budget", 64), "stability.search_budget", MAX_SEARCH_BUDGET)
+    budget = _budget(args, data.get("search_budget", 64), "stability.search_budget", MAX_SEARCH_BUDGET, whole=True)
     king = king_stable_test(x, theta, search_budget=int(budget), seed=args.seed)
     numeric = certify_stable_numerical(x, theta, opts=_solve_options(spec, args))
     return {
@@ -360,8 +366,12 @@ def cmd_stability(spec, args, rng):
 
 
 def cmd_regular(spec, args, rng):
+    from .cones import EnumerationCapError, complex_regular_check, hyperkahler_regular_check, torus_weights
+
     quiver, dims = parse_quiver(spec)
-    export = spec.get("export_weights")
+    export = spec.get("export_weights", False)
+    if not isinstance(export, bool):
+        raise SpecError("export_weights: expected true or false")
     if export:
         # the weight matrix has up to one row per matrix entry slot
         slots = sum(dims[quiver.head(e)] * dims[quiver.tail(e)] for e in range(quiver.num_edges))
@@ -398,6 +408,17 @@ def cmd_regular(spec, args, rng):
 
 
 def cmd_transport(spec, args, rng):
+    from .cones import EnumerationCapError
+    from .transport import (
+        TransportError,
+        TransportPlan,
+        quaternion_transport,
+        replay_transport,
+        transport_complex,
+        transport_hyperkahler,
+        transport_real,
+    )
+
     x, _ = parse_point(spec, rng, theta=False)
     dims = x.dims
     tspec = _object(spec.get("transport", {}), "transport")
@@ -465,6 +486,8 @@ def cmd_transport(spec, args, rng):
 
 
 def cmd_selftest(spec, args, rng):
+    from . import selftest
+
     budget = float(_budget(args, spec.get("budget", 1.0), "budget", MAX_SELFTEST_BUDGET))
     results = selftest.run_selftest(seed=args.seed, budget=budget)
     checks = [

@@ -44,8 +44,8 @@ class FlowOptions:
     stall_tolerance: float = 1e-9
 
     def __post_init__(self):
-        if min(self.initial_step, self.max_time, self.stall_tolerance) <= 0:
-            raise ValueError("flow options must be positive")
+        if not all(0 < v < math.inf for v in (self.initial_step, self.max_time, self.stall_tolerance)):
+            raise ValueError("flow options must be positive and finite")
 
 
 @dataclass

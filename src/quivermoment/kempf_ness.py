@@ -71,8 +71,8 @@ class SolveOptions:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.gradient_tolerance <= 0 or self.divergence_norm_bound <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.gradient_tolerance < math.inf and 0 < self.divergence_norm_bound < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.step_control not in ("damped-newton", "gradient-descent-armijo"):
             raise ValueError(f"unknown step_control {self.step_control!r}")
 

@@ -67,8 +67,8 @@ class TransportPlan:
     def __post_init__(self):
         if not 0 <= self.max_subdivision_depth <= MAX_SUBDIVISION_DEPTH:
             raise ValueError(f"max_subdivision_depth must be between 0 and {MAX_SUBDIVISION_DEPTH}")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         for s in self.leg_order:
             _check_structure(s)
 

@@ -247,6 +247,8 @@ def test_malformed_input_exit_code(tmp_path, capsys):
         ("selftest", {}, "--budget", "nan"),
         ("stability", dict(A2_SPEC, stability={"search_budget": 1e300})),
         ("stability", A2_SPEC, "--budget", "1e300"),
+        # export_weights is true or false, not a truthy or falsy value
+        *[("regular", dict(A2_SPEC, export_weights=e, xi=[["1", "0"], ["-1", "0"]])) for e in ([1], "no", 2, 0)],
         # numpy's generators take nonnegative seeds only
         *[(c, A2_SPEC, "--seed", "-1") for c in ("solve", "moment", "stability", "selftest")],
         # bisection deeper than the plan's cap cannot move the midpoints
@@ -305,6 +307,24 @@ def test_every_number_is_read_strictly(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == EXIT_BAD_INPUT and report is None, (spec, err)
         assert err.startswith(f"error: {field}: ") and err.count("\n") == 1, (spec, err)
+
+
+def test_budgets_above_zero_name_their_field(tmp_path, capsys):
+    """A budget at or below 0, or a stability search budget that is not a
+    whole number, exits 2 with one error line naming the field it came from:
+    ``--budget`` when given, else the spec's own field."""
+    cases = [
+        *[("stability", dict(A2_SPEC, stability={"search_budget": b}), (), "stability.search_budget")
+          for b in (-5, 0, 0.5, 64.5)],
+        *[("stability", A2_SPEC, ("--budget", b), "--budget") for b in ("-5", "0", "8.5")],
+        *[("selftest", {"budget": b}, (), "budget") for b in (-1, 0)],
+        *[("selftest", {}, ("--budget", b), "--budget") for b in ("-0.5", "0")],
+    ]
+    for command, spec, extra, field in cases:
+        code, report = run_cli(tmp_path, command, spec, *extra)
+        err = capsys.readouterr().err
+        assert code == EXIT_BAD_INPUT and report is None, (spec, extra, err)
+        assert err.startswith(f"error: {field}: ") and err.count("\n") == 1, (spec, extra, err)
 
 
 def test_deep_subdivision_exits_2_before_any_solve(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 
 import numpy as np
@@ -155,6 +156,9 @@ def test_flow_options_validation():
         FlowOptions(initial_step=0.0)
     with pytest.raises(ValueError):
         FlowOptions(max_time=-1.0)
+    for bad in ({"initial_step": math.nan}, {"max_time": math.inf}, {"stall_tolerance": -math.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            FlowOptions(**bad)
 
 
 def test_flow_trajectory_columns(a2_rep, theta11):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,9 @@ def test_solve_options_validation():
         SolveOptions(max_iterations=0)
     with pytest.raises(ValueError):
         SolveOptions(step_control="newton-exact")
+    for bad in ({"gradient_tolerance": math.nan}, {"divergence_norm_bound": math.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            SolveOptions(**bad)
 
 
 def test_gradient_descent_mode(a2_rep, theta11):

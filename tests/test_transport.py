@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -226,3 +228,9 @@ def test_subdivision_depth_is_capped():
     for depth in (-1, MAX_SUBDIVISION_DEPTH + 1, 5000):
         with pytest.raises(ValueError, match="^max_subdivision_depth must be between 0 and 64$"):
             TransportPlan(max_subdivision_depth=depth)
+
+
+def test_plan_tolerance_is_positive_and_finite():
+    for tolerance in (0.0, -1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^tolerance must be positive and finite$"):
+            TransportPlan(tolerance=tolerance)
