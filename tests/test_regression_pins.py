@@ -32,6 +32,7 @@ from quivermoment import (
     theta_to_center,
 )
 from quivermoment import sampling as S
+from quivermoment import selftest
 from quivermoment.cli import main
 from quivermoment.lie import (
     VertexMatrices,
@@ -410,6 +411,14 @@ def test_cli_report_pins(tmp_path):
             h.update(csv.read_bytes())
     assert codes == [0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0]
     assert h.hexdigest()[:16] == "414d373d8d055cea"
+
+
+def test_selftest_full_budget_pin():
+    """Name, verdict and detail of every check of the seed-1 selftest at the
+    default budget, where each check runs its full instance count."""
+    results = selftest.run_selftest(seed=1)
+    assert all(r.passed for r in results)
+    assert _digest(repr([(r.name, r.passed, r.detail) for r in results]).encode()) == "2518e9a3d92d4e76"
 
 
 def test_flow_outcome_pins(a2_rep, theta11):
