@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -69,6 +70,8 @@ class SolveOptions:
     initial_y: Optional[LieAlgebraElement] = None
 
     def __post_init__(self):
+        if not isinstance(self.max_iterations, numbers.Integral):
+            raise ValueError("max_iterations must be an integer")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if not (0 < self.gradient_tolerance < math.inf and 0 < self.divergence_norm_bound < math.inf):

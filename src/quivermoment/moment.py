@@ -143,7 +143,8 @@ def complex_vs_real_identity(x: Representation):
     lhs = moment_real(x, "J") + 1j * moment_real(x, "K")
     den = pairing(mu_c, mu_c)
     # |mu_C|^2 has degree four in x; a fixed cutoff would read rounding as signal
-    if den <= 1e-30 * inner_product(x, x).real ** 2:
+    size = inner_product(x, x).real
+    if den <= 1e-30 * size * size:  # overflows to inf, where ** 2 raises
         return None, pairing_norm(lhs)
     c = pairing(lhs, mu_c) / den
     return c, pairing_norm(lhs - c * mu_c)

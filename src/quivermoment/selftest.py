@@ -13,12 +13,21 @@ bound is computed by one defect function here.  It takes the drawn inputs
 the defect or verdict for them; each caller keeps its own seed, count, draw
 order and tolerance.  Where callers scale a gap differently, the function
 returns the raw gap and each caller applies its own scale.
+
+Sixteen checks bound the worst defect over random instances.  Each is a
+``Row`` of ``CHECKS``: its instance count, tolerance, detail label,
+``random_instance`` options, and the draws it makes after each instance.
+``worst_over(name, rng, count)`` is the one loop that runs a row; a unit
+test that draws as a row does calls it with its own seed and count and bounds
+the result by its own tolerance.  Checks that stop early with their own
+message stay functions of (rng, budget).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -76,15 +85,45 @@ def worse(*defects):
     return worst
 
 
+@dataclass(frozen=True)
+class Row:
+    """A worst-defect check.  ``defect(rng, quiver, dims, x)`` takes one
+    ``random_instance(rng, **instance)`` draw, makes the check's further draws
+    in order and returns their defect; the check passes when the worst over
+    ``count`` draws, scaled by the budget, is at most ``tol``, and reports it
+    after ``label``."""
+
+    count: int
+    tol: float
+    label: str
+    defect: Callable
+    instance: dict = field(default_factory=dict)
+
+
+def worst_over(name, rng, count):
+    """Worst defect of the row ``name`` of ``CHECKS`` over ``count`` draws
+    from ``rng``; NaN when a defect is NaN."""
+    row = ROWS[name]
+    worst = 0.0
+    for _ in range(count):
+        quiver, dims, x = sampling.random_instance(rng, **row.instance)
+        worst = worse(worst, row.defect(rng, quiver, dims, x))
+    return worst
+
+
 def run_selftest(seed=0, budget=1.0):
     """Run every invariant check; returns a list of CheckResult."""
     master = np.random.default_rng(seed)
     seeds = {name: int(master.integers(2 ** 63)) for name, _ in CHECKS}
     results = []
-    for name, fn in CHECKS:
+    for name, check in CHECKS:
         rng = np.random.default_rng(seeds[name])
         try:
-            passed, detail = fn(rng, budget)
+            if isinstance(check, Row):
+                worst = worst_over(name, rng, _scaled(check.count, budget))
+                passed, detail = worst <= check.tol, f"{check.label} {worst:.2e}"
+            else:
+                passed, detail = check(rng, budget)
         except Exception as exc:  # a crash is a failed invariant, not a crash of the suite
             passed, detail = False, f"exception: {exc!r}"
         results.append(CheckResult(name, passed, detail))
@@ -94,12 +133,6 @@ def run_selftest(seed=0, budget=1.0):
 def _adjoint(u, w):
     """u w u^dagger block by block, projected onto the compact algebra."""
     return LieAlgebraElement.project([ub @ wb @ ub.conj().T for ub, wb in zip(u.blocks, w.blocks)])
-
-
-def _random_xs(rng, count, **kw):
-    for _ in range(count):
-        quiver, dims, x = sampling.random_instance(rng, **kw)
-        yield quiver, dims, x
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +315,11 @@ def pairing_is_positive(y):
     return pairing(y, y) > 0 or uv_basis(y.dims).dim == 0
 
 
+def _relative(gap, reference):
+    """``gap`` scaled by 1 + |reference|."""
+    return gap / (1.0 + abs(reference))
+
+
 def ad_invariance_gap(y, z, u):
     """|<Ad_u y, Ad_u z> - <y, z>| and <y, z>."""
     reference = pairing(y, z)
@@ -336,19 +374,12 @@ def stabilizer_conjugation_holds(x, g):
     return stabilizer_lie_dim(act(g, x)) == stabilizer_lie_dim(x)
 
 
-def moment_oracle_defect(rng, count):
-    """Worst scaled gap between pairing(mu_s(x), y) and its finite-difference
-    oracle over ``count`` draws of (x, y, s)."""
-    worst = 0.0
-    for _ in range(count):
-        quiver, dims, x = sampling.random_instance(rng)
-        y = sampling.random_uv_element(rng, dims)
-        s = STRUCTURES[int(rng.integers(3))]
-        lhs = pairing(moment.moment_real(x, s), y)
-        rhs = moment.moment_pairing_fd_oracle(x, y, s)
-        scale = 1.0 + norm_sq(x) * math.sqrt(pairing(y, y))
-        worst = worse(worst, abs(lhs - rhs) / scale)
-    return worst
+def moment_oracle_defect(x, y, s):
+    """Scaled gap between pairing(mu_s(x), y) and its finite-difference
+    oracle."""
+    lhs = pairing(moment.moment_real(x, s), y)
+    rhs = moment.moment_pairing_fd_oracle(x, y, s)
+    return abs(lhs - rhs) / (1.0 + norm_sq(x) * math.sqrt(pairing(y, y)))
 
 
 def moment_equivariance_defect(x, u):
@@ -586,44 +617,6 @@ def quaternion_transport_defect(x, q, t):
 # Checks
 
 
-def check_structure_isometries(rng, budget):
-    worst = 0.0
-    for _, _, x in _random_xs(rng, _scaled(30, budget)):
-        worst = worse(worst, structure_isometry_defect(x))
-    return worst <= 1e-12, f"max relative norm drift {worst:.2e}"
-
-
-def check_quaternion_relations(rng, budget):
-    worst = 0.0
-    for _, _, x in _random_xs(rng, _scaled(30, budget)):
-        worst = worse(worst, quaternion_relations_defect(x))
-    return worst <= 1e-12, f"max defect {worst:.2e}"
-
-
-def check_rotation_identities(rng, budget):
-    worst = 0.0
-    for _, _, x in _random_xs(rng, _scaled(30, budget)):
-        worst = worse(worst, rotation_identities_defect(x))
-    return worst <= 1e-12, f"max defect {worst:.2e}"
-
-
-def check_quaternion_action(rng, budget):
-    worst = 0.0
-    for _, _, x in _random_xs(rng, _scaled(20, budget)):
-        q1 = sampling.random_unit_quaternion(rng)
-        q2 = sampling.random_unit_quaternion(rng)
-        worst = worse(worst, quaternion_action_defect(x, q1, q2))
-    return worst <= 1e-12, f"max composition defect {worst:.2e}"
-
-
-def check_metric_polarisation(rng, budget):
-    worst = 0.0
-    for quiver, dims, u in _random_xs(rng, _scaled(20, budget)):
-        v = sampling.random_representation(rng, quiver, dims)
-        worst = worse(worst, metric_polarisation_defect(u, v))
-    return worst <= 1e-10, f"max metric disagreement {worst:.2e}"
-
-
 def check_pairing_properties(rng, budget):
     worst = 0.0
     for _ in range(_scaled(20, budget)):
@@ -632,38 +625,8 @@ def check_pairing_properties(rng, budget):
         z = sampling.random_uv_element(rng, dims)
         if not pairing_is_positive(y):
             return False, "pairing not positive on a nonzero element"
-        gap, reference = ad_invariance_gap(y, z, sampling.random_unitary(rng, dims))
-        worst = worse(worst, gap / (1.0 + abs(reference)))
+        worst = worse(worst, _relative(*ad_invariance_gap(y, z, sampling.random_unitary(rng, dims))))
     return worst <= 1e-12, f"max Ad-invariance defect {worst:.2e}"
-
-
-def check_character_pairing(rng, budget):
-    worst = 0.0
-    for _ in range(_scaled(20, budget)):
-        quiver, dims, _ = sampling.random_instance(rng)
-        theta = sampling.random_theta(rng, dims)
-        y = sampling.random_uv_element(rng, dims)
-        gap, rhs = character_pairing_gap(theta, y, float(rng.uniform(-2, 2)))
-        worst = worse(worst, gap / (1.0 + abs(rhs)))
-    return worst <= 1e-10, f"max defect {worst:.2e}"
-
-
-def check_left_action(rng, budget):
-    worst = 0.0
-    for quiver, dims, x in _random_xs(rng, _scaled(15, budget)):
-        g1 = GroupElement.exp_i(sampling.random_uv_element(rng, dims, 0.4))
-        g2 = sampling.random_unitary(rng, dims)
-        worst = worse(worst, left_action_defect(x, g1, g2))
-    return worst <= 1e-11, f"max defect {worst:.2e}"
-
-
-def check_exp_action_consistency(rng, budget):
-    worst = 0.0
-    for quiver, dims, x in _random_xs(rng, _scaled(15, budget)):
-        y = sampling.random_uv_element(rng, dims, 0.5)
-        s, t = float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))
-        worst = worse(worst, exp_group_law_defect(x, y, s, t), flow_derivative_defect(x, y))
-    return worst <= 1e-8, f"max defect {worst:.2e}"
 
 
 def check_polar_decomposition(rng, budget):
@@ -689,46 +652,6 @@ def check_stabilizer_conjugation(rng, budget):
         if not stabilizer_conjugation_holds(x, g):
             return False, "stabilizer dimension changed under conjugation"
     return True, "stabilizer dimension invariant on all instances"
-
-
-def check_moment_oracle(rng, budget):
-    worst = moment_oracle_defect(rng, _scaled(60, budget))
-    return worst <= 1e-6, f"max oracle mismatch {worst:.2e}"
-
-
-def check_moment_equivariance(rng, budget):
-    worst = 0.0
-    for quiver, dims, x in _random_xs(rng, _scaled(20, budget)):
-        worst = worse(worst, moment_equivariance_defect(x, sampling.random_unitary(rng, dims)))
-    return worst <= 1e-10, f"max equivariance defect {worst:.2e}"
-
-
-def check_moment_complex_trace(rng, budget):
-    worst = 0.0
-    for _, _, x in _random_xs(rng, _scaled(20, budget)):
-        worst = worse(worst, complex_trace_defect(x))
-    return worst <= 1e-10, f"max trace sum {worst:.2e}"
-
-
-def check_rotation_intertwining(rng, budget):
-    worst = 0.0
-    for _, _, x in _random_xs(rng, _scaled(20, budget)):
-        worst = worse(worst, rotation_intertwining_defect(x))
-    return worst <= 1e-10, f"max intertwining defect {worst:.2e}"
-
-
-def check_quaternion_equivariance(rng, budget):
-    worst = 0.0
-    for _, _, x in _random_xs(rng, _scaled(30, budget)):
-        worst = worse(worst, quaternion_equivariance_defect(x, sampling.random_unit_quaternion(rng)))
-    return worst <= 1e-9, f"max equivariance defect {worst:.2e}"
-
-
-def check_moment_homogeneity(rng, budget):
-    worst = 0.0
-    for _, _, x in _random_xs(rng, _scaled(10, budget)):
-        worst = worse(worst, moment_homogeneity_defect(x))
-    return worst <= 1e-12, f"max homogeneity defect {worst:.2e}"
 
 
 def check_complex_real_proportionality(rng, budget):
@@ -802,16 +725,6 @@ def check_flow_invariants(rng, budget):
         if gap is not None and gap > 1e-8:
             return False, f"flow and solver fibers disagree by {gap:.2e}"
     return True, "monotone, classified, consistent with the solver"
-
-
-def check_flow_gradient(rng, budget):
-    worst = 0.0
-    for _ in range(_scaled(15, budget)):
-        quiver, dims, x = sampling.random_instance(rng, max_dim=3)
-        theta = sampling.random_theta(rng, dims)
-        d = sampling.random_representation(rng, quiver, dims)
-        worst = worse(worst, grad_h_defect(theta, x, d))
-    return worst <= 1e-6, f"max gradient mismatch {worst:.2e}"
 
 
 def check_cone_projection(rng, budget):
@@ -921,39 +834,58 @@ def check_hyperkahler_transport(rng, budget):
     return ok, f"fiber {worst_fiber:.2e}, round trip {worst_round:.2e}"
 
 
-def check_quaternion_transport(rng, budget):
-    worst = 0.0
-    for _, _, x in _random_xs(rng, _scaled(15, budget)):
-        q = sampling.random_unit_quaternion(rng)
-        t = float(rng.uniform(0.3, 3.0))
-        worst = worse(worst, quaternion_transport_defect(x, q, t))
-    return worst <= 1e-9, f"max moment prediction defect {worst:.2e}"
+def _exp_action_defect(rng, quiver, dims, x):
+    """The group law and the flow derivative of exp(itY) at x, for a drawn Y
+    and drawn times s and t."""
+    y = sampling.random_uv_element(rng, dims, 0.5)
+    s, t = float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))
+    return worse(exp_group_law_defect(x, y, s, t), flow_derivative_defect(x, y))
 
 
+# Every check, in report order: a Row, run by ``worst_over``, or a function of
+# (rng, budget) returning (passed, detail).
 CHECKS = [
-    ("structure_isometries", check_structure_isometries),
-    ("quaternion_relations", check_quaternion_relations),
-    ("rotation_identities", check_rotation_identities),
-    ("quaternion_action", check_quaternion_action),
-    ("metric_polarisation", check_metric_polarisation),
+    ("structure_isometries", Row(30, 1e-12, "max relative norm drift",
+                                 lambda rng, quiver, dims, x: structure_isometry_defect(x))),
+    ("quaternion_relations", Row(30, 1e-12, "max defect",
+                                 lambda rng, quiver, dims, x: quaternion_relations_defect(x))),
+    ("rotation_identities", Row(30, 1e-12, "max defect",
+                                lambda rng, quiver, dims, x: rotation_identities_defect(x))),
+    ("quaternion_action", Row(20, 1e-12, "max composition defect", lambda rng, quiver, dims, x: (
+        quaternion_action_defect(x, sampling.random_unit_quaternion(rng),
+                                 sampling.random_unit_quaternion(rng))))),
+    ("metric_polarisation", Row(20, 1e-10, "max metric disagreement", lambda rng, quiver, dims, x: (
+        metric_polarisation_defect(x, sampling.random_representation(rng, quiver, dims))))),
     ("pairing_properties", check_pairing_properties),
-    ("character_pairing", check_character_pairing),
-    ("left_action", check_left_action),
-    ("exp_action_consistency", check_exp_action_consistency),
+    ("character_pairing", Row(20, 1e-10, "max defect", lambda rng, quiver, dims, x: _relative(
+        *character_pairing_gap(sampling.random_theta(rng, dims), sampling.random_uv_element(rng, dims),
+                               float(rng.uniform(-2, 2)))))),
+    ("left_action", Row(15, 1e-11, "max defect", lambda rng, quiver, dims, x: left_action_defect(
+        x, GroupElement.exp_i(sampling.random_uv_element(rng, dims, 0.4)),
+        sampling.random_unitary(rng, dims)))),
+    ("exp_action_consistency", Row(15, 1e-8, "max defect", _exp_action_defect)),
     ("polar_decomposition", check_polar_decomposition),
     ("stabilizer_conjugation", check_stabilizer_conjugation),
-    ("moment_oracle", check_moment_oracle),
-    ("moment_equivariance", check_moment_equivariance),
-    ("moment_complex_trace", check_moment_complex_trace),
-    ("rotation_intertwining", check_rotation_intertwining),
-    ("quaternion_equivariance", check_quaternion_equivariance),
-    ("moment_homogeneity", check_moment_homogeneity),
+    ("moment_oracle", Row(60, 1e-6, "max oracle mismatch", lambda rng, quiver, dims, x: (
+        moment_oracle_defect(x, sampling.random_uv_element(rng, dims), STRUCTURES[int(rng.integers(3))])))),
+    ("moment_equivariance", Row(20, 1e-10, "max equivariance defect", lambda rng, quiver, dims, x: (
+        moment_equivariance_defect(x, sampling.random_unitary(rng, dims))))),
+    ("moment_complex_trace", Row(20, 1e-10, "max trace sum",
+                                 lambda rng, quiver, dims, x: complex_trace_defect(x))),
+    ("rotation_intertwining", Row(20, 1e-10, "max intertwining defect",
+                                  lambda rng, quiver, dims, x: rotation_intertwining_defect(x))),
+    ("quaternion_equivariance", Row(30, 1e-9, "max equivariance defect", lambda rng, quiver, dims, x: (
+        quaternion_equivariance_defect(x, sampling.random_unit_quaternion(rng))))),
+    ("moment_homogeneity", Row(10, 1e-12, "max homogeneity defect",
+                               lambda rng, quiver, dims, x: moment_homogeneity_defect(x))),
     ("complex_real_proportionality", check_complex_real_proportionality),
     ("solver_fixed_point", check_solver_fixed_point),
     ("solver_uniqueness", check_solver_uniqueness),
     ("solver_equivariance_inverse", check_solver_equivariance_inverse),
     ("flow_invariants", check_flow_invariants),
-    ("flow_gradient", check_flow_gradient),
+    ("flow_gradient", Row(15, 1e-6, "max gradient mismatch", lambda rng, quiver, dims, x: grad_h_defect(
+        sampling.random_theta(rng, dims), x, sampling.random_representation(rng, quiver, dims)),
+        {"max_dim": 3})),
     ("cone_projection", check_cone_projection),
     ("d_theta_brute_force", check_d_theta_brute_force),
     ("regular_loci", check_regular_loci),
@@ -961,5 +893,8 @@ CHECKS = [
     ("filtration_subreps", check_filtration_subreps),
     ("transport_real", check_transport_suite),
     ("transport_hyperkahler", check_hyperkahler_transport),
-    ("transport_quaternion", check_quaternion_transport),
+    ("transport_quaternion", Row(15, 1e-9, "max moment prediction defect", lambda rng, quiver, dims, x: (
+        quaternion_transport_defect(x, sampling.random_unit_quaternion(rng),
+                                    float(rng.uniform(0.3, 3.0)))))),
 ]
+ROWS = {name: check for name, check in CHECKS if isinstance(check, Row)}

@@ -13,6 +13,7 @@ One-parameter witnesses come only from the escape direction of the solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -101,7 +102,8 @@ class GradedSubspace:
 
 def subrepresentation_residual(x: Representation, w: GradedSubspace) -> float:
     """Worst Frobenius norm of the component of phi_e W_tail outside the span
-    of W_head, measured with orthonormalized bases."""
+    of W_head, measured with orthonormalized bases; NaN when an image
+    overflows, so that no tolerance accepts it."""
     if w.dims != x.dims:
         raise ValueError("subspace bound to a different dimension vector")
     qs = w.orthonormalized()
@@ -114,7 +116,10 @@ def subrepresentation_residual(x: Representation, w: GradedSubspace) -> float:
         image = x.blocks[e] @ qt
         qh = qs[quiver.head(e)]
         outside = image - qh @ (qh.conj().T @ image)
-        worst = max(worst, float(np.linalg.norm(outside)))
+        norm = float(np.linalg.norm(outside))
+        if norm != norm:
+            return math.nan
+        worst = max(worst, norm)
     return worst
 
 
@@ -135,7 +140,8 @@ def generated_subrep(x: Representation, seeds) -> GradedSubspace:
 
     Closure of the seed span under all edge maps, grown by projecting images
     onto the orthogonal complement until the dimensions stop moving or every
-    vertex space is full.
+    vertex space is full.  An image whose norm is not finite raises
+    FloatingPointError.
     """
     dims = x.dims
     bases = [np.zeros((d, 0), dtype=complex) for d in dims]
@@ -144,9 +150,12 @@ def generated_subrep(x: Representation, seeds) -> GradedSubspace:
         cur = bases[j]
         if cur.shape[1] == dims[j]:
             return False
+        norm = float(np.linalg.norm(vecs))
+        if not norm < math.inf:
+            raise FloatingPointError("non-finite closure image in the King search")
         residual = vecs - cur @ (cur.conj().T @ vecs) if cur.shape[1] else vecs
         u, s, _ = np.linalg.svd(residual, full_matrices=False)
-        scale = max(1.0, float(np.linalg.norm(vecs)))
+        scale = max(1.0, norm)
         keep = u[:, s > 1e-10 * scale]
         if keep.shape[1] == 0:
             return False
@@ -261,7 +270,8 @@ def king_stable_test(
     witness.  With no witness found, ``certify_stable_numerical`` decides, and
     a divergent solve's escape direction is its one-parameter witness.  Slope
     ties within tolerance make the verdict inconclusive rather than guessing
-    at the boundary.  An overflowing word operator raises FloatingPointError.
+    at the boundary.  An overflowing word operator or closure image raises
+    FloatingPointError.
     On a thin connected instance with every block modulus in [1e-9, 1e100]
     every closure is the whole space, so no candidate is built (see
     ``_every_closure_full``) and the verdict comes from the solver.
@@ -278,7 +288,7 @@ def king_stable_test(
         if w.is_zero() or w.is_full():
             return None
         resid = subrepresentation_residual(x, w)
-        if resid > WITNESS_TOL:
+        if not resid <= WITNESS_TOL:  # NaN too
             return None
         tested += 1
         slope = king_slope(theta, w.sub_dims())

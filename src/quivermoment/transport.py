@@ -13,6 +13,7 @@ directly with an exactly known effect on the moment triple.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -65,6 +66,8 @@ class TransportPlan:
     regular_gate: tuple = ()  # optional exact rational parameters to pre-check
 
     def __post_init__(self):
+        if not isinstance(self.max_subdivision_depth, numbers.Integral):
+            raise ValueError("max_subdivision_depth must be an integer")
         if not 0 <= self.max_subdivision_depth <= MAX_SUBDIVISION_DEPTH:
             raise ValueError(f"max_subdivision_depth must be between 0 and {MAX_SUBDIVISION_DEPTH}")
         if not 0 < self.tolerance < math.inf:
@@ -249,8 +252,11 @@ def xi_to_jk_parameters(xi, dims):
 
 
 def central_xi(x: Representation) -> np.ndarray:
-    """Per-vertex scalar of the complex moment value, which must be central."""
+    """Per-vertex scalar of the complex moment value, which must be central
+    and finite."""
     mu = moment_complex(x)
+    if not all(np.isfinite(b).all() for b in mu.blocks):
+        raise FloatingPointError("complex moment value is not finite")
     xi = np.array(
         [np.trace(b) / d if d else 0.0 for b, d in zip(mu.blocks, x.dims)],
         dtype=complex,

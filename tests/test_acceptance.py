@@ -63,7 +63,7 @@ def a2_pair():
 
 def test_criterion_1_moment_oracle_suite():
     start = time.perf_counter()
-    worst = selftest.moment_oracle_defect(np.random.default_rng(1001), 200)
+    worst = selftest.worst_over("moment_oracle", np.random.default_rng(1001), 200)
     assert worst <= 1e-6
     elapsed = time.perf_counter() - start
     assert elapsed <= 5.0

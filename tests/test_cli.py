@@ -376,6 +376,13 @@ def test_transport_overflow_exits_3(tmp_path):
             code, report = run_cli(tmp_path, "transport", dict(big, transport=transport))
         assert code == EXIT_NO_CONVERGENCE, transport
         assert "not finite" in report["result"]["error"]
+    zeros = [[0.0, 0.0], [0.0, 0.0]]
+    both = dict(A2_SPEC, representation={"blocks": [[[[1e200, 0.0]]], [[[1e200, 0.0]]]]},
+                transport={"mode": "complex", "xi_start": zeros, "xi_target": zeros})
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, report = run_cli(tmp_path, "transport", both)
+    assert code == EXIT_NO_CONVERGENCE
+    assert report["result"]["error"] == "complex moment value is not finite"
 
 
 def _reject_constant(name):
@@ -386,11 +393,15 @@ def test_non_finite_results_exit_3_with_strict_json(tmp_path):
     """A representation too large to square: the moment report writes its
     overflowed values as null with a flag, and the solve and stability
     searches report the overflow, all as strict JSON with exit 3.  Blocks of
-    1e155 overflow only in the King search's two-step word operator."""
+    1e155 overflow only in the King search's two-step word operator; with
+    blocks of 1.5e308 the search first overflows in a closure image."""
     big = dict(A2_SPEC, representation={"blocks": [[[[1e200, 0.0]]], [[[1.0, 0.0]]]]})
     words = dict(A2_SPEC, representation={"blocks": [[[[1e155, 0.0]]], [[[1e155, 0.0]]]]})
+    row = [[1.5e308, 0.0], [1.5e308, 0.0]]
+    closure = dict(A2_SPEC, dims=[2, 2], representation={"blocks": [
+        [row, [[1.0, 0.0], [1.0, 0.0]]], [[[1.5e308, 0.0], [1.0, 0.0]], [[1.5e308, 0.0], [1.0, 0.0]]]]})
     out = tmp_path / "out.json"
-    cases = [("moment", big), ("solve", big), ("stability", big), ("stability", words)]
+    cases = [("moment", big), ("solve", big), ("stability", big), ("stability", words), ("stability", closure)]
     for command, spec in cases:
         path = tmp_path / "in.json"
         path.write_text(json.dumps(spec))
@@ -401,11 +412,17 @@ def test_non_finite_results_exit_3_with_strict_json(tmp_path):
         if command == "moment":
             assert report["non_finite"] is True
             assert report["result"]["proportionality_residual"] is None
+            assert report["result"]["oracle_max_mismatch"] is None
         else:
             assert "non_finite" not in report
             assert "non-finite" in report["result"]["error"]
     code, report = run_cli(tmp_path, "moment", A2_SPEC)
     assert code == EXIT_OK and "non_finite" not in report
+    # |x|^2 = 1e308 is finite, and its square overflows in the degeneracy cutoff
+    square = dict(A2_SPEC, representation={"blocks": [[[[1e154, 0.0]]], [[[1.0, 0.0]]]]})
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, report = run_cli(tmp_path, "moment", square)
+    assert code == EXIT_NO_CONVERGENCE and report["result"]["oracle_max_mismatch"] is None
     with np.errstate(over="ignore", invalid="ignore"):
         code, reports = run_cli(tmp_path, "moment", [big, A2_SPEC])
     assert code == EXIT_NO_CONVERGENCE

@@ -212,6 +212,10 @@ def test_solver_zero_rep_diverges(a2, theta11):
 def test_solve_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(max_iterations=0)
+    for bad in (1.5, 2.0, math.nan):
+        with pytest.raises(ValueError, match="^max_iterations must be an integer$"):
+            SolveOptions(max_iterations=bad)
+    assert SolveOptions(max_iterations=np.int64(3)).max_iterations == 3
     with pytest.raises(ValueError):
         SolveOptions(step_control="newton-exact")
     for bad in ({"gradient_tolerance": math.nan}, {"divergence_norm_bound": math.inf}):

@@ -20,7 +20,6 @@ from quivermoment.moment import MU_C_FROM_JK, complex_vs_real_identity
 from quivermoment.sampling import (
     random_instance,
     random_representation,
-    random_unit_quaternion,
     random_unitary,
 )
 
@@ -59,7 +58,7 @@ def test_fd_oracle_examples(a2_rep):
 
 
 def test_fd_oracle_agreement_random():
-    assert selftest.moment_oracle_defect(np.random.default_rng(21), 100) <= 1e-6
+    assert selftest.worst_over("moment_oracle", np.random.default_rng(21), 100) <= 1e-6
 
 
 def test_moment_in_compact_algebra():
@@ -103,10 +102,7 @@ def test_moment_complex_trace_and_equivariance():
 
 
 def test_moment_equivariance_unitary():
-    rng = np.random.default_rng(24)
-    for _ in range(15):
-        quiver, dims, x = random_instance(rng)
-        assert selftest.moment_equivariance_defect(x, random_unitary(rng, dims)) <= 1e-10
+    assert selftest.worst_over("moment_equivariance", np.random.default_rng(24), 15) <= 1e-10
 
 
 def test_hyperkahler_triple_examples(a2_rep, theta11):
@@ -120,24 +116,15 @@ def test_hyperkahler_triple_examples(a2_rep, theta11):
 
 
 def test_homogeneity_random():
-    rng = np.random.default_rng(25)
-    for _ in range(10):
-        _, _, x = random_instance(rng)
-        assert selftest.moment_homogeneity_defect(x) <= 1e-12
+    assert selftest.worst_over("moment_homogeneity", np.random.default_rng(25), 10) <= 1e-12
 
 
 def test_rotation_intertwining():
-    rng = np.random.default_rng(26)
-    for _ in range(15):
-        _, _, x = random_instance(rng)
-        assert selftest.rotation_intertwining_defect(x) <= 1e-10
+    assert selftest.worst_over("rotation_intertwining", np.random.default_rng(26), 15) <= 1e-10
 
 
 def test_quaternion_equivariance():
-    rng = np.random.default_rng(27)
-    for _ in range(20):
-        _, _, x = random_instance(rng)
-        assert selftest.quaternion_equivariance_defect(x, random_unit_quaternion(rng)) <= 1e-9
+    assert selftest.worst_over("quaternion_equivariance", np.random.default_rng(27), 20) <= 1e-9
 
 
 def test_proportionality_examples(a2, a2_rep):

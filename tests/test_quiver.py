@@ -20,7 +20,7 @@ from quivermoment import (
 )
 from quivermoment import selftest
 from quivermoment.quiver import ExtendedQuiver
-from quivermoment.sampling import random_instance, random_representation, random_unit_quaternion
+from quivermoment.sampling import random_instance, random_representation
 
 STRUCTURES = ("I", "J", "K")
 
@@ -146,17 +146,11 @@ def test_structure_examples(a2_rep):
 
 
 def test_quaternion_relations_random():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        _, _, x = random_instance(rng)
-        assert selftest.quaternion_relations_defect(x) <= 1e-12
+    assert selftest.worst_over("quaternion_relations", np.random.default_rng(11), 20) <= 1e-12
 
 
 def test_structure_isometries_random():
-    rng = np.random.default_rng(12)
-    for _ in range(20):
-        _, _, x = random_instance(rng)
-        assert selftest.structure_isometry_defect(x) <= 1e-12
+    assert selftest.worst_over("structure_isometries", np.random.default_rng(12), 20) <= 1e-12
 
 
 def test_check_with_a_nan_defect_fails(monkeypatch):
@@ -171,9 +165,10 @@ def test_check_with_a_nan_defect_fails(monkeypatch):
         return float("nan") if len(calls) == 2 else 0.0
 
     monkeypatch.setattr(selftest, "structure_isometry_defect", nan_on_second_draw)
-    passed, detail = selftest.check_structure_isometries(np.random.default_rng(0), 1.0)
+    monkeypatch.setattr(selftest, "CHECKS", selftest.CHECKS[:1])
+    [result] = selftest.run_selftest()
     assert len(calls) > 2
-    assert not passed and "nan" in detail
+    assert result.name == "structure_isometries" and not result.passed and "nan" in result.detail
 
 
 def test_rotation_example(a2_rep):
@@ -193,10 +188,7 @@ def test_rotation_inverse_random():
 
 
 def test_rotation_permutes_structures():
-    rng = np.random.default_rng(14)
-    for _ in range(10):
-        _, _, x = random_instance(rng)
-        assert selftest.rotation_identities_defect(x) <= 1e-12
+    assert selftest.worst_over("rotation_identities", np.random.default_rng(14), 10) <= 1e-12
 
 
 def test_quaternion_act_examples(a2_rep):
@@ -215,12 +207,7 @@ def test_quaternion_act_rejects_non_unit(a2_rep):
 
 
 def test_quaternion_act_is_group_action():
-    rng = np.random.default_rng(15)
-    for _ in range(10):
-        _, _, x = random_instance(rng)
-        q1 = random_unit_quaternion(rng)
-        q2 = random_unit_quaternion(rng)
-        assert selftest.quaternion_action_defect(x, q1, q2) <= 1e-12
+    assert selftest.worst_over("quaternion_action", np.random.default_rng(15), 10) <= 1e-12
 
 
 def test_symplectic_form_examples(a2_rep):
@@ -243,11 +230,7 @@ def test_symplectic_antisymmetry_random():
 
 
 def test_metric_shared_across_polarisations():
-    rng = np.random.default_rng(17)
-    for _ in range(10):
-        quiver, dims, u = random_instance(rng)
-        v = random_representation(rng, quiver, dims)
-        assert selftest.metric_polarisation_defect(u, v) <= 1e-10
+    assert selftest.worst_over("metric_polarisation", np.random.default_rng(17), 10) <= 1e-10
 
 
 def test_representation_immutability(a2_rep):

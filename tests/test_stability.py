@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from quivermoment import (
     verify_subrepresentation,
 )
 from quivermoment import selftest
+from quivermoment.lie import balanced_theta
 from quivermoment.sampling import (
     random_chamber_theta,
     random_instance,
@@ -141,6 +144,25 @@ def test_king_stable_examples(a2_rep, theta11):
     assert unstable.witness_subspace.sub_dims() == (0, 1)
     generic = king_stable_test(a2_rep(1, 1), theta11(1, -1))
     assert generic.verdict == "stable"
+
+
+def test_overflowing_images_are_not_subrepresentations(a2_rep, theta11, monkeypatch):
+    """An edge image that overflows gives a NaN residual, which no tolerance
+    accepts, neither in ``verify_subrepresentation`` nor for a King witness;
+    a closure that meets one raises FloatingPointError."""
+    import quivermoment.stability as stability
+
+    block = np.array([[1.5e308, 1.5e308], [1.0, 1.0]])
+    x = Representation(a2_rep(1, 0).quiver, (2, 2), [block, block.T])
+    w = GradedSubspace([np.ones((2, 1)) / math.sqrt(2), np.eye(2)[:, :1]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(subrepresentation_residual(x, w))
+        assert not verify_subrepresentation(x, w)
+        with pytest.raises(FloatingPointError, match="^non-finite closure image in the King search$"):
+            king_stable_test(x, balanced_theta([1.0, -1.0], (2, 2)))
+    monkeypatch.setattr(stability, "subrepresentation_residual", lambda x, w: math.nan)
+    cert = king_stable_test(a2_rep(1, 0), theta11(-1, 1))
+    assert cert.verdict == "unstable" and cert.witness_subspace is None
 
 
 def test_certify_numerical_examples(a2, a2_rep, theta11):

@@ -169,6 +169,17 @@ def test_transport_complex_identity_and_scaling(a2_rep):
     assert pairing_norm(moment_real(res2.image, "I") - moment_real(x, "I")) <= 1e-8
 
 
+def test_overflowing_complex_moment_is_refused(a2_rep):
+    """Blocks of 1e200 overflow the complex moment to NaN, which would pass
+    the start-fiber comparison; its scalar is refused first."""
+    x = a2_rep(1e200, 1e200)
+    zeros = np.zeros(2, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for call in (lambda: central_xi(x), lambda: transport_complex(x, zeros, zeros)):
+            with pytest.raises(FloatingPointError, match="^complex moment value is not finite$"):
+                call()
+
+
 def test_transport_complex_wall_gate(a2_rep):
     x = a2_rep(1, 1)
     xi0 = central_xi(x)
@@ -227,6 +238,9 @@ def test_subdivision_depth_is_capped():
     assert TransportPlan(max_subdivision_depth=MAX_SUBDIVISION_DEPTH).max_subdivision_depth == MAX_SUBDIVISION_DEPTH
     for depth in (-1, MAX_SUBDIVISION_DEPTH + 1, 5000):
         with pytest.raises(ValueError, match="^max_subdivision_depth must be between 0 and 64$"):
+            TransportPlan(max_subdivision_depth=depth)
+    for depth in (2.5, 2.0, math.nan):
+        with pytest.raises(ValueError, match="^max_subdivision_depth must be an integer$"):
             TransportPlan(max_subdivision_depth=depth)
 
 
