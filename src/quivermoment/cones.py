@@ -193,7 +193,15 @@ def cone_project(vectors, theta):
     Runs the active-set nonnegative least-squares iteration on the generator
     matrix and verifies the KKT conditions; returns (projection, squared
     distance)."""
-    return _project(np.asarray(vectors, dtype=float), np.asarray(theta, dtype=float))[:2]
+    return _project(np.asarray(vectors, dtype=float), _finite_theta(theta))[:2]
+
+
+def _finite_theta(theta):
+    """theta as a float array; ValueError naming it when an entry is not finite."""
+    theta = np.asarray(theta, dtype=float)
+    if not np.isfinite(theta).all():
+        raise ValueError(f"theta must be finite, got {theta.tolist()}")
+    return theta
 
 
 def _subcones(vectors, theta):
@@ -205,7 +213,7 @@ def _subcones(vectors, theta):
     k = len(vectors)
     if 2 ** k > DEFAULT_SUBSET_CAP:
         raise SubsetCapError(f"2^{k} subsets exceed the cap {DEFAULT_SUBSET_CAP}")
-    theta = np.asarray(theta, dtype=float)
+    theta = _finite_theta(theta)
     gap = MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(theta)))
     stack = [(1 << k) - 1]
     seen = set(stack)

@@ -5,6 +5,15 @@ flow converges to a critical point, and trajectories entering the zero level
 certify analytic semistability.  Critical values other than zero stay at
 squared distance at least d_theta from it, so a stalled positive limit lands
 on a higher stratum.
+
+``flow_integrate`` holds the one step controller.  It calls one of two step
+implementations, chosen by the input: ``_TorusStep`` when every entry of the
+dimension vector is 1 (the group is the torus (C*)^n), ``_StackStep`` on the
+layout's stack kernels otherwise.  On the torus, exp(itY) is a real positive
+scalar per vertex, the defect is imaginary and every block is 1x1, so the
+step runs on 1-d real arrays and skips ``inv``, ``np.add.at`` and the 1x1
+matmuls; it gives the stack step's bytes, for the reasons ``_TorusStep``
+lists, and the tests compare the two on every OpenBLAS kernel they can run.
 """
 
 from __future__ import annotations
@@ -112,15 +121,17 @@ def flow_integrate(theta: StabilityParameter, x0: Representation, opts=None) -> 
     group orbit exactly, preserving orbit invariants at machine precision.
     Terminates on reaching the zero level, on a persistent gradient stall, on
     step underflow, or at max_time.  The integration runs on the point's
-    edge stacks (see layout.py) and builds no objects per trial step.
+    edge stacks (see layout.py) and builds no objects per trial step; when
+    every dimension is 1 it runs on 1-d real arrays instead (``_TorusStep``),
+    with the same bytes.
     """
     opts = opts or FlowOptions()
     layout = x0.layout
     offset = defect_offset(theta, x0)
-    stacks = x0.stacks
-    defect = defect_stacks(layout, stacks, offset)
+    defect = defect_stacks(layout, x0.stacks, offset)
     h = defect_sq_norm(layout, defect)
-    gnorm = _grad_norm(layout, defect, stacks)
+    gnorm = _grad_norm(layout, defect, x0.stacks)
+    step = (_TorusStep if all(d == 1 for d in x0.dims) else _StackStep)(x0, offset, defect)
     t = 0.0
     reach_tol = opts.stall_tolerance ** 2
     dt = opts.initial_step
@@ -150,28 +161,21 @@ def flow_integrate(theta: StabilityParameter, x0: Representation, opts=None) -> 
         # controller sit at the stability boundary where Euler steps flip sign
         # without contracting.  The floor keeps sub-ulp descent steps alive.
         # The steps dt, dt * STEP_SHRINK, ... down to MIN_STEP run in stacks
-        # of TRIAL_STACK trials from one diagonalization of the defect and
-        # are tested in that order; the loop variable dt is the step under
-        # test, so dt and t move exactly as when trying one step at a time.
+        # of TRIAL_STACK trials and are tested in that order; the loop
+        # variable dt is the step under test, so dt and t move exactly as when
+        # trying one step at a time.
         moved = False
-        eig = None
         while dt >= MIN_STEP and not moved:
             steps = [dt]
             while len(steps) < TRIAL_STACK and steps[-1] * STEP_SHRINK >= MIN_STEP:
                 steps.append(steps[-1] * STEP_SHRINK)
-            eig = eig or eigh_i_stacks(defect)
-            _, ok, trials = trial_stacks(layout, eig, [-4.0 * d for d in steps], stacks)
-            lead = (len(steps),)
-            with np.errstate(over="ignore", invalid="ignore"):
-                trial_defects = defect_stacks(layout, trials, offset, lead)
-                h_trials = defect_sq_norm(layout, trial_defects, lead)
+            ok, h_trials = step.trials(steps)
             for k, dt in enumerate(steps):
                 h_new = float(h_trials[k]) if ok[k] else math.inf
                 wanted = h - 0.1 * dt * gnorm * gnorm + 1e-15 * (1.0 + h)
                 if math.isfinite(h_new) and h_new <= min(h, wanted):
                     frozen_count = frozen_count + 1 if h - h_new <= 1e-16 * h else 0
-                    stacks = [s[k] for s in trials]
-                    defect = [s[k] for s in trial_defects]
+                    gnorm = step.accept(k)
                     h = h_new
                     t += dt
                     accepted += 1
@@ -184,7 +188,6 @@ def flow_integrate(theta: StabilityParameter, x0: Representation, opts=None) -> 
             events.append("step_underflow")
             reason = "step_underflow"
             break
-        gnorm = _grad_norm(layout, defect, stacks)
         if accepted % stride == 0:
             samples.append((t, h, gnorm))
             if len(samples) > 400:
@@ -192,7 +195,7 @@ def flow_integrate(theta: StabilityParameter, x0: Representation, opts=None) -> 
                 stride *= 2
 
     samples.append((t, h, gnorm))
-    x = x0.replace_stacks(stacks)
+    x = x0.replace_stacks(step.limit_stacks())
     classification = _classify(theta, x, h, reason, opts, events)
     return FlowOutcome(
         limit_point=x,
@@ -204,6 +207,106 @@ def flow_integrate(theta: StabilityParameter, x0: Representation, opts=None) -> 
         events=tuple(events),
         stop_reason=reason,
     )
+
+
+# The two step implementations of flow_integrate.  ``trials(steps)`` returns
+# whether each step's trial is usable and its h; ``accept(k)`` moves to trial
+# k and returns its gradient norm; ``limit_stacks()`` gives the current point.
+
+class _StackStep:
+    """Steps on the edge stacks of any dimension vector: the trials of one
+    diagonalization of the defect act as one stack (``trial_stacks``)."""
+
+    def __init__(self, x0, offset, defect):
+        self.layout, self.offset = x0.layout, offset
+        self.stacks, self.defect = x0.stacks, defect
+        self.eig = None
+
+    def trials(self, steps):
+        layout, lead = self.layout, (len(steps),)
+        self.eig = self.eig or eigh_i_stacks(self.defect)
+        _, ok, self.trial_points = trial_stacks(layout, self.eig, [-4.0 * d for d in steps], self.stacks)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.trial_defects = defect_stacks(layout, self.trial_points, self.offset, lead)
+            return ok, defect_sq_norm(layout, self.trial_defects, lead)
+
+    def accept(self, k):
+        self.stacks = [s[k] for s in self.trial_points]
+        self.defect = [s[k] for s in self.trial_defects]
+        self.eig = None
+        return _grad_norm(self.layout, self.defect, self.stacks)
+
+    def limit_stacks(self):
+        return self.stacks
+
+
+class _TorusStep:
+    """Steps when every dimension is 1, on 1-d real arrays with slot 0 a zero
+    pad: ``b`` holds each edge's (re, im) and ``d`` the imaginary part of the
+    defect at each vertex (its real part is a zero that moves no byte).
+
+    The bytes are those of ``_StackStep``.  There exp(itY) is (e, +0) with e
+    = exp(t w) real positive, the defect is (±0, d), and each 1x1 product is
+    a dot product from +0 in which one term is zero, so it is the correctly
+    rounded real product, with -0 read as +0 (hence the ``+ 0.0``); the
+    moment term b b^dagger is fl(re^2) + fl(im^2).  The inverse of (e, +0)
+    is 1/e, and LAPACK's singular pivot is e == 0.  Vertex sums add each
+    vertex's head and tail terms in the order the stack kernel's
+    ``np.add.at`` does, from +0, by one ``np.add.accumulate``.  The gradient
+    in ``accept`` has the stack gradient's components swapped and one of
+    them negated, which its squared norm does not see.
+    """
+
+    def __init__(self, x0, offset, defect):
+        self.heads, self.tails, self.terms = _torus_plan(x0.quiver)
+        self.stacks = x0.stacks
+        pad = [np.zeros(1, dtype=complex)]
+        self.b = np.concatenate(pad + [s.ravel() for s in x0.stacks]).view(float).reshape(-1, 2)
+        self.d = np.concatenate(pad + [s.ravel() for s in defect]).imag
+        self.off = np.concatenate(pad + [s.ravel() for s in offset]).imag
+
+    def trials(self, steps):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            e = np.exp(np.multiply.outer(np.multiply(steps, 4.0), self.d))
+            ok = ((e > 0.0) & (e < math.inf)).all(axis=1)
+            b = self.b * e[:, self.heads, None]
+            b *= (1.0 / e)[:, self.tails, None]
+            b += 0.0
+            sq = b * b
+            norms = sq[..., 0] + sq[..., 1]
+            moment = np.add.accumulate(np.concatenate((norms, -norms), axis=1)[:, self.terms], axis=2)[..., -1]
+            d = self.off - moment
+            self.trial = b, d
+            return ok, np.add.accumulate(d * d, axis=1)[:, -1]
+
+    def accept(self, k):
+        self.stacks = None
+        self.b, self.d = (s[k] for s in self.trial)
+        grad = 4.0 * (self.d[self.heads, None] * self.b - self.b * self.d[self.tails, None])
+        sq = grad * grad
+        return math.sqrt(np.add.accumulate(sq[:, 0] + sq[:, 1])[-1])
+
+    def limit_stacks(self):
+        if self.stacks is None:
+            self.stacks = [self.b[1:].view(complex).reshape(-1, 1, 1)] if len(self.b) > 1 else []
+        return self.stacks
+
+
+def _torus_plan(quiver):
+    """Gather indices of ``_TorusStep``, slot 0 being the zero pad: each
+    edge's head and tail vertex, and per vertex its moment terms (head term
+    of edge e at 1 + e, tail term at 2 + m + e for m edges, the pad's at 0)
+    in the order of their keys 2e and 2e + 1, after a leading pad."""
+    m = quiver.num_edges
+    heads = [0] + [h + 1 for _, h in quiver.edges]
+    tails = [0] + [t + 1 for t, _ in quiver.edges]
+    rows = [[0] for _ in range(quiver.num_vertices + 1)]
+    for e in range(1, m + 1):
+        rows[heads[e]].append(e)
+        rows[tails[e]].append(m + 1 + e)
+    width = max(map(len, rows))
+    terms = np.array([r + [0] * (width - len(r)) for r in rows], dtype=np.intp)
+    return np.array(heads, dtype=np.intp), np.array(tails, dtype=np.intp), terms
 
 
 def _classify(theta, x, h, reason, opts, events):

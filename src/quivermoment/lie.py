@@ -12,6 +12,7 @@ moment.py) and then fixed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -198,6 +199,8 @@ class StabilityParameter:
 
     def __post_init__(self):
         values = tuple(float(v) for v in self.values)
+        if not all(isinstance(d, numbers.Integral) and d >= 0 for d in self.dims):
+            raise ValueError(f"dimensions must be nonnegative integers, got {tuple(self.dims)!r}")
         dims = tuple(int(d) for d in self.dims)
         if len(values) != len(dims):
             raise ValueError("theta and dimension vector have different lengths")

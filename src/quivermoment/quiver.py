@@ -10,6 +10,7 @@ unit-quaternion action, symplectic forms).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -251,6 +252,8 @@ def rotate_to_I(structure, x: Representation, back=False) -> Representation:
 def quaternion_act(q, x: Representation) -> Representation:
     """Act by a unit quaternion q = (a, b, c, d) as a + bI + cJ + dK."""
     a, b, c, d = (float(v) for v in q)
+    if not all(math.isfinite(v) for v in (a, b, c, d)):
+        raise ValueError(f"quaternion {tuple(q)!r} has a non-finite entry")
     if abs(a * a + b * b + c * c + d * d - 1.0) > 1e-12:
         raise ValueError("quaternion must have unit norm within 1e-12")
     out = a * x

@@ -307,8 +307,8 @@ def quaternion_transport(x: Representation, q, t) -> Representation:
     no solving involved.
     """
     t = float(t)
-    if t <= 0:
-        raise ValueError("scale factor must be positive")
+    if not 0 < t < math.inf:
+        raise ValueError("scale factor must be positive and finite")
     return math.sqrt(t) * quaternion_act(q, x)
 
 

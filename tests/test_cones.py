@@ -112,6 +112,17 @@ def test_d_theta_subset_cap():
         in_C_reg(ws, np.ones(21))
 
 
+def test_cone_functions_refuse_a_non_finite_theta():
+    ws = WeightSet(
+        vectors=np.vstack([ALPHA, -ALPHA]), multiplicities=np.array([1, 1]), num_coords=2
+    )
+    for theta in ([math.nan, 0.0], [math.inf, -math.inf]):
+        for call in (lambda: d_theta(ws, theta), lambda: in_C_reg(ws, theta),
+                     lambda: cone_project(ws.vectors, theta)):
+            with pytest.raises(ValueError, match=r"theta must be finite, got \[(nan|inf)"):
+                call()
+
+
 def test_in_C_reg_examples():
     ws = WeightSet(
         vectors=np.vstack([ALPHA, -ALPHA]), multiplicities=np.array([1, 1]), num_coords=2

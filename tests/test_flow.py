@@ -159,15 +159,16 @@ def test_flow_trajectory_columns(a2_rep, theta11):
 
 def test_flow_step_makes_one_trial_call(monkeypatch):
     """The steps dt, dt/2, dt/4, dt/8 run as one trial stack, so almost every
-    outer step of a thin flow needs a single call of the trial kernel."""
+    outer step of a thin flow needs a single trial evaluation; a thin flow
+    evaluates its trials on the torus step."""
     points = []
-    original = flow.trial_stacks
+    original = flow._TorusStep.trials
 
-    def counting(layout, eig, ts, stacks):
-        points.append(stacks)  # kept alive, so each point keeps its own id
-        return original(layout, eig, ts, stacks)
+    def counting(step, steps):
+        points.append(step.b)  # kept alive, so each point keeps its own id
+        return original(step, steps)
 
-    monkeypatch.setattr(flow, "trial_stacks", counting)
+    monkeypatch.setattr(flow._TorusStep, "trials", counting)
     rng = np.random.default_rng(3)
     _, dims, x = random_stable_instance(rng)
     out = flow_integrate(random_chamber_theta(rng, dims), x)

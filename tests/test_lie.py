@@ -64,6 +64,16 @@ def test_theta_constraint_enforced():
             StabilityParameter(bad, (1, 1))
 
 
+def test_theta_takes_only_nonnegative_integer_dims():
+    """(1, -1) balances (1.0, 1.0) and (1.5, 1) would truncate to (1, 1); both
+    are refused, while numpy integers are read as ints."""
+    for values, dims in (((1.0, 1.0), (1, -1)), ((1.0, -1.0), (1.5, 1)), ((1.0, -1.0), (1.0, 1))):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            StabilityParameter(values, dims)
+    theta = StabilityParameter((1.0, -1.0), np.array([1, 1]))
+    assert theta.dims == (1, 1) and all(type(d) is int for d in theta.dims)
+
+
 def test_random_unitary_with_zero_dimensional_vertices():
     rng = np.random.default_rng(6)
     for dims in ((0, 2, 1), (0, 0, 3), (0,), (2, 0)):

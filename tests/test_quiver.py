@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -204,6 +205,13 @@ def test_quaternion_act_examples(a2_rep):
 def test_quaternion_act_rejects_non_unit(a2_rep):
     with pytest.raises(ValueError):
         quaternion_act((1, 1, 0, 0), a2_rep(1, 0))
+
+
+def test_quaternion_act_refuses_a_non_finite_quaternion(a2_rep):
+    """abs(nan - 1.0) > 1e-12 is False, so NaN passed the unit-norm check."""
+    for q in ((math.nan, 0, 0, 0), (1, 0, math.nan, 0), (math.inf, 0, 0, 0)):
+        with pytest.raises(ValueError, match="non-finite"):
+            quaternion_act(q, a2_rep(1, 0))
 
 
 def test_quaternion_act_is_group_action():

@@ -210,6 +210,11 @@ def test_quaternion_transport_validation(a2_rep):
         quaternion_transport(a2_rep(1, 0), (1, 0, 0, 0), 0.0)
     with pytest.raises(ValueError):
         quaternion_transport(a2_rep(1, 0), (1, 1, 0, 0), 1.0)
+    for t in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            quaternion_transport(a2_rep(1, 0), (1, 0, 0, 0), t)
+    with pytest.raises(ValueError, match="non-finite"):
+        quaternion_transport(a2_rep(1, 0), (math.nan, 0, 0, 0), 1.0)
 
 
 def test_quaternion_transport_matches_prediction():
