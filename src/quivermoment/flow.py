@@ -11,9 +11,10 @@ implementations, chosen by the input: ``_TorusStep`` when every entry of the
 dimension vector is 1 (the group is the torus (C*)^n), ``_StackStep`` on the
 layout's stack kernels otherwise.  On the torus, exp(itY) is a real positive
 scalar per vertex, the defect is imaginary and every block is 1x1, so the
-step runs on 1-d real arrays and skips ``inv``, ``np.add.at`` and the 1x1
-matmuls; it gives the stack step's bytes, for the reasons ``_TorusStep``
-lists, and the tests compare the two on every OpenBLAS kernel they can run.
+step runs on the torus kernels of layout.py, which skip ``inv``,
+``np.add.at`` and the 1x1 matmuls; they give the stack kernels' bytes, for
+the reasons layout.py lists, and the tests compare the two steps on every
+OpenBLAS kernel they can run.
 """
 
 from __future__ import annotations
@@ -25,7 +26,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cones import d_theta, theta_coordinates, torus_weights, weight_keys
-from .layout import eigh_i_stacks, infinitesimal_action_stacks, sq_norm_stacks, trial_stacks
+from .layout import (
+    eigh_i_stacks,
+    infinitesimal_action_stacks,
+    sq_norm_stacks,
+    torus_act,
+    torus_defect,
+    torus_edge_stacks,
+    torus_plan,
+    torus_rows,
+    torus_sq_norms,
+    torus_total,
+    torus_values,
+    trial_stacks,
+)
 from .lie import StabilityParameter
 from .moment import defect_offset, defect_sq_norm, defect_stacks
 from .quiver import Representation
@@ -128,9 +142,11 @@ def flow_integrate(theta: StabilityParameter, x0: Representation, opts=None) -> 
     opts = opts or FlowOptions()
     layout = x0.layout
     offset = defect_offset(theta, x0)
-    defect = defect_stacks(layout, x0.stacks, offset)
-    h = defect_sq_norm(layout, defect)
-    gnorm = _grad_norm(layout, defect, x0.stacks)
+    # an overflowing start point gives an infinite or NaN h, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = defect_stacks(layout, x0.stacks, offset)
+        h = defect_sq_norm(layout, defect)
+        gnorm = _grad_norm(layout, defect, x0.stacks)
     step = (_TorusStep if all(d == 1 for d in x0.dims) else _StackStep)(x0, offset, defect)
     t = 0.0
     reach_tol = opts.stall_tolerance ** 2
@@ -241,72 +257,41 @@ class _StackStep:
 
 
 class _TorusStep:
-    """Steps when every dimension is 1, on 1-d real arrays with slot 0 a zero
-    pad: ``b`` holds each edge's (re, im) and ``d`` the imaginary part of the
-    defect at each vertex (its real part is a zero that moves no byte).
-
-    The bytes are those of ``_StackStep``.  There exp(itY) is (e, +0) with e
-    = exp(t w) real positive, the defect is (±0, d), and each 1x1 product is
-    a dot product from +0 in which one term is zero, so it is the correctly
-    rounded real product, with -0 read as +0 (hence the ``+ 0.0``); the
-    moment term b b^dagger is fl(re^2) + fl(im^2).  The inverse of (e, +0)
-    is 1/e, and LAPACK's singular pivot is e == 0.  Vertex sums add each
-    vertex's head and tail terms in the order the stack kernel's
-    ``np.add.at`` does, from +0, by one ``np.add.accumulate``.  The gradient
-    in ``accept`` has the stack gradient's components swapped and one of
-    them negated, which its squared norm does not see.
+    """Steps when every dimension is 1, on the torus kernels of layout.py:
+    ``b`` holds each edge's (re, im) and ``d`` the imaginary part of the
+    defect at each vertex (its real part is a zero that moves no byte), slot
+    0 of each a zero pad.  The bytes are those of ``_StackStep``, for the
+    reasons layout.py gives; the gradient in ``accept`` has the stack
+    gradient's components swapped and one of them negated, which its squared
+    norm does not see.
     """
 
     def __init__(self, x0, offset, defect):
-        self.heads, self.tails, self.terms = _torus_plan(x0.quiver)
+        self.plan = torus_plan(x0.quiver)
         self.stacks = x0.stacks
-        pad = [np.zeros(1, dtype=complex)]
-        self.b = np.concatenate(pad + [s.ravel() for s in x0.stacks]).view(float).reshape(-1, 2)
-        self.d = np.concatenate(pad + [s.ravel() for s in defect]).imag
-        self.off = np.concatenate(pad + [s.ravel() for s in offset]).imag
+        self.b = torus_rows(x0.stacks)
+        self.d, self.off = torus_values(defect).imag, torus_values(offset).imag
 
     def trials(self, steps):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             e = np.exp(np.multiply.outer(np.multiply(steps, 4.0), self.d))
             ok = ((e > 0.0) & (e < math.inf)).all(axis=1)
-            b = self.b * e[:, self.heads, None]
-            b *= (1.0 / e)[:, self.tails, None]
-            b += 0.0
-            sq = b * b
-            norms = sq[..., 0] + sq[..., 1]
-            moment = np.add.accumulate(np.concatenate((norms, -norms), axis=1)[:, self.terms], axis=2)[..., -1]
-            d = self.off - moment
+            b = torus_act(self.plan, e, self.b)
+            d = torus_defect(self.plan, torus_sq_norms(b), self.off)
             self.trial = b, d
-            return ok, np.add.accumulate(d * d, axis=1)[:, -1]
+            return ok, torus_total(d * d)
 
     def accept(self, k):
         self.stacks = None
         self.b, self.d = (s[k] for s in self.trial)
-        grad = 4.0 * (self.d[self.heads, None] * self.b - self.b * self.d[self.tails, None])
-        sq = grad * grad
-        return math.sqrt(np.add.accumulate(sq[:, 0] + sq[:, 1])[-1])
+        heads, tails, _ = self.plan
+        grad = 4.0 * (self.d[heads, None] * self.b - self.b * self.d[tails, None])
+        return math.sqrt(torus_total(torus_sq_norms(grad)))
 
     def limit_stacks(self):
         if self.stacks is None:
-            self.stacks = [self.b[1:].view(complex).reshape(-1, 1, 1)] if len(self.b) > 1 else []
+            self.stacks = torus_edge_stacks(self.b)
         return self.stacks
-
-
-def _torus_plan(quiver):
-    """Gather indices of ``_TorusStep``, slot 0 being the zero pad: each
-    edge's head and tail vertex, and per vertex its moment terms (head term
-    of edge e at 1 + e, tail term at 2 + m + e for m edges, the pad's at 0)
-    in the order of their keys 2e and 2e + 1, after a leading pad."""
-    m = quiver.num_edges
-    heads = [0] + [h + 1 for _, h in quiver.edges]
-    tails = [0] + [t + 1 for t, _ in quiver.edges]
-    rows = [[0] for _ in range(quiver.num_vertices + 1)]
-    for e in range(1, m + 1):
-        rows[heads[e]].append(e)
-        rows[tails[e]].append(m + 1 + e)
-    width = max(map(len, rows))
-    terms = np.array([r + [0] * (width - len(r)) for r in rows], dtype=np.intp)
-    return np.array(heads, dtype=np.intp), np.array(tails, dtype=np.intp), terms
 
 
 def _classify(theta, x, h, reason, opts, events):

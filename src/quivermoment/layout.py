@@ -26,6 +26,11 @@ axis), and a pairing or norm is a batched row-times-column product per block
 (equal to ``np.vdot``) summed left to right in edge or vertex order, one such
 sum per trial (``np.add.accumulate`` over a row that starts with a zero adds
 in that order too).
+
+When every entry of the dimension vector is 1, the flow and the solver step
+on the torus kernels at the end of this module instead: 1-d real arrays over
+the edges and vertices that give the stack kernels' bytes, for the reasons
+given there.
 """
 
 from __future__ import annotations
@@ -455,3 +460,93 @@ def real_coordinates(layout, stacks):
         return np.zeros(0)
     flat = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
     return flat if layout.real_order is None else np.ascontiguousarray(flat[..., layout.real_order])
+
+
+# ---------------------------------------------------------------------------
+# torus kernels: every entry of the dimension vector is 1
+#
+# The group is then the torus (C*)^n and every block is 1x1, so the flow's
+# and the solver's steps run on 1-d real arrays with slot 0 a zero pad:
+# the edges as rows (re, im), and a defect, Y or group element as one real
+# number per vertex.  The kernels below give the bytes of the stack kernels.
+# exp(itY) is (e, +0) with e = exp(t w) real positive, a skew-hermitian
+# defect or Y is (+-0, d), and each 1x1 product is a dot product from +0 in
+# which one term is zero, so it is the correctly rounded real product, with
+# -0 read as +0 (hence the ``+ 0.0`` of ``torus_act``).  LAPACK's inverse of
+# (e, +0) is 1/e, and its singular pivot is e == 0.  The moment term
+# b b^dagger and the norm Re <b, b> are fl(re^2) + fl(im^2).  Vertex sums add
+# each vertex's head and tail terms in the order the stack kernels'
+# ``np.add.at`` does, from +0, by one ``np.add.accumulate``; totals add left to
+# right from the zero pad.  The 1x1 inverse is exact only because e is real
+# and positive: a trial whose e is 0 or not finite is unusable on both paths,
+# and a point acted on by such an e is left to the stack kernels.
+
+
+def torus_plan(quiver):
+    """Gather indices of the torus kernels, slot 0 being the zero pad: each
+    edge's head and tail vertex, and per vertex its moment terms (head term
+    of edge e at 1 + e, tail term at 2 + m + e for m edges, the pad's at 0)
+    in the order of their keys 2e and 2e + 1, after a leading pad."""
+    m = quiver.num_edges
+    heads = [0] + [h + 1 for _, h in quiver.edges]
+    tails = [0] + [t + 1 for t, _ in quiver.edges]
+    rows = [[0] for _ in range(quiver.num_vertices + 1)]
+    for e in range(1, m + 1):
+        rows[heads[e]].append(e)
+        rows[tails[e]].append(m + 1 + e)
+    width = max(map(len, rows))
+    terms = np.array([r + [0] * (width - len(r)) for r in rows], dtype=np.intp)
+    return np.array(heads, dtype=np.intp), np.array(tails, dtype=np.intp), terms
+
+
+def torus_values(stacks):
+    """The one entry of each block of thin stacks, in item order, after a
+    zero pad."""
+    return np.concatenate([np.zeros(1, dtype=complex)] + [s.ravel() for s in stacks])
+
+
+def torus_rows(stacks):
+    """Edge rows (re, im) of thin edge stacks, after a zero pad."""
+    return torus_values(stacks).view(float).reshape(-1, 2)
+
+
+def torus_edge_stacks(b):
+    """Thin edge stacks that view the edge rows ``b``."""
+    return [b[1:].view(complex).reshape(-1, 1, 1)] if len(b) > 1 else []
+
+
+def torus_vertex_stacks(values):
+    """Thin vertex stacks (+0, v) of the real values after the pad: a
+    skew-hermitian element such as Y or the defect."""
+    s = np.zeros((len(values) - 1, 1, 1), dtype=complex)
+    s.imag[:, 0, 0] = values[1:]
+    return [s] if len(s) else []
+
+
+def torus_act(plan, e, b):
+    """g_head phi g_tail^-1 on edge rows ``b`` for g = (e, +0) per vertex; a
+    leading trial axis of ``e`` carries over to the result."""
+    heads, tails, _ = plan
+    out = b * e[..., heads, None]
+    out *= (1.0 / e)[..., tails, None]
+    out += 0.0
+    return out
+
+
+def torus_sq_norms(b):
+    """Re <b, b> of each edge row (re, im): fl(re^2) + fl(im^2)."""
+    sq = b * b
+    return sq[..., 0] + sq[..., 1]
+
+
+def torus_defect(plan, norms, offset):
+    """Imaginary part per vertex of mu_I - theta, from the edges' squared
+    norms (per trial under a leading axis) and the offset's imaginary part."""
+    terms = plan[2]
+    moment = np.add.accumulate(np.concatenate((norms, -norms), axis=-1)[..., terms], axis=-1)[..., -1]
+    return offset - moment
+
+
+def torus_total(values):
+    """Left-to-right sum along the last axis, from the zero pad."""
+    return np.add.accumulate(values, axis=-1)[..., -1]

@@ -29,7 +29,7 @@ from .layout import (
     vdot_real_stacks,
     vertex_layout,
 )
-from .quiver import Representation, rotate_to_I
+from .quiver import Representation, finite_scalar, rotate_to_I
 
 SKEW_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -105,6 +105,7 @@ class VertexMatrices(_VertexStacks):
         return self._new([a - b for a, b in zip(self.stacks, other.stacks)])
 
     def __mul__(self, scalar):
+        scalar = finite_scalar(scalar)
         return self._new([scalar * s for s in self.stacks])
 
     __rmul__ = __mul__
@@ -131,7 +132,7 @@ class LieAlgebraElement(VertexMatrices):
             raise ValueError("trace sum does not vanish")
 
     def __mul__(self, scalar):
-        cls = VertexMatrices if complex(scalar).imag != 0.0 else LieAlgebraElement
+        cls = VertexMatrices if complex(finite_scalar(scalar)).imag != 0.0 else LieAlgebraElement
         return cls.from_stacks(self.dims, [scalar * s for s in self.stacks])
 
     __rmul__ = __mul__
@@ -213,6 +214,7 @@ class StabilityParameter:
         object.__setattr__(self, "dims", dims)
 
     def __mul__(self, scalar):
+        scalar = finite_scalar(scalar)
         return StabilityParameter(tuple(scalar * v for v in self.values), self.dims)
 
     __rmul__ = __mul__
@@ -357,7 +359,8 @@ class UvBasis:
     vertex, plus i*diag directions spanning the zero-sum diagonal subspace.
     The basis is held as vertex-class stacks with a leading basis axis,
     ``stacks[c]`` of shape (dim, n_c, d, d); coordinates are taken against
-    the real coordinates of the blocks (``layout.real_coordinates``).
+    the real coordinates of the blocks (``layout.real_coordinates``), which
+    ``matrix`` holds, one row per basis element.
     """
 
     def __init__(self, dims):
@@ -386,7 +389,7 @@ class UvBasis:
         self.stacks = tuple(stacks)
         self._vertices = vertices
         self._by_class = None if vertices.real_order is None else np.argsort(vertices.real_order)
-        self._matrix = real_coordinates(vertices, stacks) if self.dim else np.zeros((0, vertices.real_size))
+        self.matrix = real_coordinates(vertices, stacks) if self.dim else np.zeros((0, vertices.real_size))
 
     def coords(self, y: VertexMatrices) -> np.ndarray:
         return self.coords_of_stacks(y.stacks)
@@ -396,11 +399,11 @@ class UvBasis:
 
     def coords_of_stacks(self, stacks) -> np.ndarray:
         """Coordinates of the element with vertex-class stacks ``stacks``."""
-        return self._matrix @ real_coordinates(self._vertices, stacks)
+        return self.matrix @ real_coordinates(self._vertices, stacks)
 
     def stacks_from_coords(self, c):
         """Vertex-class stacks of the element with coordinates ``c``."""
-        flat = np.asarray(c, dtype=float) @ self._matrix
+        flat = np.asarray(c, dtype=float) @ self.matrix
         if self._by_class is not None:
             flat = flat[self._by_class]
         stacks, pos = [], 0

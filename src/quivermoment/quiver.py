@@ -10,6 +10,7 @@ unit-quaternion action, symplectic forms).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -173,6 +174,7 @@ class Representation(HeldStacks):
 
     def __mul__(self, scalar):
         # complex scalars act through the complex structure I
+        scalar = finite_scalar(scalar)
         return self.replace_stacks([scalar * s for s in self.stacks])
 
     __rmul__ = __mul__
@@ -185,6 +187,14 @@ class Representation(HeldStacks):
             f"Representation(vertices={self.quiver.num_vertices}, "
             f"dims={self.dims}, norm_sq={norm_sq(self):.6g})"
         )
+
+
+def finite_scalar(scalar):
+    """``scalar`` itself; a scalar that is not a finite real or complex
+    number is refused with a ValueError that names it."""
+    if not cmath.isfinite(scalar):
+        raise ValueError(f"scalar {scalar!r} is not finite")
+    return scalar
 
 
 def inner_product(x: Representation, y: Representation) -> complex:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -176,3 +177,27 @@ def test_flow_step_makes_one_trial_call(monkeypatch):
     per_step = [len(list(calls)) for _, calls in itertools.groupby(map(id, points))]
     assert out.stop_reason == "reached" and len(per_step) > 50
     assert sum(n == 1 for n in per_step) >= 0.99 * len(per_step)
+
+
+def test_overflowing_start_point_ends_as_before_without_warnings():
+    """A start point whose squared norm overflows ends as it did, with an
+    infinite or NaN h, and prints no RuntimeWarning: its defect, h and
+    gradient norm are computed under the errstate the steps use."""
+    rng = np.random.default_rng(5)
+    _, dims, x = random_stable_instance(rng)
+    theta = random_chamber_theta(rng, dims)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = flow_integrate(theta, 1e100 * x)
+        assert repr(out) == (
+            "FlowOutcome(limit_point=Representation(vertices=4, dims=(1, 1, 1, 1), norm_sq=1.85323e+201), "
+            "h_value=inf, classification='undecided', trajectory_summary=[(0.0, inf, inf), (0.0, inf, inf)], "
+            "time=0.0, grad_norm=inf, events=('step_underflow',), stop_reason='step_underflow')"
+        )
+        out = flow_integrate(theta, 1e160 * x)
+    # the limit point's own repr would overflow its norm, so it is left out
+    fields = ("h_value", "classification", "trajectory_summary", "time", "grad_norm", "events", "stop_reason")
+    assert [repr(getattr(out, f)) for f in fields] == [
+        "nan", "'undecided'", "[(0.0, nan, nan), (0.0, nan, nan)]", "0.0", "nan", "('step_underflow',)",
+        "'step_underflow'",
+    ]

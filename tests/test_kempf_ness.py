@@ -261,6 +261,29 @@ def test_escaping_solve_makes_one_trial_call_per_iteration(monkeypatch):
     assert len(calls) == out.iterations + 1
 
 
+@pytest.mark.parametrize("structure", ["I", "J", "K"])
+def test_thin_solve_runs_on_the_torus_kernels(monkeypatch, structure):
+    """A solve on a thin point (every dimension 1) runs every iteration on
+    the torus kernels: with the stack kernels that move the point patched to
+    fail it still converges, as it does with them.  The (1, 2, 2, 1) solve of
+    the test above still makes its trial calls."""
+    import quivermoment.kempf_ness as kempf_ness
+
+    rng = np.random.default_rng(11)
+    _, dims, x = random_stable_instance(rng)
+    theta = random_chamber_theta(rng, dims)
+    expected = solve_moment_equation(x, theta, structure)
+
+    def no_stack_kernel(*args):
+        raise AssertionError("a thin solve reached a stack kernel")
+
+    for name in ("trial_stacks", "act_stacks", "polar_log_stacks", "exp_i_stacks"):
+        monkeypatch.setattr(kempf_ness, name, no_stack_kernel)
+    out = solve_moment_equation(x, theta, structure)
+    assert out.converged and out.iterations > 1
+    assert repr(out) == repr(expected) and out.y.stacks[0].tobytes() == expected.y.stacks[0].tobytes()
+
+
 def _count_tangent_matrices(monkeypatch):
     from quivermoment.lie import UvBasis
 

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from quivermoment import (
     LieAlgebraElement,
     Representation,
     StabilityParameter,
+    VertexMatrices,
     act,
     apply_structure,
     character_log_modulus,
@@ -43,6 +47,44 @@ def test_lie_algebra_validation():
         LieAlgebraElement([np.array([[1j]]), np.array([[1j]])])  # trace sum
     y = y11(1, -1)
     assert y.dims == (1, 1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.nan, 0.0)])
+def test_element_scaling_refuses_a_non_finite_scalar(bad):
+    """Scaling a vertex element by NaN or an infinity is refused at the
+    product, naming the scalar, from either side."""
+    message = re.escape(f"scalar {bad!r} is not finite")
+    m = VertexMatrices([np.array([[1.0 + 2j]]), np.array([[3.0]])])
+    with pytest.raises(ValueError, match=message):
+        m * bad
+    with pytest.raises(ValueError, match=message):
+        bad * m
+    assert (2.0 * m).blocks[1][0, 0] == 6.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, complex(0.0, math.nan)])
+def test_algebra_scaling_refuses_a_non_finite_scalar(bad):
+    """Scaling a Lie algebra element by NaN or an infinity is refused at the
+    product, naming the scalar, before the result's class is chosen."""
+    message = re.escape(f"scalar {bad!r} is not finite")
+    y = y11(1, -1)
+    with pytest.raises(ValueError, match=message):
+        y * bad
+    with pytest.raises(ValueError, match=message):
+        bad * y
+    assert isinstance(2.0 * y, LieAlgebraElement) and not isinstance(2j * y, LieAlgebraElement)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_theta_scaling_refuses_a_non_finite_scalar(theta11, bad):
+    """Scaling a stability parameter by NaN or an infinity is refused with a
+    message that names the scalar, not only the resulting theta."""
+    message = re.escape(f"scalar {bad!r} is not finite")
+    with pytest.raises(ValueError, match=message):
+        theta11(1, -1) * bad
+    with pytest.raises(ValueError, match=message):
+        bad * theta11(1, -1)
+    assert (2.0 * theta11(1, -1)).values == (2.0, -2.0)
 
 
 def test_theta_to_center_examples(theta11):

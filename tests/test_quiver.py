@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -110,6 +111,21 @@ def test_constructors_refuse_non_finite_entries(a2, bad):
         for cls in (VertexMatrices, LieAlgebraElement, GroupElement):
             with pytest.raises(ValueError, match=message):
                 cls([np.array([[1j]]), np.array([[bad]])])
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, complex(0.0, math.inf)])
+def test_point_scaling_refuses_a_non_finite_scalar(a2, a2_rep, bad):
+    """Scaling a point by NaN or an infinity is refused at the product, naming
+    the scalar, from either side; an edgeless point, which has no block to
+    scale, refuses it too."""
+    message = re.escape(f"scalar {bad!r} is not finite")
+    edgeless = Representation(extend(Quiver(2)), (1, 1), [])
+    for x in (a2_rep(1.0, 0.5), edgeless):
+        with pytest.raises(ValueError, match=message):
+            x * bad
+        with pytest.raises(ValueError, match=message):
+            bad * x
+    assert norm_sq(2.0 * a2_rep(1.0, 0.5)) == 5.0
 
 
 def test_inner_product_examples(a2, a2_rep):
