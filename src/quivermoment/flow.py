@@ -11,10 +11,11 @@ implementations, chosen by the input: ``_TorusStep`` when every entry of the
 dimension vector is 1 (the group is the torus (C*)^n), ``_StackStep`` on the
 layout's stack kernels otherwise.  On the torus, exp(itY) is a real positive
 scalar per vertex, the defect is imaginary and every block is 1x1, so the
-step runs on the torus kernels of layout.py, which skip ``inv``,
-``np.add.at`` and the 1x1 matmuls; they give the stack kernels' bytes, for
-the reasons layout.py lists, and the tests compare the two steps on every
-OpenBLAS kernel they can run.
+step runs on the torus kernels of layout.py, which skip ``inv`` and the
+1x1 matmuls; they give the stack kernels' bytes, for the reasons layout.py
+lists, and the tests compare the two steps on every OpenBLAS kernel they
+can run.  The layout says which step runs: its ``torus_plan`` is None
+unless every dimension is 1.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .layout import (
     torus_act,
     torus_defect,
     torus_edge_stacks,
-    torus_plan,
     torus_rows,
     torus_sq_norms,
     torus_total,
@@ -147,7 +147,7 @@ def flow_integrate(theta: StabilityParameter, x0: Representation, opts=None) -> 
         defect = defect_stacks(layout, x0.stacks, offset)
         h = defect_sq_norm(layout, defect)
         gnorm = _grad_norm(layout, defect, x0.stacks)
-    step = (_TorusStep if all(d == 1 for d in x0.dims) else _StackStep)(x0, offset, defect)
+    step = (_StackStep if layout.torus_plan is None else _TorusStep)(x0, offset, defect)
     t = 0.0
     reach_tol = opts.stall_tolerance ** 2
     dt = opts.initial_step
@@ -267,7 +267,7 @@ class _TorusStep:
     """
 
     def __init__(self, x0, offset, defect):
-        self.plan = torus_plan(x0.quiver)
+        self.plan = x0.layout.torus_plan
         self.stacks = x0.stacks
         self.b = torus_rows(x0.stacks)
         self.d, self.off = torus_values(defect).imag, torus_values(offset).imag

@@ -20,11 +20,11 @@ as the flow chooses: ``_TorusStep`` when every entry of the dimension vector
 is 1 (the group is the torus (C*)^n), ``_StackStep`` on the layout's stack
 kernels otherwise.  On the torus exp(iY) is a real positive scalar per
 vertex, Y and the defect are imaginary and every block is 1x1, so the step
-runs on the torus kernels of layout.py and skips ``inv``, ``eigh``,
-``np.add.at`` and the 1x1 matmuls; it gives the stack step's bytes, for the
-reasons ``_TorusStep`` lists, and the tests compare the two on every
-OpenBLAS kernel they can run.  The Newton system keeps LAPACK's ``svd`` and
-``lstsq`` on both.
+runs on the torus kernels of layout.py and skips ``inv``, ``eigh`` and
+the 1x1 matmuls; it gives the stack step's bytes, for the reasons
+``_TorusStep`` lists, and the tests compare the two on every OpenBLAS kernel
+they can run.  The Newton system keeps LAPACK's ``svd`` and ``lstsq`` on
+both.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .layout import (
     torus_act,
     torus_defect,
     torus_edge_stacks,
-    torus_plan,
     torus_rows,
     torus_sq_norms,
     torus_total,
@@ -171,7 +170,7 @@ def solve_moment_equation(
     # overflow, invalid values and a trial's zero exponential are caught by
     # the checks below, not warned about
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        point = (_TorusStep if all(d == 1 for d in x.dims) else _StackStep)(x0, basis, target.stacks, y)
+        point = (_StackStep if layout.torus_plan is None else _TorusStep)(x0, basis, target.stacks, y)
         for iteration in range(opts.max_iterations + 1):
             residual, norm_sq, center_y, y_norm = point.measure()
             shift = 2.0 * center_y
@@ -346,7 +345,7 @@ class _TorusStep:
 
     def __init__(self, x0, basis, center, y):
         self.layout, self.basis = x0.layout, basis
-        self.plan = torus_plan(x0.quiver)
+        self.plan = x0.layout.torus_plan
         self.offset = [-1.0 * s for s in center]
         self.start = x0.stacks
         self.start_b = self.b = torus_rows(x0.stacks)

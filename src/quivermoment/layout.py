@@ -2,35 +2,40 @@
 
 An ``EdgeLayout`` is built once per (extended quiver, dimension vector) and
 cached.  It stacks the edge blocks of a representation by shape
-(dims[head], dims[tail]) into one 3-d array per shape, and it stacks per-vertex
-matrices (group elements, Lie algebra elements, moment values) by dimension
-into one 3-d array per dimension class (``VertexLayout``); these stacks, held
-read-only by the one base ``HeldStacks``, are the only storage of points and
-of algebra and group elements.  The kernels below compute the moment maps,
-the infinitesimal action (also over a leading basis axis), the group action,
-exp(itY), pairings and real coordinates on those stacks with one batched
-numpy call per shape or class instead of one Python step per edge or vertex.  The trials of a line search along one
-direction share one eigendecomposition and run as one stack: their group
-elements, acted points, norms and moment defects carry a leading trial axis.
+(dims[head], dims[tail]) into one 3-d array per shape, and it stacks
+per-vertex matrices (group elements, Lie algebra elements, moment values) by
+dimension into one 3-d array per dimension class (``VertexLayout``); these
+stacks, held read-only by the one base ``HeldStacks``, are the only storage
+of points and of algebra and group elements.  The kernels below compute the
+moment maps, the infinitesimal action (also over a leading basis axis), the
+group action, exp(itY), pairings and real coordinates on those stacks with
+one batched numpy call per shape or class instead of one Python step per
+edge or vertex.  The trials of a line search along one direction share one
+eigendecomposition and run as one stack: their group elements, acted
+points, norms and moment defects carry a leading trial axis.
 
 Contract: every kernel is bit-for-bit equal to the per-edge definition it
 replaces, and every trial of a stack is bit-for-bit equal to the same trial
 computed alone.  Batched ``matmul``, ``inv``, ``det``, ``slogdet`` and
 ``eigh`` run the same per-matrix routine on each stacked matrix (a 1x1
-``eigh`` is answered in closed form with the bytes that routine returns), and
-elementwise operations act entry by entry.  Sums over edges or vertices are
-where order matters, so they are kept in the definition's order: a vertex sum
-scatters the edge-ordered contributions with ``np.add.at`` (head term before
-tail term for each edge, starting from zero; along axis 1 under a trial
-axis), and a pairing or norm is a batched row-times-column product per block
-(equal to ``np.vdot``) summed left to right in edge or vertex order, one such
-sum per trial (``np.add.accumulate`` over a row that starts with a zero adds
-in that order too).
+``eigh`` is answered in closed form with the bytes that routine returns),
+and elementwise operations act entry by entry.  Sums over edges or vertices
+are where order matters, so they are kept in the definition's order.
+
+- A vertex sum (the moment maps) gathers each vertex's terms into one row: a
+  zero, then its head and tail terms in edge order (head term before tail
+  term for each edge), padded with the zero.  ``np.add.accumulate`` along
+  the row adds them one after another from zero, as the edge loop does.  A
+  sum from +0 is never -0, so the padding adds nothing.  The layout plans
+  these gathers once (``EdgeLayout.moment_plans``).
+- A pairing or norm is a batched row-times-column product per block (equal
+  to ``np.vdot``), summed left to right in edge or vertex order, one such sum
+  per trial (``np.add.accumulate`` over a row that starts with a zero).
 
 When every entry of the dimension vector is 1, the flow and the solver step
 on the torus kernels at the end of this module instead: 1-d real arrays over
 the edges and vertices that give the stack kernels' bytes, for the reasons
-given there.
+given there.  Their vertex sums read the same gathers.
 """
 
 from __future__ import annotations
@@ -148,14 +153,18 @@ class EdgeLayout(_GroupedItems):
 
     ``slots[e] = (g, i)`` locates edge e in shape group g.  ``moment_plans[c]``
     says how the per-edge terms of the real moment map reach the vertices of
-    class c: which groups contribute head and tail terms, and the order and
-    targets that replay the edge loop.  ``complex_moment_plans`` does the same
-    for the complex moment map, which has head terms only.
-    ``support_components`` counts the connected components of the vertices of
-    positive dimension; a vertex of dimension zero cuts every edge at it.
+    class c: the groups that contribute head terms and tail terms, and a
+    padded (n_c, width) gather into the concatenation of a zero block, those
+    head terms and those tail terms, whose row lists a vertex's terms in
+    edge order (head term before tail term) after the zero block and is
+    padded with it.  ``complex_moment_plans`` does the same for the complex
+    moment map, which has head terms only.  ``support_components`` counts
+    the connected components of the vertices of positive dimension; a vertex
+    of dimension zero cuts every edge at it.  ``torus_plan`` is None unless
+    every dimension is 1 (see the torus kernels).
     """
 
-    __slots__ = ("vertices", "groups", "moment_plans", "complex_moment_plans", "support_components")
+    __slots__ = ("vertices", "groups", "moment_plans", "complex_moment_plans", "support_components", "torus_plan")
 
     def __init__(self, quiver, dims):
         self.vertices = vl = vertex_layout(dims)
@@ -167,14 +176,16 @@ class EdgeLayout(_GroupedItems):
             ShapeGroup(quiver, shape, edges, vl, self.slots) for shape, edges in by_shape.items()
         )
         classes = range(len(vl.class_dims))
-        self.moment_plans = tuple(self._scatter_plan(c, tails=True) for c in classes)
-        self.complex_moment_plans = tuple(self._scatter_plan(c, tails=False) for c in classes)
+        self.moment_plans = tuple(self._gather_plan(c, tails=True) for c in classes)
+        self.complex_moment_plans = tuple(self._gather_plan(c, tails=False) for c in classes)
         self.support_components = _support_components(vl.dims, quiver.edges)
+        # the empty dimension vector is thin too
+        self.torus_plan = _torus_plan(self) if set(vl.dims) <= {1} else None
 
-    def _scatter_plan(self, c, tails):
+    def _gather_plan(self, c, tails):
         head_groups = [g for g, grp in enumerate(self.groups) if grp.head_class == c]
         tail_groups = [g for g, grp in enumerate(self.groups) if tails and grp.tail_class == c]
-        # one key per term: the edge, then 0 for its head term and 1 for its tail term
+        # one key per term: 2e for the head term of edge e, 2e + 1 for its tail term
         keys, targets = [], []
         for g in head_groups:
             keys += [2 * e for e in self.members[g]]
@@ -182,8 +193,12 @@ class EdgeLayout(_GroupedItems):
         for g in tail_groups:
             keys += [2 * e + 1 for e in self.members[g]]
             targets += self.groups[g].tail_pos.tolist()
-        order = np.argsort(_indices(keys))
-        return head_groups, tail_groups, order, _indices(targets)[order]
+        # term k + 1 of the concatenation is term k above; term 0 is the zero block
+        rows = [[0] for _ in self.vertices.members[c]]
+        for k in np.argsort(_indices(keys)).tolist():
+            rows[targets[k]].append(k + 1)
+        width = max(map(len, rows))
+        return head_groups, tail_groups, _indices(r + [0] * (width - len(r)) for r in rows)
 
 
 def _support_components(dims, edges):
@@ -284,17 +299,15 @@ def dagger(s):
 
 def _vertex_sums(layout: EdgeLayout, plans, head_terms, tail_terms, lead=()):
     """Per vertex class, the sum from zero of each vertex's head and tail
-    terms, added in the order the plans replay; terms with a leading axis of
-    shape ``lead`` are summed per leading index."""
-    vl = layout.vertices
+    terms in edge order: one gather of the plan's rows and one running sum
+    along them; terms with a leading axis of shape ``lead`` are summed per
+    leading index."""
     out = []
-    for c, (head_groups, tail_groups, order, targets) in enumerate(plans):
-        d = vl.class_dims[c]
-        acc = np.zeros(lead + (len(vl.members[c]), d, d), dtype=complex)
-        if targets.size:
-            terms = np.concatenate([head_terms[g] for g in head_groups] + [tail_terms[g] for g in tail_groups], axis=-3)
-            np.add.at(acc, (slice(None),) * len(lead) + (targets,), terms[..., order, :, :])
-        out.append(acc)
+    for d, (head_groups, tail_groups, gather) in zip(layout.vertices.class_dims, plans):
+        terms = [np.zeros(lead + (1, d, d), dtype=complex)]
+        terms += [head_terms[g] for g in head_groups] + [tail_terms[g] for g in tail_groups]
+        terms = np.concatenate(terms, axis=-3)
+        out.append(np.add.accumulate(terms[..., gather, :, :], axis=-3)[..., -1, :, :])
     return out
 
 
@@ -474,29 +487,27 @@ def real_coordinates(layout, stacks):
 # which one term is zero, so it is the correctly rounded real product, with
 # -0 read as +0 (hence the ``+ 0.0`` of ``torus_act``).  LAPACK's inverse of
 # (e, +0) is 1/e, and its singular pivot is e == 0.  The moment term
-# b b^dagger and the norm Re <b, b> are fl(re^2) + fl(im^2).  Vertex sums add
-# each vertex's head and tail terms in the order the stack kernels'
-# ``np.add.at`` does, from +0, by one ``np.add.accumulate``; totals add left to
+# b b^dagger and the norm Re <b, b> are fl(re^2) + fl(im^2).  The vertex sums
+# read the gather of the layout's moment plan, with a pad row for the pad
+# vertex.  The terms are the squared norms of the pad row and of the edges,
+# then the edges' negated norms: the stack kernel's zero block, head terms
+# and tail terms, which one ``np.add.accumulate`` adds as it does.  Totals add left to
 # right from the zero pad.  The 1x1 inverse is exact only because e is real
 # and positive: a trial whose e is 0 or not finite is unusable on both paths,
 # and a point acted on by such an e is left to the stack kernels.
 
 
-def torus_plan(quiver):
-    """Gather indices of the torus kernels, slot 0 being the zero pad: each
-    edge's head and tail vertex, and per vertex its moment terms (head term
-    of edge e at 1 + e, tail term at 2 + m + e for m edges, the pad's at 0)
-    in the order of their keys 2e and 2e + 1, after a leading pad."""
-    m = quiver.num_edges
-    heads = [0] + [h + 1 for _, h in quiver.edges]
-    tails = [0] + [t + 1 for t, _ in quiver.edges]
-    rows = [[0] for _ in range(quiver.num_vertices + 1)]
-    for e in range(1, m + 1):
-        rows[heads[e]].append(e)
-        rows[tails[e]].append(m + 1 + e)
-    width = max(map(len, rows))
-    terms = np.array([r + [0] * (width - len(r)) for r in rows], dtype=np.intp)
-    return np.array(heads, dtype=np.intp), np.array(tails, dtype=np.intp), terms
+def _torus_plan(layout):
+    """Gather indices of the torus kernels on a thin layout, slot 0 being
+    the zero pad: each edge's head and tail vertex, and the moment plan's
+    gather with a pad row first.  A thin layout has at most one shape group
+    and one vertex class, whose positions are the edges' and vertices'
+    own."""
+    pad = _indices([0])
+    heads = np.concatenate([pad] + [g.head_pos + 1 for g in layout.groups])
+    tails = np.concatenate([pad] + [g.tail_pos + 1 for g in layout.groups])
+    gather = layout.moment_plans[0][2] if layout.moment_plans else np.zeros((0, 1), dtype=np.intp)
+    return heads, tails, np.concatenate((np.zeros((1, gather.shape[1]), dtype=np.intp), gather))
 
 
 def torus_values(stacks):
@@ -542,8 +553,8 @@ def torus_sq_norms(b):
 def torus_defect(plan, norms, offset):
     """Imaginary part per vertex of mu_I - theta, from the edges' squared
     norms (per trial under a leading axis) and the offset's imaginary part."""
-    terms = plan[2]
-    moment = np.add.accumulate(np.concatenate((norms, -norms), axis=-1)[..., terms], axis=-1)[..., -1]
+    terms = np.concatenate((norms, -norms[..., 1:]), axis=-1)
+    moment = np.add.accumulate(terms[..., plan[2]], axis=-1)[..., -1]
     return offset - moment
 
 

@@ -29,7 +29,7 @@ from .layout import (
     vdot_real_stacks,
     vertex_layout,
 )
-from .quiver import Representation, finite_scalar, rotate_to_I
+from .quiver import Representation, combined_stacks, finite_scalar, rotate_to_I
 
 SKEW_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -98,15 +98,15 @@ class VertexMatrices(_VertexStacks):
 
     def __add__(self, other):
         self._check_dims(other)
-        return self._new([a + b for a, b in zip(self.stacks, other.stacks)])
+        return self._new(combined_stacks(np.add, self.stacks, other.stacks))
 
     def __sub__(self, other):
         self._check_dims(other)
-        return self._new([a - b for a, b in zip(self.stacks, other.stacks)])
+        return self._new(combined_stacks(np.subtract, self.stacks, other.stacks))
 
     def __mul__(self, scalar):
         scalar = finite_scalar(scalar)
-        return self._new([scalar * s for s in self.stacks])
+        return self._new(combined_stacks(lambda s: scalar * s, self.stacks))
 
     __rmul__ = __mul__
 
@@ -133,14 +133,14 @@ class LieAlgebraElement(VertexMatrices):
 
     def __mul__(self, scalar):
         cls = VertexMatrices if complex(finite_scalar(scalar)).imag != 0.0 else LieAlgebraElement
-        return cls.from_stacks(self.dims, [scalar * s for s in self.stacks])
+        return cls.from_stacks(self.dims, combined_stacks(lambda s: scalar * s, self.stacks))
 
     __rmul__ = __mul__
 
     def __add__(self, other):
         self._check_dims(other)
         cls = LieAlgebraElement if isinstance(other, LieAlgebraElement) else VertexMatrices
-        return cls.from_stacks(self.dims, [a + b for a, b in zip(self.stacks, other.stacks)])
+        return cls.from_stacks(self.dims, combined_stacks(np.add, self.stacks, other.stacks))
 
     def __sub__(self, other):
         return self.__add__(-1.0 * other) if isinstance(other, VertexMatrices) else NotImplemented

@@ -166,16 +166,16 @@ class Representation(HeldStacks):
 
     def __add__(self, other):
         self._check_space(other)
-        return self.replace_stacks([a + b for a, b in zip(self.stacks, other.stacks)])
+        return self.replace_stacks(combined_stacks(np.add, self.stacks, other.stacks))
 
     def __sub__(self, other):
         self._check_space(other)
-        return self.replace_stacks([a - b for a, b in zip(self.stacks, other.stacks)])
+        return self.replace_stacks(combined_stacks(np.subtract, self.stacks, other.stacks))
 
     def __mul__(self, scalar):
         # complex scalars act through the complex structure I
         scalar = finite_scalar(scalar)
-        return self.replace_stacks([scalar * s for s in self.stacks])
+        return self.replace_stacks(combined_stacks(lambda s: scalar * s, self.stacks))
 
     __rmul__ = __mul__
 
@@ -187,6 +187,18 @@ class Representation(HeldStacks):
             f"Representation(vertices={self.quiver.num_vertices}, "
             f"dims={self.dims}, norm_sq={norm_sq(self):.6g})"
         )
+
+
+def combined_stacks(combine, *operands):
+    """``combine`` applied to the operands' stacks, one shape or class at a
+    time.  A result that overflows raises a FloatingPointError: finite
+    points and elements sum or scale to finite ones, or to none.  Operands
+    that hold non-finite entries already give what the arithmetic gives."""
+    with np.errstate(over="raise"):
+        try:
+            return [combine(*parts) for parts in zip(*operands)]
+        except FloatingPointError:
+            raise FloatingPointError("arithmetic on points or elements overflowed") from None
 
 
 def finite_scalar(scalar):

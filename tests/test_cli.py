@@ -429,6 +429,18 @@ def test_non_finite_results_exit_3_with_strict_json(tmp_path):
     assert [r.get("non_finite") for r in reports] == [True, None]
 
 
+def test_overflowing_quaternion_transport_exits_3_with_an_error(tmp_path):
+    """sqrt(t) q.x past the float range is refused where it is scaled: the
+    report holds an error, not a null image with a zero residual."""
+    spec = dict(A2_SPEC, representation={"blocks": [[[[1e200, 0.0]]], [[[1.0, 0.0]]]]},
+                transport={"mode": "quaternion", "q": [1, 0, 0, 0], "t": 1e250})
+    code, report = run_cli(tmp_path, "transport", spec)
+    assert code == EXIT_NO_CONVERGENCE and "non_finite" not in report
+    assert report["result"] == {"error": "arithmetic on points or elements overflowed"}
+    code, report = run_cli(tmp_path, "transport", dict(spec, transport=dict(spec["transport"], t=1e100)))
+    assert code == EXIT_OK and report["result"]["residual"] == 0.0
+
+
 def test_empty_quiver_exits_0(tmp_path):
     """A quiver with no vertices has nothing to solve and no proper
     subrepresentation: every command succeeds and both certificates say stable."""

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,22 @@ def test_algebra_scaling_refuses_a_non_finite_scalar(bad):
     with pytest.raises(ValueError, match=message):
         bad * y
     assert isinstance(2.0 * y, LieAlgebraElement) and not isinstance(2j * y, LieAlgebraElement)
+
+
+def test_element_arithmetic_refuses_an_overflowing_result():
+    """A sum, a difference or a product of finite vertex elements or
+    algebra elements whose result overflows raises a FloatingPointError
+    that says so, with no numpy warning first; results in range are
+    unchanged."""
+    m = VertexMatrices([np.array([[1e308 + 1j]]), np.array([[3.0]])])
+    y = y11(1e308, -1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u in (m, y):
+            for overflowing in (lambda: u + u, lambda: u - (-1.0 * u), lambda: 1e300 * u, lambda: u * 2j):
+                with pytest.raises(FloatingPointError, match="^arithmetic on points or elements overflowed$"):
+                    overflowing()
+        assert (0.5 * y + 0.5 * y).blocks[0][0, 0] == 1e308j and isinstance(y - y, LieAlgebraElement)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -128,6 +128,20 @@ def test_point_scaling_refuses_a_non_finite_scalar(a2, a2_rep, bad):
     assert norm_sq(2.0 * a2_rep(1.0, 0.5)) == 5.0
 
 
+def test_point_arithmetic_refuses_an_overflowing_result(a2_rep):
+    """A sum, a difference or a product of finite points whose result
+    overflows raises a FloatingPointError that says so, with no numpy
+    warning first, instead of returning an infinite point; results in range
+    are unchanged."""
+    x = a2_rep(1e308, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for overflowing in (lambda: x + x, lambda: x - (-1.0 * x), lambda: 1e300 * x, lambda: x * 1e300j):
+            with pytest.raises(FloatingPointError, match="^arithmetic on points or elements overflowed$"):
+                overflowing()
+        assert (0.5 * x + 0.5 * x).blocks[0][0, 0] == 1e308 and (x - x).blocks[0][0, 0] == 0.0
+
+
 def test_inner_product_examples(a2, a2_rep):
     zero = Representation.zero(a2, (1, 1))
     assert inner_product(zero, zero) == 0

@@ -42,7 +42,20 @@ from quivermoment.lie import (
     uv_basis,
 )
 from quivermoment.flow import FlowOptions, flow_integrate
-from quivermoment.layout import dagger, eigh_i_stacks, eigh_stacks, exp_i_stacks, sq_norm_stacks, trial_stacks
+from quivermoment.layout import (
+    dagger,
+    edge_layout,
+    eigh_i_stacks,
+    eigh_stacks,
+    exp_i_stacks,
+    sq_norm_stacks,
+    torus_act,
+    torus_defect,
+    torus_rows,
+    torus_sq_norms,
+    torus_values,
+    trial_stacks,
+)
 from quivermoment.moment import defect_offset, defect_sq_norm, defect_stacks
 from quivermoment.kempf_ness import SolveOptions, solve_moment_equation
 from quivermoment.stability import king_stable_test
@@ -524,14 +537,59 @@ def _same(got, want):
     )
 
 
+# thin layouts (every dimension 1), kept apart because KERNEL_CASES feeds a digest
+THIN_KERNEL_CASES = [
+    ((2, [(0, 0), (0, 1), (1, 1)]), (1, 1)),  # loops at both vertices
+    ((2, [(0, 1), (0, 1), (1, 0)]), (1, 1)),  # parallel and antiparallel edges
+    ((3, []), (1, 1, 1)),  # no edges at all
+    ((4, [(0, 1), (0, 2), (0, 3), (2, 3), (3, 3)]), (1, 1, 1, 1)),  # degrees 3, 1, 2 and 4
+]
+
+
 def test_kernels_match_per_edge_loops_bit_for_bit():
-    rng = np.random.default_rng(33)
-    for (n, edges), dims in KERNEL_CASES:
+    _check_kernels(KERNEL_CASES, np.random.default_rng(33))
+
+
+def test_kernels_match_per_edge_loops_on_thin_layouts():
+    """The same comparison on thin layouts, whose vertex sums gather rows of
+    unequal width where the degrees differ."""
+    (n, edges), dims = THIN_KERNEL_CASES[3]
+    gather = edge_layout(extend(Quiver(n, edges)), dims).moment_plans[0][2]
+    assert gather.shape == (4, 9) and (gather != 0).sum(axis=1).tolist() == [6, 2, 4, 8]
+    _check_kernels(THIN_KERNEL_CASES, np.random.default_rng(35))
+
+
+def test_torus_defect_is_the_stack_defect_bit_for_bit():
+    """The torus vertex sums gather the terms the stack kernel gathers: after
+    its zero pad, ``torus_defect`` is the imaginary part of ``defect_stacks``
+    byte for byte, for one point and for a stack of acted trials, on the thin
+    layouts and on the empty dimension vector; the pad's own defect is +0."""
+    rng = np.random.default_rng(36)
+    for (n, edges), dims in THIN_KERNEL_CASES + [((0, []), ())]:
+        quiver = extend(Quiver(n, edges))
+        for _ in range(3):
+            x = S.random_representation(rng, quiver, dims)
+            layout, offset = x.layout, defect_offset(S.random_theta(rng, dims), x)
+            # per vertex after the pad, e = exp(t w) for three steps t
+            e = np.exp(np.multiply.outer([1.0, 0.5, -2.0], np.append(0.0, rng.normal(size=len(dims)))))
+            b = torus_act(layout.torus_plan, e, torus_rows(x.stacks))
+            trials = [np.ascontiguousarray(b[:, 1:]).view(complex).reshape(3, -1, 1, 1)] if edges else []
+            for rows, stacks, lead in ((torus_rows(x.stacks), x.stacks, ()), (b, trials, (3,))):
+                got = torus_defect(layout.torus_plan, torus_sq_norms(rows), torus_values(offset).imag)
+                want = [s.imag.reshape(lead + (-1,)) for s in defect_stacks(layout, stacks, offset, lead)]
+                assert _same([got[..., 1:]], want or [np.zeros(lead + (0,))]), (edges, dims, lead)
+                assert _same([got[..., 0]], [np.zeros(lead)])
+
+
+def _check_kernels(cases, rng):
+    for (n, edges), dims in cases:
         quiver = extend(Quiver(n, edges))
         for _ in range(5):
             x = S.random_representation(rng, quiver, dims)
-            assert _same(moment_real(x).blocks, _ref_moment(x)), (edges, dims)
-            assert _same(moment_complex(x).blocks, _ref_moment_complex(x)), (edges, dims)
+            # on signed zeros, a vertex sum that started from its first term could end at -0
+            for u in (x, -(0.0 * x)):
+                assert _same(moment_real(u).blocks, _ref_moment(u)), (edges, dims)
+                assert _same(moment_complex(u).blocks, _ref_moment_complex(u)), (edges, dims)
             assert repr(norm_sq(x)) == repr(_ref_norm_sq(x))
             y = S.random_uv_element(rng, dims)
             assert _same(infinitesimal_action(y, x).blocks, _ref_infinitesimal_action(y, x))
