@@ -2,32 +2,33 @@
 
 An ``EdgeLayout`` is built once per (extended quiver, dimension vector) and
 cached.  It stacks the edge blocks of a representation by shape
-(dims[head], dims[tail]) into one 3-d array per shape, and it stacks
-per-vertex matrices (group elements, Lie algebra elements, moment values) by
-dimension into one 3-d array per dimension class (``VertexLayout``); these
-stacks, held read-only by the one base ``HeldStacks``, are the only storage
-of points and of algebra and group elements.  The kernels below compute the
-moment maps, the infinitesimal action (also over a leading basis axis), the
-group action, exp(itY), pairings and real coordinates on those stacks with
-one batched numpy call per shape or class instead of one Python step per
-edge or vertex.  The trials of a line search along one direction share one
-eigendecomposition and run as one stack: their group elements, acted
-points, norms and moment defects carry a leading trial axis.
+(dims[head], dims[tail]) into one 3-d array per shape, and it stacks per-vertex
+matrices (group elements, Lie algebra elements, moment values) by dimension
+into one 3-d array per dimension class (``VertexLayout``); these stacks, held
+read-only by the one base ``HeldStacks``, are the only storage of points and
+of algebra and group elements.  The kernels below compute the moment maps,
+the infinitesimal action (also over a leading basis axis), the group action,
+exp(itY), pairings and real coordinates on those stacks with one batched
+numpy call per shape or class instead of one Python step per edge or vertex.  The trials of a line search along one
+direction share one eigendecomposition and run as one stack: their group
+elements, acted points, norms and moment defects carry a leading trial axis.
 
 Contract: every kernel is bit-for-bit equal to the per-edge definition it
 replaces, and every trial of a stack is bit-for-bit equal to the same trial
 computed alone.  Batched ``matmul``, ``inv``, ``det``, ``slogdet`` and
 ``eigh`` run the same per-matrix routine on each stacked matrix (a 1x1
-``eigh`` is answered in closed form with the bytes that routine returns),
-and elementwise operations act entry by entry.  Sums over edges or vertices
-are where order matters, so they are kept in the definition's order.
+``eigh`` is answered in closed form with the bytes that routine returns), and
+elementwise operations act entry by entry.  Sums over edges or vertices are
+where order matters, so they are kept in the definition's order.
 
 - A vertex sum (the moment maps) gathers each vertex's terms into one row: a
   zero, then its head and tail terms in edge order (head term before tail
   term for each edge), padded with the zero.  ``np.add.accumulate`` along
   the row adds them one after another from zero, as the edge loop does.  A
-  sum from +0 is never -0, so the padding adds nothing.  The layout plans
-  these gathers once (``EdgeLayout.moment_plans``).
+  sum from +0 is never -0, so the padding adds nothing.  Rows of very
+  different lengths are gathered in buckets, so that padding at most
+  doubles the terms gathered.  The layout plans these gathers once
+  (``EdgeLayout.moment_plans``).
 - A pairing or norm is a batched row-times-column product per block (equal
   to ``np.vdot``), summed left to right in edge or vertex order, one such sum
   per trial (``np.add.accumulate`` over a row that starts with a zero).
@@ -153,14 +154,14 @@ class EdgeLayout(_GroupedItems):
 
     ``slots[e] = (g, i)`` locates edge e in shape group g.  ``moment_plans[c]``
     says how the per-edge terms of the real moment map reach the vertices of
-    class c: the groups that contribute head terms and tail terms, and a
-    padded (n_c, width) gather into the concatenation of a zero block, those
-    head terms and those tail terms, whose row lists a vertex's terms in
-    edge order (head term before tail term) after the zero block and is
-    padded with it.  ``complex_moment_plans`` does the same for the complex
-    moment map, which has head terms only.  ``support_components`` counts
-    the connected components of the vertices of positive dimension; a vertex
-    of dimension zero cuts every edge at it.  ``torus_plan`` is None unless
+    class c: the groups that contribute head terms and tail terms, and the
+    ``_buckets`` of the rows that list each vertex's terms in edge order
+    (head term before tail term) as indices into the concatenation of a zero
+    block, those head terms and those tail terms, after the zero block.
+    ``complex_moment_plans`` does the same for the complex moment map, which
+    has head terms only.  ``support_components`` counts the connected
+    components of the vertices of positive dimension; a vertex of dimension
+    zero cuts every edge at it.  ``torus_plan`` is None unless
     every dimension is 1 (see the torus kernels).
     """
 
@@ -185,20 +186,36 @@ class EdgeLayout(_GroupedItems):
     def _gather_plan(self, c, tails):
         head_groups = [g for g, grp in enumerate(self.groups) if grp.head_class == c]
         tail_groups = [g for g, grp in enumerate(self.groups) if tails and grp.tail_class == c]
-        # one key per term: 2e for the head term of edge e, 2e + 1 for its tail term
-        keys, targets = [], []
-        for g in head_groups:
-            keys += [2 * e for e in self.members[g]]
-            targets += self.groups[g].head_pos.tolist()
-        for g in tail_groups:
-            keys += [2 * e + 1 for e in self.members[g]]
-            targets += self.groups[g].tail_pos.tolist()
+        # one (key, vertex position) per term: 2e for the head term of edge e, 2e + 1 for its tail term
+        terms = [(2 * e, v) for g in head_groups
+                 for e, v in zip(self.members[g], self.groups[g].head_pos.tolist())]
+        terms += [(2 * e + 1, v) for g in tail_groups
+                  for e, v in zip(self.members[g], self.groups[g].tail_pos.tolist())]
         # term k + 1 of the concatenation is term k above; term 0 is the zero block
         rows = [[0] for _ in self.vertices.members[c]]
-        for k in np.argsort(_indices(keys)).tolist():
-            rows[targets[k]].append(k + 1)
-        width = max(map(len, rows))
-        return head_groups, tail_groups, _indices(r + [0] * (width - len(r)) for r in rows)
+        for k in sorted(range(len(terms)), key=terms.__getitem__):
+            rows[terms[k][1]].append(k + 1)
+        return head_groups, tail_groups, _buckets(rows)
+
+
+def _buckets(rows):
+    """``(gathers, order)``: ``rows`` padded with 0 into (n_b, width) gathers,
+    one per bucket of rows, and the index that takes the buckets' results,
+    concatenated, to row order (None when that is the identity).  The rows
+    are one bucket when padding them to the longest at most doubles their
+    entries.  Otherwise rows whose lengths have the same power-of-two
+    ceiling share a bucket, whose padding then at most doubles its entries:
+    a hub of high degree is not copied into every row."""
+    lengths = [len(r) for r in rows]
+    one = len(rows) * max(lengths) <= 2 * sum(lengths)
+    keys = [0 if one else (n - 1).bit_length() for n in lengths]
+    members = [[i for i, k in enumerate(keys) if k == key] for key in sorted(set(keys))]
+    return tuple(_padded([rows[i] for i in m]) for m in members), _item_order(members, [1] * len(members))
+
+
+def _padded(rows):
+    width = max(map(len, rows))
+    return _indices(r + [0] * (width - len(r)) for r in rows)
 
 
 def _support_components(dims, edges):
@@ -299,15 +316,17 @@ def dagger(s):
 
 def _vertex_sums(layout: EdgeLayout, plans, head_terms, tail_terms, lead=()):
     """Per vertex class, the sum from zero of each vertex's head and tail
-    terms in edge order: one gather of the plan's rows and one running sum
-    along them; terms with a leading axis of shape ``lead`` are summed per
-    leading index."""
+    terms in edge order: per bucket of the plan's rows, one gather and one
+    running sum along them, put back in vertex order; terms with a leading
+    axis of shape ``lead`` are summed per leading index."""
     out = []
-    for d, (head_groups, tail_groups, gather) in zip(layout.vertices.class_dims, plans):
+    for d, (head_groups, tail_groups, (gathers, order)) in zip(layout.vertices.class_dims, plans):
         terms = [np.zeros(lead + (1, d, d), dtype=complex)]
         terms += [head_terms[g] for g in head_groups] + [tail_terms[g] for g in tail_groups]
         terms = np.concatenate(terms, axis=-3)
-        out.append(np.add.accumulate(terms[..., gather, :, :], axis=-3)[..., -1, :, :])
+        sums = [np.add.accumulate(terms[..., gather, :, :], axis=-3)[..., -1, :, :] for gather in gathers]
+        sums = sums[0] if len(sums) == 1 else np.concatenate(sums, axis=-3)
+        out.append(sums if order is None else sums[..., order, :, :])
     return out
 
 
@@ -488,26 +507,26 @@ def real_coordinates(layout, stacks):
 # -0 read as +0 (hence the ``+ 0.0`` of ``torus_act``).  LAPACK's inverse of
 # (e, +0) is 1/e, and its singular pivot is e == 0.  The moment term
 # b b^dagger and the norm Re <b, b> are fl(re^2) + fl(im^2).  The vertex sums
-# read the gather of the layout's moment plan, with a pad row for the pad
-# vertex.  The terms are the squared norms of the pad row and of the edges,
-# then the edges' negated norms: the stack kernel's zero block, head terms
-# and tail terms, which one ``np.add.accumulate`` adds as it does.  Totals add left to
-# right from the zero pad.  The 1x1 inverse is exact only because e is real
+# read the buckets of the layout's moment plan.  The terms are the squared
+# norms of the pad row and of the edges, then the edges' negated norms: the
+# stack kernel's zero block, head terms and tail terms, which
+# ``np.add.accumulate`` adds as it does.  Totals add left to right from the
+# zero pad.  The 1x1 inverse is exact only because e is real
 # and positive: a trial whose e is 0 or not finite is unusable on both paths,
 # and a point acted on by such an e is left to the stack kernels.
 
 
 def _torus_plan(layout):
-    """Gather indices of the torus kernels on a thin layout, slot 0 being
-    the zero pad: each edge's head and tail vertex, and the moment plan's
-    gather with a pad row first.  A thin layout has at most one shape group
-    and one vertex class, whose positions are the edges' and vertices'
-    own."""
+    """Indices of the torus kernels on a thin layout, slot 0 being the zero
+    pad: each edge's head and tail vertex, and the moment plan's buckets
+    (one empty gather when there is no vertex).  A thin layout has at most
+    one shape group and one vertex class, whose positions are the edges'
+    and vertices' own."""
     pad = _indices([0])
     heads = np.concatenate([pad] + [g.head_pos + 1 for g in layout.groups])
     tails = np.concatenate([pad] + [g.tail_pos + 1 for g in layout.groups])
-    gather = layout.moment_plans[0][2] if layout.moment_plans else np.zeros((0, 1), dtype=np.intp)
-    return heads, tails, np.concatenate((np.zeros((1, gather.shape[1]), dtype=np.intp), gather))
+    empty = ((np.zeros((0, 1), dtype=np.intp),), None)
+    return heads, tails, layout.moment_plans[0][2] if layout.moment_plans else empty
 
 
 def torus_values(stacks):
@@ -552,10 +571,15 @@ def torus_sq_norms(b):
 
 def torus_defect(plan, norms, offset):
     """Imaginary part per vertex of mu_I - theta, from the edges' squared
-    norms (per trial under a leading axis) and the offset's imaginary part."""
+    norms (per trial under a leading axis) and the offset's imaginary part;
+    the pad's is +0."""
+    _, _, (gathers, order) = plan
     terms = np.concatenate((norms, -norms[..., 1:]), axis=-1)
-    moment = np.add.accumulate(terms[..., plan[2]], axis=-1)[..., -1]
-    return offset - moment
+    sums = [np.add.accumulate(terms[..., gather], axis=-1)[..., -1] for gather in gathers]
+    moment = sums[0] if len(sums) == 1 else np.concatenate(sums, axis=-1)
+    defect = np.zeros(norms.shape[:-1] + offset.shape)
+    np.subtract(offset[1:], moment if order is None else moment[..., order], out=defect[..., 1:])
+    return defect
 
 
 def torus_total(values):

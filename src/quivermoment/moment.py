@@ -11,6 +11,7 @@ closed form is tested against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from .lie import (
     exp_action,
     pairing,
     pairing_norm,
+    pairing_stacks,
     theta_to_center,
 )
 from .quiver import Representation, inner_product, norm_sq, rotate_to_I
@@ -140,14 +142,21 @@ def complex_vs_real_identity(x: Representation):
     comes out to -2 (see MU_C_FROM_JK).
     """
     mu_c = moment_complex(x)
-    lhs = moment_real(x, "J") + 1j * moment_real(x, "K")
-    den = pairing(mu_c, mu_c)
-    # |mu_C|^2 has degree four in x; a fixed cutoff would read rounding as signal
-    size = inner_product(x, x).real
-    if den <= 1e-30 * size * size:  # overflows to inf, where ** 2 raises
-        return None, pairing_norm(lhs)
-    c = pairing(lhs, mu_c) / den
-    return c, pairing_norm(lhs - c * mu_c)
+    # a measurement: a sum past the float range gives a residual that is not
+    # finite (and c = nan), where element arithmetic would raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = [j + 1j * k for j, k in zip(moment_real(x, "J").stacks, moment_real(x, "K").stacks)]
+        den = pairing(mu_c, mu_c)
+        # |mu_C|^2 has degree four in x; a fixed cutoff would read rounding as signal
+        size = inner_product(x, x).real
+        if den <= 1e-30 * size * size:  # overflows to inf, where ** 2 raises
+            return None, _pairing_norm_stacks(mu_c.layout, lhs)
+        c = pairing_stacks(mu_c.layout, lhs, mu_c.stacks) / den
+        return c, _pairing_norm_stacks(mu_c.layout, [a - c * b for a, b in zip(lhs, mu_c.stacks)])
+
+
+def _pairing_norm_stacks(layout, stacks):
+    return math.sqrt(max(pairing_stacks(layout, stacks, stacks), 0.0))
 
 
 # mu_C = MU_C_FROM_JK * (mu_J + i mu_K) under the conventions of this package;

@@ -429,6 +429,22 @@ def test_non_finite_results_exit_3_with_strict_json(tmp_path):
     assert [r.get("non_finite") for r in reports] == [True, None]
 
 
+def test_overflowing_proportionality_is_reported_as_null(tmp_path):
+    """mu_J + i mu_K or |mu_C|^2 past the float range is a measurement that
+    did not fit: c and the residual are null with the non-finite flag and
+    exit 3, while the finite moment values are reported."""
+    big, one = [1e154, 0.0], [1.0, 0.0]
+    for blocks in ([[[big, [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], [[[0.0, 0.0], big], [[0.0, 0.0], [0.0, 0.0]]]],
+                   [[[big, one], [big, one]], [[big, one], [big, one]]]):
+        spec = dict(A2_SPEC, dims=[2, 2], representation={"blocks": blocks})
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, report = run_cli(tmp_path, "moment", spec)
+        assert code == EXIT_NO_CONVERGENCE and report["non_finite"] is True
+        result = report["result"]
+        assert result["proportionality_c"] is None and result["proportionality_residual"] is None
+        assert None not in np.ravel(result["mu_I"]).tolist()
+
+
 def test_overflowing_quaternion_transport_exits_3_with_an_error(tmp_path):
     """sqrt(t) q.x past the float range is refused where it is scaled: the
     report holds an error, not a null image with a zero residual."""

@@ -543,7 +543,11 @@ THIN_KERNEL_CASES = [
     ((2, [(0, 1), (0, 1), (1, 0)]), (1, 1)),  # parallel and antiparallel edges
     ((3, []), (1, 1, 1)),  # no edges at all
     ((4, [(0, 1), (0, 2), (0, 3), (2, 3), (3, 3)]), (1, 1, 1, 1)),  # degrees 3, 1, 2 and 4
+    ((7, [(0, v) for v in range(1, 7)]), (1,) * 7),  # a hub of degree 6 among leaves of degree 1
 ]
+
+# a hub of high degree among leaves, at dimension 2
+STAR_KERNEL_CASES = [((7, [(0, v) for v in range(1, 7)] + [(3, 3)]), (2,) * 7)]
 
 
 def test_kernels_match_per_edge_loops_bit_for_bit():
@@ -553,10 +557,24 @@ def test_kernels_match_per_edge_loops_bit_for_bit():
 def test_kernels_match_per_edge_loops_on_thin_layouts():
     """The same comparison on thin layouts, whose vertex sums gather rows of
     unequal width where the degrees differ."""
-    (n, edges), dims = THIN_KERNEL_CASES[3]
-    gather = edge_layout(extend(Quiver(n, edges)), dims).moment_plans[0][2]
-    assert gather.shape == (4, 9) and (gather != 0).sum(axis=1).tolist() == [6, 2, 4, 8]
+    (n, edges), _ = THIN_KERNEL_CASES[3]
+    assert len({sum(v in e for e in edges) for v in range(n)}) > 1
     _check_kernels(THIN_KERNEL_CASES, np.random.default_rng(35))
+
+
+def test_star_vertex_sums_gather_terms_linear_in_the_degrees():
+    """A hub's terms are not padded into every leaf's row: on stars with k
+    leaves the moment plans gather at most twice the vertices' terms, and
+    the kernels match the per-edge loops on a star."""
+    _check_kernels(STAR_KERNEL_CASES, np.random.default_rng(37))
+    for k in (6, 100, 1000):
+        for dims in ((1,) * (k + 1), (2,) * (k + 1)):
+            layout = edge_layout(extend(Quiver(k + 1, [(0, v) for v in range(1, k + 1)])), dims)
+            # the extended quiver has 2k edges, each with a head and a tail term
+            rows = k + 1 + 4 * k
+            for plans in (layout.moment_plans, layout.complex_moment_plans):
+                (_, _, (gathers, _)), = plans
+                assert sum(g.size for g in gathers) <= 2 * rows, (k, dims)
 
 
 def test_torus_defect_is_the_stack_defect_bit_for_bit():
