@@ -157,12 +157,13 @@ class EdgeLayout(_GroupedItems):
     class c: the groups that contribute head terms and tail terms, and the
     ``_buckets`` of the rows that list each vertex's terms in edge order
     (head term before tail term) as indices into the concatenation of a zero
-    block, those head terms and those tail terms, after the zero block.
-    ``complex_moment_plans`` does the same for the complex moment map, which
-    has head terms only.  ``support_components`` counts the connected
-    components of the vertices of positive dimension; a vertex of dimension
-    zero cuts every edge at it.  ``torus_plan`` is None unless
-    every dimension is 1 (see the torus kernels).
+    block, those head terms and those tail terms, after the zero block; row
+    0 is a pad row, the zero block alone, which the torus kernels keep and
+    the stack kernels drop.  ``complex_moment_plans`` does the same for the
+    complex moment map, which has head terms only.  ``support_components``
+    counts the connected components of the vertices of positive dimension;
+    a vertex of dimension zero cuts every edge at it.  ``torus_plan`` is
+    None unless every dimension is 1 (see the torus kernels).
     """
 
     __slots__ = ("vertices", "groups", "moment_plans", "complex_moment_plans", "support_components", "torus_plan")
@@ -187,14 +188,13 @@ class EdgeLayout(_GroupedItems):
         head_groups = [g for g, grp in enumerate(self.groups) if grp.head_class == c]
         tail_groups = [g for g, grp in enumerate(self.groups) if tails and grp.tail_class == c]
         # one (key, vertex position) per term: 2e for the head term of edge e, 2e + 1 for its tail term
-        terms = [(2 * e, v) for g in head_groups
-                 for e, v in zip(self.members[g], self.groups[g].head_pos.tolist())]
-        terms += [(2 * e + 1, v) for g in tail_groups
-                  for e, v in zip(self.members[g], self.groups[g].tail_pos.tolist())]
-        # term k + 1 of the concatenation is term k above; term 0 is the zero block
-        rows = [[0] for _ in self.vertices.members[c]]
+        terms = [(2 * e, v) for g in head_groups for e, v in zip(self.members[g], self.groups[g].head_pos)]
+        terms += [(2 * e + 1, v) for g in tail_groups for e, v in zip(self.members[g], self.groups[g].tail_pos)]
+        # term k + 1 of the concatenation is term k above; term 0 is the zero block,
+        # and row 0 a pad row of it alone (the torus kernels' pad vertex)
+        rows = [[0] for _ in range(1 + len(self.vertices.members[c]))]
         for k in sorted(range(len(terms)), key=terms.__getitem__):
-            rows[terms[k][1]].append(k + 1)
+            rows[1 + terms[k][1]].append(k + 1)
         return head_groups, tail_groups, _buckets(rows)
 
 
@@ -206,9 +206,8 @@ def _buckets(rows):
     entries.  Otherwise rows whose lengths have the same power-of-two
     ceiling share a bucket, whose padding then at most doubles its entries:
     a hub of high degree is not copied into every row."""
-    lengths = [len(r) for r in rows]
-    one = len(rows) * max(lengths) <= 2 * sum(lengths)
-    keys = [0 if one else (n - 1).bit_length() for n in lengths]
+    sizes = [len(r) for r in rows]
+    keys = [(n - 1).bit_length() for n in sizes] if len(rows) * max(sizes) > 2 * sum(sizes) else [0] * len(rows)
     members = [[i for i, k in enumerate(keys) if k == key] for key in sorted(set(keys))]
     return tuple(_padded([rows[i] for i in m]) for m in members), _item_order(members, [1] * len(members))
 
@@ -277,9 +276,12 @@ def _take(pos):
 def _item_order(members, sizes):
     """Index that takes per-class arrays with ``sizes[c]`` entries per member,
     concatenated class by class, to member order; None when the concatenation
-    is already in member order."""
+    is already in member order, as it is for at most one class, whose
+    members are increasing."""
+    if len(members) < 2:
+        return None
     keys = [np.repeat(_indices(m), size) for m, size in zip(members, sizes)]
-    order = np.argsort(np.concatenate(keys), kind="stable") if keys else _indices(())
+    order = np.argsort(np.concatenate(keys), kind="stable")
     return None if np.array_equal(order, np.arange(order.size)) else order
 
 
@@ -321,12 +323,12 @@ def _vertex_sums(layout: EdgeLayout, plans, head_terms, tail_terms, lead=()):
     axis of shape ``lead`` are summed per leading index."""
     out = []
     for d, (head_groups, tail_groups, (gathers, order)) in zip(layout.vertices.class_dims, plans):
-        terms = [np.zeros(lead + (1, d, d), dtype=complex)]
-        terms += [head_terms[g] for g in head_groups] + [tail_terms[g] for g in tail_groups]
-        terms = np.concatenate(terms, axis=-3)
+        parts = [head_terms[g] for g in head_groups] + [tail_terms[g] for g in tail_groups]
+        terms = np.concatenate([np.zeros(lead + (1, d, d), dtype=complex)] + parts, axis=-3)
         sums = [np.add.accumulate(terms[..., gather, :, :], axis=-3)[..., -1, :, :] for gather in gathers]
         sums = sums[0] if len(sums) == 1 else np.concatenate(sums, axis=-3)
-        out.append(sums if order is None else sums[..., order, :, :])
+        # the pad row comes first
+        out.append(sums[..., 1:, :, :] if order is None else sums[..., order[1:], :, :])
     return out
 
 
@@ -518,15 +520,13 @@ def real_coordinates(layout, stacks):
 
 def _torus_plan(layout):
     """Indices of the torus kernels on a thin layout, slot 0 being the zero
-    pad: each edge's head and tail vertex, and the moment plan's buckets
-    (one empty gather when there is no vertex).  A thin layout has at most
-    one shape group and one vertex class, whose positions are the edges'
-    and vertices' own."""
-    pad = _indices([0])
-    heads = np.concatenate([pad] + [g.head_pos + 1 for g in layout.groups])
-    tails = np.concatenate([pad] + [g.tail_pos + 1 for g in layout.groups])
-    empty = ((np.zeros((0, 1), dtype=np.intp),), None)
-    return heads, tails, layout.moment_plans[0][2] if layout.moment_plans else empty
+    pad: each edge's head and tail vertex, and the moment plan's buckets,
+    whose row 0 is the pad's (the pad row alone when there is no vertex).
+    A thin layout has at most one shape group and one vertex class, whose
+    positions are the edges' and vertices' own."""
+    heads = np.concatenate([[0]] + [g.head_pos + 1 for g in layout.groups])
+    tails = np.concatenate([[0]] + [g.tail_pos + 1 for g in layout.groups])
+    return heads, tails, layout.moment_plans[0][2] if layout.moment_plans else _buckets([[0]])
 
 
 def torus_values(stacks):
@@ -571,15 +571,12 @@ def torus_sq_norms(b):
 
 def torus_defect(plan, norms, offset):
     """Imaginary part per vertex of mu_I - theta, from the edges' squared
-    norms (per trial under a leading axis) and the offset's imaginary part;
-    the pad's is +0."""
+    norms (per trial under a leading axis) and the offset's imaginary part."""
     _, _, (gathers, order) = plan
     terms = np.concatenate((norms, -norms[..., 1:]), axis=-1)
     sums = [np.add.accumulate(terms[..., gather], axis=-1)[..., -1] for gather in gathers]
     moment = sums[0] if len(sums) == 1 else np.concatenate(sums, axis=-1)
-    defect = np.zeros(norms.shape[:-1] + offset.shape)
-    np.subtract(offset[1:], moment if order is None else moment[..., order], out=defect[..., 1:])
-    return defect
+    return offset - (moment if order is None else moment[..., order])
 
 
 def torus_total(values):

@@ -570,11 +570,12 @@ def test_star_vertex_sums_gather_terms_linear_in_the_degrees():
     for k in (6, 100, 1000):
         for dims in ((1,) * (k + 1), (2,) * (k + 1)):
             layout = edge_layout(extend(Quiver(k + 1, [(0, v) for v in range(1, k + 1)])), dims)
-            # the extended quiver has 2k edges, each with a head and a tail term
-            rows = k + 1 + 4 * k
+            # a pad row, a leading zero per vertex, and a head and a tail term
+            # for each of the extended quiver's 2k edges
+            entries = 1 + (k + 1) + 4 * k
             for plans in (layout.moment_plans, layout.complex_moment_plans):
                 (_, _, (gathers, _)), = plans
-                assert sum(g.size for g in gathers) <= 2 * rows, (k, dims)
+                assert sum(g.size for g in gathers) <= 2 * entries, (k, dims)
 
 
 def test_torus_defect_is_the_stack_defect_bit_for_bit():
