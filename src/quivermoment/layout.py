@@ -188,8 +188,10 @@ class EdgeLayout(_GroupedItems):
         head_groups = [g for g, grp in enumerate(self.groups) if grp.head_class == c]
         tail_groups = [g for g, grp in enumerate(self.groups) if tails and grp.tail_class == c]
         # one (key, vertex position) per term: 2e for the head term of edge e, 2e + 1 for its tail term
-        terms = [(2 * e, v) for g in head_groups for e, v in zip(self.members[g], self.groups[g].head_pos)]
-        terms += [(2 * e + 1, v) for g in tail_groups for e, v in zip(self.members[g], self.groups[g].tail_pos)]
+        terms = [(2 * e, v) for g in head_groups
+                 for e, v in zip(self.members[g], self.groups[g].head_pos.tolist())]
+        terms += [(2 * e + 1, v) for g in tail_groups
+                  for e, v in zip(self.members[g], self.groups[g].tail_pos.tolist())]
         # term k + 1 of the concatenation is term k above; term 0 is the zero block,
         # and row 0 a pad row of it alone (the torus kernels' pad vertex)
         rows = [[0] for _ in range(1 + len(self.vertices.members[c]))]
@@ -207,7 +209,8 @@ def _buckets(rows):
     ceiling share a bucket, whose padding then at most doubles its entries:
     a hub of high degree is not copied into every row."""
     sizes = [len(r) for r in rows]
-    keys = [(n - 1).bit_length() for n in sizes] if len(rows) * max(sizes) > 2 * sum(sizes) else [0] * len(rows)
+    skewed = len(rows) * max(sizes) > 2 * sum(sizes)
+    keys = [(n - 1).bit_length() if skewed else 0 for n in sizes]
     members = [[i for i, k in enumerate(keys) if k == key] for key in sorted(set(keys))]
     return tuple(_padded([rows[i] for i in m]) for m in members), _item_order(members, [1] * len(members))
 
