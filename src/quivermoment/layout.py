@@ -27,7 +27,7 @@ where order matters, so they are kept in the definition's order.
   the row adds them one after another from zero, as the edge loop does.  A
   sum from +0 is never -0, so the padding adds nothing.  Rows of very
   different lengths are gathered in buckets, so that padding at most
-  doubles the terms gathered.  The layout plans these gathers once
+  quadruples the terms gathered.  The layout plans these gathers once
   (``EdgeLayout.moment_plans``).
 - A pairing or norm is a batched row-times-column product per block (equal
   to ``np.vdot``), summed left to right in edge or vertex order, one such sum
@@ -204,12 +204,14 @@ def _buckets(rows):
     """``(gathers, order)``: ``rows`` padded with 0 into (n_b, width) gathers,
     one per bucket of rows, and the index that takes the buckets' results,
     concatenated, to row order (None when that is the identity).  The rows
-    are one bucket when padding them to the longest at most doubles their
-    entries.  Otherwise rows whose lengths have the same power-of-two
-    ceiling share a bucket, whose padding then at most doubles its entries:
-    a hub of high degree is not copied into every row."""
+    are one bucket when padding them to the longest at most quadruples
+    their entries: each further bucket costs a gather and a running sum per
+    call, more than such padding costs on small classes.  Otherwise rows
+    whose lengths have the same power-of-two ceiling share a bucket, whose
+    padding then at most doubles its entries: a hub of high degree is not
+    copied into every row."""
     sizes = [len(r) for r in rows]
-    skewed = len(rows) * max(sizes) > 2 * sum(sizes)
+    skewed = len(rows) * max(sizes) > 4 * sum(sizes)
     keys = [(n - 1).bit_length() if skewed else 0 for n in sizes]
     members = [[i for i, k in enumerate(keys) if k == key] for key in sorted(set(keys))]
     return tuple(_padded([rows[i] for i in m]) for m in members), _item_order(members, [1] * len(members))

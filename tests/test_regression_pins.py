@@ -543,11 +543,11 @@ THIN_KERNEL_CASES = [
     ((2, [(0, 1), (0, 1), (1, 0)]), (1, 1)),  # parallel and antiparallel edges
     ((3, []), (1, 1, 1)),  # no edges at all
     ((4, [(0, 1), (0, 2), (0, 3), (2, 3), (3, 3)]), (1, 1, 1, 1)),  # degrees 3, 1, 2 and 4
-    ((7, [(0, v) for v in range(1, 7)]), (1,) * 7),  # a hub of degree 6 among leaves of degree 1
+    ((13, [(0, v) for v in range(1, 13)]), (1,) * 13),  # a hub of degree 12 among leaves of degree 1
 ]
 
 # a hub of high degree among leaves, at dimension 2
-STAR_KERNEL_CASES = [((7, [(0, v) for v in range(1, 7)] + [(3, 3)]), (2,) * 7)]
+STAR_KERNEL_CASES = [((13, [(0, v) for v in range(1, 13)] + [(3, 3)]), (2,) * 13)]
 
 
 def test_kernels_match_per_edge_loops_bit_for_bit():
@@ -564,7 +564,7 @@ def test_kernels_match_per_edge_loops_on_thin_layouts():
 
 def test_star_vertex_sums_gather_terms_linear_in_the_degrees():
     """A hub's terms are not padded into every leaf's row: on stars with k
-    leaves the moment plans gather at most twice the vertices' terms, and
+    leaves the moment plans gather at most four times the rows' entries, and
     the kernels match the per-edge loops on a star."""
     _check_kernels(STAR_KERNEL_CASES, np.random.default_rng(37))
     for k in (6, 100, 1000):
@@ -575,7 +575,7 @@ def test_star_vertex_sums_gather_terms_linear_in_the_degrees():
             entries = 1 + (k + 1) + 4 * k
             for plans in (layout.moment_plans, layout.complex_moment_plans):
                 (_, _, (gathers, _)), = plans
-                assert sum(g.size for g in gathers) <= 2 * entries, (k, dims)
+                assert sum(g.size for g in gathers) <= 4 * entries, (k, dims)
 
 
 def test_torus_defect_is_the_stack_defect_bit_for_bit():
