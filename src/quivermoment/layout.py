@@ -157,13 +157,12 @@ class EdgeLayout(_GroupedItems):
     class c: the groups that contribute head terms and tail terms, and the
     ``_buckets`` of the rows that list each vertex's terms in edge order
     (head term before tail term) as indices into the concatenation of a zero
-    block, those head terms and those tail terms, after the zero block; row
-    0 is a pad row, the zero block alone, which the torus kernels keep and
-    the stack kernels drop.  ``complex_moment_plans`` does the same for the
-    complex moment map, which has head terms only.  ``support_components``
-    counts the connected components of the vertices of positive dimension;
-    a vertex of dimension zero cuts every edge at it.  ``torus_plan`` is
-    None unless every dimension is 1 (see the torus kernels).
+    block, those head terms and those tail terms, after the zero block.
+    ``complex_moment_plans`` does the same for the complex moment map, which
+    has head terms only.  ``support_components`` counts the connected
+    components of the vertices of positive dimension; a vertex of dimension
+    zero cuts every edge at it.  ``torus_plan`` is None unless every
+    dimension is 1 (see the torus kernels).
     """
 
     __slots__ = ("vertices", "groups", "moment_plans", "complex_moment_plans", "support_components", "torus_plan")
@@ -184,7 +183,7 @@ class EdgeLayout(_GroupedItems):
         # the empty dimension vector is thin too
         self.torus_plan = _torus_plan(self) if set(vl.dims) <= {1} else None
 
-    def _gather_plan(self, c, tails):
+    def _gather_plan(self, c, tails, pad=0):
         head_groups = [g for g, grp in enumerate(self.groups) if grp.head_class == c]
         tail_groups = [g for g, grp in enumerate(self.groups) if tails and grp.tail_class == c]
         # one (key, vertex position) per term: 2e for the head term of edge e, 2e + 1 for its tail term
@@ -192,11 +191,11 @@ class EdgeLayout(_GroupedItems):
                  for e, v in zip(self.members[g], self.groups[g].head_pos.tolist())]
         terms += [(2 * e + 1, v) for g in tail_groups
                   for e, v in zip(self.members[g], self.groups[g].tail_pos.tolist())]
-        # term k + 1 of the concatenation is term k above; term 0 is the zero block,
-        # and row 0 a pad row of it alone (the torus kernels' pad vertex)
-        rows = [[0] for _ in range(1 + len(self.vertices.members[c]))]
+        # term k + 1 of the concatenation is term k above; term 0 is the zero
+        # block, and the first ``pad`` rows hold it alone
+        rows = [[0] for _ in range(pad + len(self.vertices.members[c]))]
         for k in sorted(range(len(terms)), key=terms.__getitem__):
-            rows[1 + terms[k][1]].append(k + 1)
+            rows[pad + terms[k][1]].append(k + 1)
         return head_groups, tail_groups, _buckets(rows)
 
 
@@ -332,8 +331,7 @@ def _vertex_sums(layout: EdgeLayout, plans, head_terms, tail_terms, lead=()):
         terms = np.concatenate([np.zeros(lead + (1, d, d), dtype=complex)] + parts, axis=-3)
         sums = [np.add.accumulate(terms[..., gather, :, :], axis=-3)[..., -1, :, :] for gather in gathers]
         sums = sums[0] if len(sums) == 1 else np.concatenate(sums, axis=-3)
-        # the pad row comes first
-        out.append(sums[..., 1:, :, :] if order is None else sums[..., order[1:], :, :])
+        out.append(sums if order is None else sums[..., order, :, :])
     return out
 
 
@@ -514,7 +512,8 @@ def real_coordinates(layout, stacks):
 # -0 read as +0 (hence the ``+ 0.0`` of ``torus_act``).  LAPACK's inverse of
 # (e, +0) is 1/e, and its singular pivot is e == 0.  The moment term
 # b b^dagger and the norm Re <b, b> are fl(re^2) + fl(im^2).  The vertex sums
-# read the buckets of the layout's moment plan.  The terms are the squared
+# read the rows of the layout's moment plan, after a pad row for the pad
+# vertex, in buckets planned the same way.  The terms are the squared
 # norms of the pad row and of the edges, then the edges' negated norms: the
 # stack kernel's zero block, head terms and tail terms, which
 # ``np.add.accumulate`` adds as it does.  Totals add left to right from the
@@ -525,13 +524,13 @@ def real_coordinates(layout, stacks):
 
 def _torus_plan(layout):
     """Indices of the torus kernels on a thin layout, slot 0 being the zero
-    pad: each edge's head and tail vertex, and the moment plan's buckets,
-    whose row 0 is the pad's (the pad row alone when there is no vertex).
+    pad: each edge's head and tail vertex, and the buckets of the moment
+    plan's rows after a pad row (the pad row alone when there is no vertex).
     A thin layout has at most one shape group and one vertex class, whose
     positions are the edges' and vertices' own."""
     heads = np.concatenate([[0]] + [g.head_pos + 1 for g in layout.groups])
     tails = np.concatenate([[0]] + [g.tail_pos + 1 for g in layout.groups])
-    return heads, tails, layout.moment_plans[0][2] if layout.moment_plans else _buckets([[0]])
+    return heads, tails, layout._gather_plan(0, True, pad=1)[2] if layout.moment_plans else _buckets([[0]])
 
 
 def torus_values(stacks):
