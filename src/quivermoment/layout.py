@@ -322,17 +322,24 @@ def dagger(s):
 
 def _vertex_sums(layout: EdgeLayout, plans, head_terms, tail_terms, lead=()):
     """Per vertex class, the sum from zero of each vertex's head and tail
-    terms in edge order: per bucket of the plan's rows, one gather and one
-    running sum along them, put back in vertex order; terms with a leading
-    axis of shape ``lead`` are summed per leading index."""
+    terms in edge order (see ``_row_sums``); terms with a leading axis of
+    shape ``lead`` are summed per leading index."""
     out = []
-    for d, (head_groups, tail_groups, (gathers, order)) in zip(layout.vertices.class_dims, plans):
+    for d, (head_groups, tail_groups, buckets) in zip(layout.vertices.class_dims, plans):
         parts = [head_terms[g] for g in head_groups] + [tail_terms[g] for g in tail_groups]
         terms = np.concatenate([np.zeros(lead + (1, d, d), dtype=complex)] + parts, axis=-3)
-        sums = [np.add.accumulate(terms[..., gather, :, :], axis=-3)[..., -1, :, :] for gather in gathers]
-        sums = sums[0] if len(sums) == 1 else np.concatenate(sums, axis=-3)
-        out.append(sums if order is None else sums[..., order, :, :])
+        out.append(_row_sums(terms, *buckets, axis=-3))
     return out
+
+
+def _row_sums(terms, gathers, order, axis):
+    """The vertex sums of both kernels: per bucket of rows of indices into
+    ``terms`` along ``axis``, one gather and one running sum along each row,
+    whose last entry is the row's sum; the buckets' sums are put back in row
+    order."""
+    sums = [np.add.accumulate(terms.take(gather, axis), axis).take(-1, axis) for gather in gathers]
+    sums = sums[0] if len(sums) == 1 else np.concatenate(sums, axis=axis)
+    return sums if order is None else sums.take(order, axis)
 
 
 def moment_stacks(layout: EdgeLayout, stacks, lead=()):
@@ -515,8 +522,8 @@ def real_coordinates(layout, stacks):
 # read the rows of the layout's moment plan, after a pad row for the pad
 # vertex, in buckets planned the same way.  The terms are the squared
 # norms of the pad row and of the edges, then the edges' negated norms: the
-# stack kernel's zero block, head terms and tail terms, which
-# ``np.add.accumulate`` adds as it does.  Totals add left to right from the
+# stack kernel's zero block, head terms and tail terms, which ``_row_sums``
+# adds for both.  Totals add left to right from the
 # zero pad.  The 1x1 inverse is exact only because e is real
 # and positive: a trial whose e is 0 or not finite is unusable on both paths,
 # and a point acted on by such an e is left to the stack kernels.
@@ -576,11 +583,8 @@ def torus_sq_norms(b):
 def torus_defect(plan, norms, offset):
     """Imaginary part per vertex of mu_I - theta, from the edges' squared
     norms (per trial under a leading axis) and the offset's imaginary part."""
-    _, _, (gathers, order) = plan
     terms = np.concatenate((norms, -norms[..., 1:]), axis=-1)
-    sums = [np.add.accumulate(terms[..., gather], axis=-1)[..., -1] for gather in gathers]
-    moment = sums[0] if len(sums) == 1 else np.concatenate(sums, axis=-1)
-    return offset - (moment if order is None else moment[..., order])
+    return offset - _row_sums(terms, *plan[2], axis=-1)
 
 
 def torus_total(values):
