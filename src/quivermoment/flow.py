@@ -6,16 +6,11 @@ certify analytic semistability.  Critical values other than zero stay at
 squared distance at least d_theta from it, so a stalled positive limit lands
 on a higher stratum.
 
-``flow_integrate`` holds the one step controller.  It calls one of two step
-implementations, chosen by the input: ``_TorusStep`` when every entry of the
-dimension vector is 1 (the group is the torus (C*)^n), ``_StackStep`` on the
-layout's stack kernels otherwise.  On the torus, exp(itY) is a real positive
-scalar per vertex, the defect is imaginary and every block is 1x1, so the
-step runs on the torus kernels of layout.py, which skip ``inv`` and the
-1x1 matmuls; they give the stack kernels' bytes, for the reasons layout.py
-lists, and the tests compare the two steps on every OpenBLAS kernel they
-can run.  The layout says which step runs: its ``torus_plan`` is None
-unless every dimension is 1.
+``flow_integrate`` holds the one step controller.  It moves the point through
+``layout.orbit_point``, which the Kempf-Ness solver shares: the trials of one
+step act as one stack from one diagonalization of the defect, on the stack
+kernels or, when every dimension is 1, on the torus kernels, with the same
+bytes.
 """
 
 from __future__ import annotations
@@ -27,21 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cones import d_theta, theta_coordinates, torus_weights, weight_keys
-from .layout import (
-    eigh_i_stacks,
-    infinitesimal_action_stacks,
-    sq_norm_stacks,
-    torus_act,
-    torus_defect,
-    torus_edge_stacks,
-    torus_rows,
-    torus_sq_norms,
-    torus_total,
-    torus_values,
-    trial_stacks,
-)
+from .layout import defect_sq_norm, defect_stacks, gradient_stacks, orbit_point
 from .lie import StabilityParameter
-from .moment import defect_offset, defect_sq_norm, defect_stacks
+from .moment import defect_offset
 from .quiver import Representation
 
 # step-size controller: grow an accepted step, shrink a rejected one, give up
@@ -67,7 +50,9 @@ class FlowOptions:
     stall_tolerance: float = 1e-9
 
     def __post_init__(self):
-        if not all(0 < v < math.inf for v in (self.initial_step, self.max_time, self.stall_tolerance)):
+        values = (self.initial_step, self.max_time, self.stall_tolerance)
+        # a boolean is not a step or a time, though it compares as 0 or 1
+        if any(isinstance(v, (bool, np.bool_)) for v in values) or not all(0 < v < math.inf for v in values):
             raise ValueError("flow options must be positive and finite")
 
 
@@ -93,19 +78,6 @@ class FlowOutcome:
     stop_reason: str = "max_time"
 
 
-# Like the defect helpers of moment.py, these repeat on stacks the arithmetic
-# of the expressions in their docstrings, bit for bit.
-
-def _gradient(layout, defect, stacks):
-    """4.0 * apply_structure("I", infinitesimal_action(defect, x))."""
-    return [4.0 * (1j * b) for b in infinitesimal_action_stacks(layout, defect, stacks)]
-
-
-def _grad_norm(layout, defect, stacks):
-    """sqrt(norm_sq(grad_h(theta, x)))."""
-    return math.sqrt(layout.ordered_sum(sq_norm_stacks(_gradient(layout, defect, stacks))))
-
-
 def h_value(theta: StabilityParameter, x: Representation) -> float:
     """Squared pairing-norm of mu_I(x) - theta."""
     layout = x.layout
@@ -121,7 +93,7 @@ def grad_h(theta: StabilityParameter, x: Representation) -> Representation:
     """
     layout, stacks = x.layout, x.stacks
     defect = defect_stacks(layout, stacks, defect_offset(theta, x))
-    return x.replace_stacks(_gradient(layout, defect, stacks))
+    return x.replace_stacks(gradient_stacks(layout, defect, stacks))
 
 
 def flow_integrate(theta: StabilityParameter, x0: Representation, opts=None) -> FlowOutcome:
@@ -134,24 +106,14 @@ def flow_integrate(theta: StabilityParameter, x0: Representation, opts=None) -> 
     vector-space increment: same flow to first order, but iterates stay on the
     group orbit exactly, preserving orbit invariants at machine precision.
     Terminates on reaching the zero level, on a persistent gradient stall, on
-    step underflow, or at max_time.  The integration runs on the point's
-    edge stacks (see layout.py) and builds no objects per trial step; when
-    every dimension is 1 it runs on 1-d real arrays instead (``_TorusStep``),
-    with the same bytes.
+    step underflow, or at max_time.  The integration moves one
+    ``layout.orbit_point`` and builds no objects per trial step.
     """
     opts = opts or FlowOptions()
-    layout = x0.layout
-    offset = defect_offset(theta, x0)
-    # an overflowing start point gives an infinite or NaN h, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        defect = defect_stacks(layout, x0.stacks, offset)
-        h = defect_sq_norm(layout, defect)
-        gnorm = _grad_norm(layout, defect, x0.stacks)
-    step = (_StackStep if layout.torus_plan is None else _TorusStep)(x0, offset, defect)
+    point = orbit_point(x0.layout, x0.stacks, defect_offset(theta, x0))
     t = 0.0
     reach_tol = opts.stall_tolerance ** 2
     dt = opts.initial_step
-    samples = [(0.0, h, gnorm)]
     stride = 1
     accepted = 0
     stall_count = 0
@@ -159,59 +121,68 @@ def flow_integrate(theta: StabilityParameter, x0: Representation, opts=None) -> 
     events = []
     reason = "max_time"
 
-    while t < opts.max_time:
-        if h <= reach_tol:
-            reason = "reached"
-            break
-        # a critical point announces itself either by a vanishing gradient or
-        # by descent falling below what double precision can represent in h
-        if gnorm <= opts.stall_tolerance:
-            stall_count += 1
-        else:
-            stall_count = 0
-        if stall_count >= STALL_WINDOW or frozen_count >= STALL_WINDOW:
-            reason = "stalled"
-            break
-
-        # Sufficient decrease, not mere non-increase: plain h_new <= h lets the
-        # controller sit at the stability boundary where Euler steps flip sign
-        # without contracting.  The floor keeps sub-ulp descent steps alive.
-        # The steps dt, dt * STEP_SHRINK, ... down to MIN_STEP run in stacks
-        # of TRIAL_STACK trials and are tested in that order; the loop
-        # variable dt is the step under test, so dt and t move exactly as when
-        # trying one step at a time.
-        moved = False
-        while dt >= MIN_STEP and not moved:
-            steps = [dt]
-            while len(steps) < TRIAL_STACK and steps[-1] * STEP_SHRINK >= MIN_STEP:
-                steps.append(steps[-1] * STEP_SHRINK)
-            ok, h_trials = step.trials(steps)
-            for k, dt in enumerate(steps):
-                h_new = float(h_trials[k]) if ok[k] else math.inf
-                wanted = h - 0.1 * dt * gnorm * gnorm + 1e-15 * (1.0 + h)
-                if math.isfinite(h_new) and h_new <= min(h, wanted):
-                    frozen_count = frozen_count + 1 if h - h_new <= 1e-16 * h else 0
-                    gnorm = step.accept(k)
-                    h = h_new
-                    t += dt
-                    accepted += 1
-                    dt *= STEP_GROWTH
-                    moved = True
-                    break
+    # an overflowing point gives an infinite or NaN h or trial, not a warning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        h = point.defect_norm()
+        gnorm = point.grad_norm()
+        samples = [(0.0, h, gnorm)]
+        while t < opts.max_time:
+            if h <= reach_tol:
+                reason = "reached"
+                break
+            # a critical point announces itself either by a vanishing gradient or
+            # by descent falling below what double precision can represent in h
+            if gnorm <= opts.stall_tolerance:
+                stall_count += 1
             else:
-                dt *= STEP_SHRINK
-        if not moved:
-            events.append("step_underflow")
-            reason = "step_underflow"
-            break
-        if accepted % stride == 0:
-            samples.append((t, h, gnorm))
-            if len(samples) > 400:
-                samples = samples[::2]
-                stride *= 2
+                stall_count = 0
+            if stall_count >= STALL_WINDOW or frozen_count >= STALL_WINDOW:
+                reason = "stalled"
+                break
+
+            # Sufficient decrease, not mere non-increase: plain h_new <= h lets the
+            # controller sit at the stability boundary where Euler steps flip sign
+            # without contracting.  The floor keeps sub-ulp descent steps alive.
+            # The steps dt, dt * STEP_SHRINK, ... down to MIN_STEP run in stacks
+            # of TRIAL_STACK trials along exp(-4 dt i (mu - theta)), from one
+            # diagonalization of the defect, and are tested in that order; the
+            # loop variable dt is the step under test, so dt and t move exactly
+            # as when trying one step at a time.
+            point.direct(point.defect)
+            moved = False
+            while dt >= MIN_STEP and not moved:
+                steps = [dt]
+                while len(steps) < TRIAL_STACK and steps[-1] * STEP_SHRINK >= MIN_STEP:
+                    steps.append(steps[-1] * STEP_SHRINK)
+                ok = point.trials([-4.0 * d for d in steps])
+                h_trials = point.trial_defect_norms()
+                for k, dt in enumerate(steps):
+                    h_new = float(h_trials[k]) if ok[k] else math.inf
+                    wanted = h - 0.1 * dt * gnorm * gnorm + 1e-15 * (1.0 + h)
+                    if math.isfinite(h_new) and h_new <= min(h, wanted):
+                        frozen_count = frozen_count + 1 if h - h_new <= 1e-16 * h else 0
+                        point.move(k)
+                        gnorm = point.grad_norm()
+                        h = h_new
+                        t += dt
+                        accepted += 1
+                        dt *= STEP_GROWTH
+                        moved = True
+                        break
+                else:
+                    dt *= STEP_SHRINK
+            if not moved:
+                events.append("step_underflow")
+                reason = "step_underflow"
+                break
+            if accepted % stride == 0:
+                samples.append((t, h, gnorm))
+                if len(samples) > 400:
+                    samples = samples[::2]
+                    stride *= 2
 
     samples.append((t, h, gnorm))
-    x = x0.replace_stacks(step.limit_stacks())
+    x = x0.replace_stacks(point.edge_stacks())
     classification = _classify(theta, x, h, reason, opts, events)
     return FlowOutcome(
         limit_point=x,
@@ -223,75 +194,6 @@ def flow_integrate(theta: StabilityParameter, x0: Representation, opts=None) -> 
         events=tuple(events),
         stop_reason=reason,
     )
-
-
-# The two step implementations of flow_integrate.  ``trials(steps)`` returns
-# whether each step's trial is usable and its h; ``accept(k)`` moves to trial
-# k and returns its gradient norm; ``limit_stacks()`` gives the current point.
-
-class _StackStep:
-    """Steps on the edge stacks of any dimension vector: the trials of one
-    diagonalization of the defect act as one stack (``trial_stacks``)."""
-
-    def __init__(self, x0, offset, defect):
-        self.layout, self.offset = x0.layout, offset
-        self.stacks, self.defect = x0.stacks, defect
-        self.eig = None
-
-    def trials(self, steps):
-        layout, lead = self.layout, (len(steps),)
-        self.eig = self.eig or eigh_i_stacks(self.defect)
-        _, ok, self.trial_points = trial_stacks(layout, self.eig, [-4.0 * d for d in steps], self.stacks)
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.trial_defects = defect_stacks(layout, self.trial_points, self.offset, lead)
-            return ok, defect_sq_norm(layout, self.trial_defects, lead)
-
-    def accept(self, k):
-        self.stacks = [s[k] for s in self.trial_points]
-        self.defect = [s[k] for s in self.trial_defects]
-        self.eig = None
-        return _grad_norm(self.layout, self.defect, self.stacks)
-
-    def limit_stacks(self):
-        return self.stacks
-
-
-class _TorusStep:
-    """Steps when every dimension is 1, on the torus kernels of layout.py:
-    ``b`` holds each edge's (re, im) and ``d`` the imaginary part of the
-    defect at each vertex (its real part is a zero that moves no byte), slot
-    0 of each a zero pad.  The bytes are those of ``_StackStep``, for the
-    reasons layout.py gives; the gradient in ``accept`` has the stack
-    gradient's components swapped and one of them negated, which its squared
-    norm does not see.
-    """
-
-    def __init__(self, x0, offset, defect):
-        self.plan = x0.layout.torus_plan
-        self.stacks = x0.stacks
-        self.b = torus_rows(x0.stacks)
-        self.d, self.off = torus_values(defect).imag, torus_values(offset).imag
-
-    def trials(self, steps):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            e = np.exp(np.multiply.outer(np.multiply(steps, 4.0), self.d))
-            ok = ((e > 0.0) & (e < math.inf)).all(axis=1)
-            b = torus_act(self.plan, e, self.b)
-            d = torus_defect(self.plan, torus_sq_norms(b), self.off)
-            self.trial = b, d
-            return ok, torus_total(d * d)
-
-    def accept(self, k):
-        self.stacks = None
-        self.b, self.d = (s[k] for s in self.trial)
-        heads, tails, _ = self.plan
-        grad = 4.0 * (self.d[heads, None] * self.b - self.b * self.d[tails, None])
-        return math.sqrt(torus_total(torus_sq_norms(grad)))
-
-    def limit_stacks(self):
-        if self.stacks is None:
-            self.stacks = torus_edge_stacks(self.b)
-        return self.stacks
 
 
 def _classify(theta, x, h, reason, opts, events):

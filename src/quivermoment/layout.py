@@ -8,10 +8,11 @@ into one 3-d array per dimension class (``VertexLayout``); these stacks, held
 read-only by the one base ``HeldStacks``, are the only storage of points and
 of algebra and group elements.  The kernels below compute the moment maps,
 the infinitesimal action (also over a leading basis axis), the group action,
-exp(itY), pairings and real coordinates on those stacks with one batched
-numpy call per shape or class instead of one Python step per edge or vertex.  The trials of a line search along one
-direction share one eigendecomposition and run as one stack: their group
-elements, acted points, norms and moment defects carry a leading trial axis.
+exp(itY), polar logarithms, pairings and real coordinates on those stacks
+with one batched numpy call per shape or class instead of one Python step
+per edge or vertex.  The trials of a line search along one direction share
+one eigendecomposition and run as one stack: their group elements, acted
+points, norms and moment defects carry a leading trial axis.
 
 Contract: every kernel is bit-for-bit equal to the per-edge definition it
 replaces, and every trial of a stack is bit-for-bit equal to the same trial
@@ -33,14 +34,17 @@ where order matters, so they are kept in the definition's order.
   to ``np.vdot``), summed left to right in edge or vertex order, one such sum
   per trial (``np.add.accumulate`` over a row that starts with a zero).
 
-When every entry of the dimension vector is 1, the flow and the solver step
-on the torus kernels at the end of this module instead: 1-d real arrays over
-the edges and vertices that give the stack kernels' bytes, for the reasons
-given there.  Their vertex sums read the same gathers.
+The flow and the solver move their point along the orbit through one object,
+``orbit_point``, at the end of this module.  It has a stack implementation
+and a torus implementation, and it is the one place that chooses: when every
+entry of the dimension vector is 1 it runs on the torus kernels, 1-d real
+arrays over the edges and vertices that give the stack kernels' bytes, for
+the reasons given there.  Their vertex sums read the same gathers.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -356,6 +360,22 @@ def moment_stacks(layout: EdgeLayout, stacks, lead=()):
     return [-1j * acc for acc in _vertex_sums(layout, layout.moment_plans, heads, tails, lead)]
 
 
+# The defect mu_I(x) - theta of the flow and the solver: each helper repeats,
+# stack for stack, the arithmetic of the expression in its docstring, so
+# results are bit-identical to the object forms.
+
+def defect_stacks(layout: EdgeLayout, stacks, offset, lead=()):
+    """moment_real(x, "I") - theta_to_center(theta), for the offset stacks
+    that ``moment.defect_offset`` gives; edge stacks with a leading trial
+    axis of shape ``lead`` give one defect per trial."""
+    return [m + c for m, c in zip(moment_stacks(layout, stacks, lead), offset)]
+
+
+def defect_sq_norm(layout: EdgeLayout, defect, lead=()):
+    """pairing(defect, defect), per trial under a leading axis ``lead``."""
+    return layout.vertices.ordered_sum(sq_norm_stacks(defect), lead)
+
+
 def complex_moment_stacks(layout: EdgeLayout, stacks):
     """Complex moment map per vertex class: sum over edges into j of
     epsilon(e) phi_e phi_ebar, terms added in edge order."""
@@ -388,6 +408,12 @@ def infinitesimal_action_stacks(layout: EdgeLayout, y_stacks, stacks):
         y_stacks[g.head_class][..., g.head_take, :, :] @ b - b @ y_stacks[g.tail_class][..., g.tail_take, :, :]
         for g, b in zip(layout.groups, stacks)
     ]
+
+
+def gradient_stacks(layout: EdgeLayout, defect, stacks):
+    """The gradient of h = |mu_I - theta|^2 at the point from its defect:
+    4.0 * apply_structure("I", infinitesimal_action(defect, x))."""
+    return [4.0 * (1j * b) for b in infinitesimal_action_stacks(layout, defect, stacks)]
 
 
 def act_stacks(layout: EdgeLayout, g_stacks, stacks):
@@ -444,6 +470,42 @@ def exp_i_stacks(y_stacks, t):
         return [s[0] for s in exp_eigh_stacks(eigh_i_stacks(y_stacks), (t,))]
 
 
+def project_stacks(vertices: VertexLayout, stacks):
+    """Stacks of the orthogonal projection onto the compact algebra (see
+    ``lie.LieAlgebraElement.project``)."""
+    skewed = [0.5 * (s - dagger(s)) for s in stacks]
+    tau = np.complex128(vertices.ordered_sum([s.trace(axis1=1, axis2=2) for s in skewed])) / sum(vertices.dims)
+    return [s - tau * _identity(d) for s, d in zip(skewed, vertices.class_dims)]
+
+
+@lru_cache(maxsize=None)
+def _identity(d):
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
+
+
+def polar_log_stacks(vertices: VertexLayout, g_stacks):
+    """The Y of ``lie.polar_decompose`` from group stacks, without the
+    unitary factor: per class, iY = log(g^dagger g)/2, projected onto the
+    compact algebra.  Also returns the diagonalizations (w, u, u^dagger) of
+    g^dagger g, None for a class of dimension zero.  ValueError on a singular
+    or non-finite block."""
+    y_stacks, eig = [], []
+    for s in g_stacks:
+        if s.shape[1] == 0:
+            y_stacks.append(np.zeros_like(s))
+            eig.append(None)
+            continue
+        w, u, u_dagger = eigh_stacks(dagger(s) @ s)
+        # NaN, a non-positive or an infinite eigenvalue: min and max propagate NaN
+        if not 0.0 < w.min() <= w.max() < math.inf:
+            raise ValueError("singular block in group element")
+        y_stacks.append(-1j * ((u * (0.5 * np.log(w))[:, None, :]) @ u_dagger))
+        eig.append((w, u, u_dagger))
+    return project_stacks(vertices, y_stacks), eig
+
+
 def _acted_or_none(layout, g_stacks, stacks):
     try:
         return act_stacks(layout, g_stacks, stacks)
@@ -496,6 +558,12 @@ def sq_norm_stacks(stacks):
     return vdot_real_stacks(stacks, stacks)
 
 
+def pairing_stacks(vertices: VertexLayout, y_stacks, z_stacks) -> float:
+    """``lie.pairing`` of the elements with vertex-class stacks ``y_stacks``
+    and ``z_stacks``."""
+    return float(vertices.ordered_sum(vdot_real_stacks(z_stacks, y_stacks)))
+
+
 def real_coordinates(layout, stacks):
     """Real then imaginary part of each block, block after block in vertex
     (or edge) order, along the last axis; a nonempty leading axis is kept."""
@@ -509,24 +577,27 @@ def real_coordinates(layout, stacks):
 # ---------------------------------------------------------------------------
 # torus kernels: every entry of the dimension vector is 1
 #
-# The group is then the torus (C*)^n and every block is 1x1, so the flow's
-# and the solver's steps run on 1-d real arrays with slot 0 a zero pad:
-# the edges as rows (re, im), and a defect, Y or group element as one real
-# number per vertex.  The kernels below give the bytes of the stack kernels.
-# exp(itY) is (e, +0) with e = exp(t w) real positive, a skew-hermitian
-# defect or Y is (+-0, d), and each 1x1 product is a dot product from +0 in
-# which one term is zero, so it is the correctly rounded real product, with
-# -0 read as +0 (hence the ``+ 0.0`` of ``torus_act``).  LAPACK's inverse of
-# (e, +0) is 1/e, and its singular pivot is e == 0.  The moment term
-# b b^dagger and the norm Re <b, b> are fl(re^2) + fl(im^2).  The vertex sums
-# read the rows of the layout's moment plan, after a pad row for the pad
-# vertex, in buckets planned the same way.  The terms are the squared
-# norms of the pad row and of the edges, then the edges' negated norms: the
-# stack kernel's zero block, head terms and tail terms, which ``_row_sums``
-# adds for both.  Totals add left to right from the
-# zero pad.  The 1x1 inverse is exact only because e is real
-# and positive: a trial whose e is 0 or not finite is unusable on both paths,
-# and a point acted on by such an e is left to the stack kernels.
+# The group is then the torus (C*)^n and every block is 1x1, so the torus
+# implementation of ``orbit_point`` (below) runs on 1-d real arrays with slot
+# 0 a zero pad: the edges as rows (re, im), and a defect, Y or group element
+# as one real number per vertex.  These kernels give the bytes of the stack
+# kernels:
+# - exp(itY) is (e, +0) with e = exp(t w) real and positive, and a
+#   skew-hermitian defect or Y is (+-0, d);
+# - each 1x1 product is a dot product from +0 in which one term is zero, so
+#   it is the correctly rounded real product, with -0 read as +0 (hence the
+#   ``+ 0.0`` of ``torus_act``);
+# - LAPACK's inverse of (e, +0) is 1/e, and its singular pivot is e == 0.
+#   That inverse is exact only because e is real and positive: a trial whose
+#   e is 0 or not finite is unusable on both paths, and a point acted on by
+#   such an e is left to the stack kernels;
+# - the moment term b b^dagger and the norm Re <b, b> are fl(re^2) + fl(im^2);
+# - the vertex sums read the rows of the layout's moment plan after a pad row
+#   for the pad vertex, in buckets planned the same way.  Their terms are the
+#   squared norms of the pad row and of the edges, then the edges' negated
+#   norms: the stack kernel's zero block, head terms and tail terms, which
+#   ``_row_sums`` adds for both;
+# - totals add left to right from the zero pad.
 
 
 def _torus_plan(layout):
@@ -590,3 +661,264 @@ def torus_defect(plan, norms, offset):
 def torus_total(values):
     """Left-to-right sum along the last axis, from the zero pad."""
     return np.add.accumulate(values, axis=-1)[..., -1]
+
+
+def torus_action(plan, v, b):
+    """v_head phi - phi v_tail on edge rows ``b`` for one real v per vertex;
+    a leading axis of ``v`` carries over to the result."""
+    heads, tails, _ = plan
+    return v[..., heads, None] * b - b * v[..., tails, None]
+
+
+# ---------------------------------------------------------------------------
+# trial points: the orbit arithmetic of the flow and the solver
+#
+# Both walk the orbit G.x through trial points exp(itY).x, built from one
+# diagonalization of a direction Y.  ``orbit_point`` holds the current point;
+# it is the one place that chooses between the two implementations, which
+# share one set of methods.  Vertex values (the defect, Y, a direction, a
+# group element) are vertex-class stacks on the stack implementation and
+# real arrays on the torus; ``values`` and ``vertex_stacks`` convert from and
+# to stacks.
+# - ``defect_norm()`` gives |mu_I - theta|^2 at the point and keeps the
+#   defect as ``defect``; ``grad_norm()`` gives |grad h| there, from the
+#   infinitesimal action of the defect, and ``sq_norm()`` gives |x|^2;
+# - ``direct(y)`` diagonalizes the direction Y; ``trials(ts)`` then acts by
+#   exp(itY) for each t of ``ts`` as one stack, and returns whether each
+#   trial is usable (its exponential finite, with no singular block);
+#   ``trial_sq_norms()`` and ``trial_defect_norms()`` give each trial's
+#   |x|^2 and defect norm, ``trial_defect_norm(k)`` the defect norm of trial
+#   k alone, and ``move(k)`` moves the point to trial k;
+# - for the solver: ``pairing(a, b)``; ``coords(v)`` and ``element(c)``, the
+#   basis coordinates of a value and the value of coordinates;
+#   ``tangent_matrix()``, the action's tangent matrix at the point;
+#   ``exp_i(y)``, exp(iY); ``act(y)``, which moves the point to exp(iY).x0
+#   for the start point x0 and returns exp(iY); ``compose(k, g)``, trial k's
+#   exp(itY) times g (OverflowError when that is not finite);
+#   ``polar_log(g)``, the Y of its polar decomposition (ValueError on a
+#   singular block);
+# - ``edge_stacks()`` gives the point's edge stacks.
+
+
+def orbit_point(layout: EdgeLayout, stacks, offset, basis=None):
+    """The point with edge stacks ``stacks`` and its defect mu_I - theta for
+    the offset stacks ``offset``: on the torus implementation when every
+    dimension is 1 (``layout.torus_plan`` is then set), on the stack
+    kernels otherwise.  Both give the same bytes.  ``basis``, a
+    ``lie.UvBasis``, serves the solver's coordinates and tangent matrix."""
+    return (_StackPoint if layout.torus_plan is None else _TorusPoint)(layout, stacks, offset, basis)
+
+
+class _StackPoint:
+    """The point as edge stacks, vertex values as vertex-class stacks."""
+
+    def __init__(self, layout, stacks, offset, basis):
+        self.layout, self.offset, self.basis = layout, offset, basis
+        self.start = self.stacks = stacks
+
+    def defect_norm(self):
+        self.defect = defect_stacks(self.layout, self.stacks, self.offset)
+        return defect_sq_norm(self.layout, self.defect)
+
+    def grad_norm(self):
+        grad = gradient_stacks(self.layout, self.defect, self.stacks)
+        return math.sqrt(self.layout.ordered_sum(sq_norm_stacks(grad)))
+
+    def sq_norm(self):
+        return self.layout.ordered_sum(sq_norm_stacks(self.stacks))
+
+    def direct(self, y):
+        self.eig = eigh_i_stacks(y)
+
+    def trials(self, ts):
+        self.lead = (len(ts),)
+        self.trial_g, ok, self.trial_points = trial_stacks(self.layout, self.eig, ts, self.stacks)
+        return ok
+
+    def trial_sq_norms(self):
+        return self.layout.ordered_sum(sq_norm_stacks(self.trial_points), self.lead)
+
+    def trial_defect_norms(self):
+        self.trial_defects = defect_stacks(self.layout, self.trial_points, self.offset, self.lead)
+        return defect_sq_norm(self.layout, self.trial_defects, self.lead)
+
+    def trial_defect_norm(self, k):
+        defect = defect_stacks(self.layout, [s[k] for s in self.trial_points], self.offset)
+        return defect_sq_norm(self.layout, defect)
+
+    def move(self, k):
+        self.stacks = [s[k] for s in self.trial_points]
+        self.defect = [s[k] for s in self.trial_defects]
+
+    def edge_stacks(self):
+        return self.stacks
+
+    def values(self, stacks):
+        return stacks
+
+    def vertex_stacks(self, values):
+        return values
+
+    def pairing(self, a, b):
+        return pairing_stacks(self.layout.vertices, a, b)
+
+    def coords(self, v):
+        return self.basis.coords_of_stacks(v)
+
+    def element(self, c):
+        return self.basis.stacks_from_coords(c)
+
+    def tangent_matrix(self):
+        return self.basis.tangent_matrix(self.layout, self.stacks)
+
+    def exp_i(self, y):
+        return exp_i_stacks(y, 1.0)
+
+    def act(self, y):
+        g = self.exp_i(y)
+        self.stacks = act_stacks(self.layout, g, self.start)
+        return g
+
+    def compose(self, k, g):
+        g = [s[k] @ h for s, h in zip(self.trial_g, g)]
+        if not all(np.isfinite(s).all() for s in g):
+            raise OverflowError
+        return g
+
+    def polar_log(self, g):
+        return polar_log_stacks(self.layout.vertices, g)[0]
+
+
+class _TorusPoint:
+    """The point as edge rows ``b``, a vertex value as one real per vertex:
+    an element of the compact algebra (Y, a direction, the defect) by its
+    imaginary parts, whose real parts are zeros that move no byte, and a
+    group element exp(iY) by e = exp(-Im Y), as it is (e, +0).
+
+    The bytes are those of ``_StackPoint``.  Beyond the reasons the torus
+    kernels give:
+    - exp(itY) is exp(-t Im Y), and a composed group element is (e e', +0).
+      Its polar logarithm is Im Y = -log(fl(g^2)) / 2, and the projection
+      onto the compact algebra subtracts the mean that ``project_stacks``
+      subtracts, divided as numpy divides a complex number;
+    - pairings are the correctly rounded products of imaginary parts, since
+      every real part is zero, added left to right;
+    - Y_head phi - phi Y_tail is i (v_head phi - phi v_tail) for the
+      imaginary parts v of Y, each product the stack product's one nonzero
+      term.  So ``torus_action`` on the conjugate rows (re, -im) gives each
+      entry of the tangent matrix, its (re, im) parts swapped, rounded as
+      the stack kernel rounds it; only the sign of a zero can differ, which
+      the Gram matrix does not see.  The gradient norm reads it on the rows
+      themselves: the stack gradient's parts swapped and one of them
+      negated, which a squared norm does not see.
+    Where a defect norm, a gradient norm or exp(iY) is not finite, the stack
+    kernels compute it, for their NaNs.
+    """
+
+    def __init__(self, layout, stacks, offset, basis):
+        self.layout, self.plan, self.offset = layout, layout.torus_plan, offset
+        self.start = self.stacks = stacks
+        self.start_b = self.b = torus_rows(stacks)
+        self.off = self.values(offset)
+        if basis is not None:
+            self.matrix = basis.matrix
+            # imaginary part of each basis element per vertex, after the pad
+            self.beta = np.concatenate((np.zeros((basis.dim, 1)), basis.matrix[:, 1::2]), axis=1)
+
+    def _stack(self):
+        """The point on the stack kernels, and its defect norm."""
+        point = _StackPoint(self.layout, self.edge_stacks(), self.offset, None)
+        return point, point.defect_norm()
+
+    def defect_norm(self):
+        self.norms = torus_sq_norms(self.b)
+        self.defect = torus_defect(self.plan, self.norms, self.off)
+        total = float(torus_total(self.defect * self.defect))
+        return total if math.isfinite(total) else self._stack()[1]
+
+    def grad_norm(self):
+        norm = math.sqrt(torus_total(torus_sq_norms(4.0 * torus_action(self.plan, self.defect, self.b))))
+        return norm if math.isfinite(norm) else self._stack()[0].grad_norm()
+
+    def sq_norm(self):
+        return float(torus_total(self.norms))
+
+    def direct(self, y):
+        self.direction = y
+
+    def trials(self, ts):
+        self.e = np.exp(np.multiply.outer(np.negative(ts), self.direction))
+        self.trial_b = torus_act(self.plan, self.e, self.b)
+        self.trial_norms = torus_sq_norms(self.trial_b)
+        return ((self.e > 0.0) & (self.e < math.inf)).all(axis=1)
+
+    def trial_sq_norms(self):
+        return torus_total(self.trial_norms)
+
+    def trial_defect_norms(self):
+        self.trial_defects = torus_defect(self.plan, self.trial_norms, self.off)
+        return torus_total(self.trial_defects * self.trial_defects)
+
+    def trial_defect_norm(self, k):
+        defect = torus_defect(self.plan, self.trial_norms[k], self.off)
+        return torus_total(defect * defect)
+
+    def move(self, k):
+        self.b, self.defect, self.stacks = self.trial_b[k], self.trial_defects[k], None
+
+    def edge_stacks(self):
+        if self.stacks is None:
+            self.stacks = torus_edge_stacks(self.b)
+        return self.stacks
+
+    def values(self, stacks):
+        return torus_values(stacks).imag
+
+    def vertex_stacks(self, values):
+        return torus_vertex_stacks(values)
+
+    def pairing(self, a, b):
+        return float(torus_total(a * b))
+
+    def coords(self, v):
+        flat = np.zeros(2 * len(v) - 2)
+        flat[1::2] = v[1:]
+        return self.matrix @ flat
+
+    def element(self, c):
+        z = np.zeros(len(self.off))
+        z[1:] = (c @ self.matrix)[1::2]
+        return z
+
+    def tangent_matrix(self):
+        rows = torus_action(self.plan, self.beta, self.b * (1.0, -1.0))
+        return rows[:, 1:, ::-1].reshape(len(rows), -1)
+
+    def exp_i(self, y):
+        return np.exp(-y)
+
+    def act(self, y):
+        e = self.exp_i(y)
+        if ((e > 0.0) & (e < math.inf)).all():
+            self.b = torus_act(self.plan, e, self.start_b)
+        else:
+            g = exp_i_stacks(torus_vertex_stacks(y), 1.0)
+            self.b = torus_rows(act_stacks(self.layout, g, self.start))
+        self.stacks = None
+        return e
+
+    def compose(self, k, g):
+        g = self.e[k] * g
+        if not np.isfinite(g).all():
+            raise OverflowError
+        return g
+
+    def polar_log(self, g):
+        gram = g * g
+        if not 0.0 < gram.min() <= gram.max() < math.inf:
+            raise ValueError("singular block in group element")
+        log = 0.0 - 0.5 * np.log(gram)
+        mean = (np.complex128(complex(0.0, torus_total(log))) / (len(log) - 1)).imag
+        y = log - mean
+        y[0] = 0.0
+        return y

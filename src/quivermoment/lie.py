@@ -22,11 +22,12 @@ from .layout import (
     HeldStacks,
     act_stacks,
     dagger,
-    eigh_stacks,
     exp_i_stacks,
     infinitesimal_action_stacks,
+    pairing_stacks,
+    polar_log_stacks,
+    project_stacks,
     real_coordinates,
-    vdot_real_stacks,
     vertex_layout,
 )
 from .quiver import Representation, combined_stacks, finite_scalar, rotate_to_I
@@ -154,22 +155,7 @@ class LieAlgebraElement(VertexMatrices):
         rounding (polar factors, solver updates).
         """
         m = VertexMatrices(blocks)
-        return cls.from_stacks(m.dims, _projected(m.layout, m.stacks))
-
-
-def _projected(layout, stacks):
-    """Stacks of the orthogonal projection onto the compact algebra (see
-    ``LieAlgebraElement.project``)."""
-    skewed = [0.5 * (s - dagger(s)) for s in stacks]
-    tau = np.complex128(layout.ordered_sum([s.trace(axis1=1, axis2=2) for s in skewed])) / sum(layout.dims)
-    return [s - tau * _identity(d) for s, d in zip(skewed, layout.class_dims)]
-
-
-@lru_cache(maxsize=None)
-def _identity(d):
-    eye = np.eye(d)
-    eye.flags.writeable = False
-    return eye
+        return cls.from_stacks(m.dims, project_stacks(m.layout, m.stacks))
 
 
 def pairing(y: VertexMatrices, z: VertexMatrices) -> float:
@@ -179,12 +165,6 @@ def pairing(y: VertexMatrices, z: VertexMatrices) -> float:
     """
     y._check_dims(z)
     return pairing_stacks(y.layout, y.stacks, z.stacks)
-
-
-def pairing_stacks(layout, y_stacks, z_stacks) -> float:
-    """``pairing`` of the elements with vertex-class stacks ``y_stacks`` and
-    ``z_stacks``."""
-    return float(layout.ordered_sum(vdot_real_stacks(z_stacks, y_stacks)))
 
 
 def pairing_norm(y: VertexMatrices) -> float:
@@ -465,24 +445,3 @@ def polar_decompose(g: GroupElement):
         for s, e in zip(g.stacks, eig)
     ]
     return GroupElement.from_stacks(g.dims, h_stacks), LieAlgebraElement.from_stacks(g.dims, y_stacks)
-
-
-def polar_log_stacks(layout, g_stacks):
-    """The Y of ``polar_decompose`` from group stacks, without the unitary
-    factor: per class, iY = log(g^dagger g)/2, projected onto the compact
-    algebra.  Also returns the diagonalizations (w, u, u^dagger) of
-    g^dagger g, None for a class of dimension zero.  ValueError on a singular
-    or non-finite block."""
-    y_stacks, eig = [], []
-    for s in g_stacks:
-        if s.shape[1] == 0:
-            y_stacks.append(np.zeros_like(s))
-            eig.append(None)
-            continue
-        w, u, u_dagger = eigh_stacks(dagger(s) @ s)
-        # NaN, a non-positive or an infinite eigenvalue: min and max propagate NaN
-        if not 0.0 < w.min() <= w.max() < math.inf:
-            raise ValueError("singular block in group element")
-        y_stacks.append(-1j * ((u * (0.5 * np.log(w))[:, None, :]) @ u_dagger))
-        eig.append((w, u, u_dagger))
-    return _projected(layout, y_stacks), eig

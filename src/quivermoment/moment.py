@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layout import complex_moment_stacks, moment_stacks, sq_norm_stacks
+from .layout import complex_moment_stacks, moment_stacks, pairing_stacks
 from .lie import (
     LieAlgebraElement,
     StabilityParameter,
@@ -24,7 +24,6 @@ from .lie import (
     exp_action,
     pairing,
     pairing_norm,
-    pairing_stacks,
     theta_to_center,
 )
 from .quiver import Representation, inner_product, norm_sq, rotate_to_I
@@ -169,24 +168,10 @@ def moment_residual(x, theta: StabilityParameter, structure="I") -> float:
     return pairing_norm(moment_real(x, structure) - theta_to_center(theta))
 
 
-# The defect mu_I(x) - theta on edge and vertex-class stacks, for the flow and
-# the solver: each helper repeats, stack for stack, the arithmetic of the
-# expression in its docstring, so results are bit-identical to the object forms.
-
 def defect_offset(theta: StabilityParameter, x: Representation):
-    """Stacks of -1.0 * theta_to_center(theta), the offset of the defect."""
+    """Stacks of -1.0 * theta_to_center(theta), the offset of the moment
+    defect mu_I(x) - theta (see ``layout.defect_stacks``)."""
     center = theta_to_center(theta)
     if center.dims != x.dims:
         raise ValueError("elements have mismatched dimension vectors")
     return [-1.0 * s for s in center.stacks]
-
-
-def defect_stacks(layout, stacks, offset, lead=()):
-    """moment_real(x, "I") - theta_to_center(theta); edge stacks with a
-    leading trial axis of shape ``lead`` give one defect per trial."""
-    return [m + c for m, c in zip(moment_stacks(layout, stacks, lead), offset)]
-
-
-def defect_sq_norm(layout, defect, lead=()):
-    """pairing(defect, defect), per trial under a leading axis ``lead``."""
-    return layout.vertices.ordered_sum(sq_norm_stacks(defect), lead)

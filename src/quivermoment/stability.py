@@ -342,7 +342,7 @@ def _every_closure_full(x):
     onto a line with a singular value far above the absorb threshold of
     ``generated_subrep``, so any nonzero seed spreads to every vertex, and
     no word operator overflows."""
-    if x.layout.torus_plan is None or x.layout.support_components != 1:
+    if not set(x.dims) <= {1} or x.layout.support_components != 1:
         return False
     return all(np.all((m >= 1e-9) & (m <= 1e100)) for m in map(np.abs, x.stacks))
 

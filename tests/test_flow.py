@@ -19,7 +19,7 @@ from quivermoment import (
     solve_moment_equation,
     torus_weights,
 )
-from quivermoment import cones, flow, selftest
+from quivermoment import cones, flow, layout, selftest
 from quivermoment.cones import theta_coordinates
 from quivermoment.sampling import random_chamber_theta, random_stable_instance
 
@@ -147,7 +147,8 @@ def test_flow_options_validation():
         FlowOptions(initial_step=0.0)
     with pytest.raises(ValueError):
         FlowOptions(max_time=-1.0)
-    for bad in ({"initial_step": math.nan}, {"max_time": math.inf}, {"stall_tolerance": -math.inf}):
+    for bad in ({"initial_step": math.nan}, {"max_time": math.inf}, {"stall_tolerance": -math.inf},
+                {"initial_step": True}, {"max_time": np.True_}, {"stall_tolerance": True}):
         with pytest.raises(ValueError, match="finite"):
             FlowOptions(**bad)
 
@@ -161,15 +162,15 @@ def test_flow_trajectory_columns(a2_rep, theta11):
 def test_flow_step_makes_one_trial_call(monkeypatch):
     """The steps dt, dt/2, dt/4, dt/8 run as one trial stack, so almost every
     outer step of a thin flow needs a single trial evaluation; a thin flow
-    evaluates its trials on the torus step."""
+    evaluates its trials on the torus implementation of the trial point."""
     points = []
-    original = flow._TorusStep.trials
+    original = layout._TorusPoint.trials
 
-    def counting(step, steps):
-        points.append(step.b)  # kept alive, so each point keeps its own id
-        return original(step, steps)
+    def counting(point, ts):
+        points.append(point.b)  # kept alive, so each point keeps its own id
+        return original(point, ts)
 
-    monkeypatch.setattr(flow._TorusStep, "trials", counting)
+    monkeypatch.setattr(layout._TorusPoint, "trials", counting)
     rng = np.random.default_rng(3)
     _, dims, x = random_stable_instance(rng)
     out = flow_integrate(random_chamber_theta(rng, dims), x)

@@ -212,13 +212,14 @@ def test_solver_zero_rep_diverges(a2, theta11):
 def test_solve_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(max_iterations=0)
-    for bad in (1.5, 2.0, math.nan):
+    for bad in (1.5, 2.0, math.nan, True, np.True_):
         with pytest.raises(ValueError, match="^max_iterations must be an integer$"):
             SolveOptions(max_iterations=bad)
     assert SolveOptions(max_iterations=np.int64(3)).max_iterations == 3
     with pytest.raises(ValueError):
         SolveOptions(step_control="newton-exact")
-    for bad in ({"gradient_tolerance": math.nan}, {"divergence_norm_bound": math.inf}):
+    for bad in ({"gradient_tolerance": math.nan}, {"divergence_norm_bound": math.inf},
+                {"gradient_tolerance": True}, {"divergence_norm_bound": np.True_}):
         with pytest.raises(ValueError, match="finite"):
             SolveOptions(**bad)
 
@@ -239,18 +240,19 @@ def test_escaping_solve_makes_one_trial_call_per_iteration(monkeypatch):
     iteration runs one trial stack that starts at step 1.  Both stackings
     try 1, 1/2, ... in the same order, so the accepted step is the same."""
     import quivermoment.kempf_ness as kempf_ness
+    import quivermoment.layout as layout
 
     steps = [0.5 ** k for k in range(kempf_ness.MAX_BACKTRACKS)]
     assert sum(kempf_ness.STEP_ONE_FIRST, []) == steps == sum(kempf_ness.STEP_STACKS, [])
 
     calls = []
-    original = kempf_ness.trial_stacks
+    original = layout.trial_stacks
 
-    def counting(layout, eig, ts, stacks):
+    def counting(edges, eig, ts, stacks):
         calls.append(list(ts))
-        return original(layout, eig, ts, stacks)
+        return original(edges, eig, ts, stacks)
 
-    monkeypatch.setattr(kempf_ness, "trial_stacks", counting)
+    monkeypatch.setattr(layout, "trial_stacks", counting)
     rng = np.random.default_rng(0)
     dims = (1, 2, 2, 1)
     x = random_representation(rng, extend(Quiver(4, [(0, 1), (2, 3)])), dims)
@@ -267,7 +269,7 @@ def test_thin_solve_runs_on_the_torus_kernels(monkeypatch, structure):
     the torus kernels: with the stack kernels that move the point patched to
     fail it still converges, as it does with them.  The (1, 2, 2, 1) solve of
     the test above still makes its trial calls."""
-    import quivermoment.kempf_ness as kempf_ness
+    import quivermoment.layout as layout
 
     rng = np.random.default_rng(11)
     _, dims, x = random_stable_instance(rng)
@@ -278,7 +280,7 @@ def test_thin_solve_runs_on_the_torus_kernels(monkeypatch, structure):
         raise AssertionError("a thin solve reached a stack kernel")
 
     for name in ("trial_stacks", "act_stacks", "polar_log_stacks", "exp_i_stacks"):
-        monkeypatch.setattr(kempf_ness, name, no_stack_kernel)
+        monkeypatch.setattr(layout, name, no_stack_kernel)
     out = solve_moment_equation(x, theta, structure)
     assert out.converged and out.iterations > 1
     assert repr(out) == repr(expected) and out.y.stacks[0].tobytes() == expected.y.stacks[0].tobytes()
@@ -359,13 +361,13 @@ def test_split_support_counts_components():
 @pytest.mark.parametrize("scale", [0.0, 1.0])
 def test_initial_y_with_wrong_dims_raises_before_iterating(monkeypatch, a2_rep, theta11, scale):
     """A zero or nonzero initial Y of another dimension vector is refused at
-    entry, with one message, before any iteration computes a defect."""
+    entry, with one message, before the point the iterations move is built."""
     import quivermoment.kempf_ness as kempf_ness
 
     def no_iteration(*args, **kwargs):
         raise AssertionError("an iteration ran")
 
-    monkeypatch.setattr(kempf_ness, "defect_stacks", no_iteration)
+    monkeypatch.setattr(kempf_ness, "orbit_point", no_iteration)
     wrong = scale * random_uv_element(np.random.default_rng(0), (1, 2))
     with pytest.raises(ValueError, match="^initial_y has a different dimension vector than the representation$"):
         solve_moment_equation(a2_rep(1, 0), theta11(1, -1), opts=SolveOptions(initial_y=wrong))

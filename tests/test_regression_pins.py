@@ -44,6 +44,8 @@ from quivermoment.lie import (
 from quivermoment.flow import FlowOptions, flow_integrate
 from quivermoment.layout import (
     dagger,
+    defect_sq_norm,
+    defect_stacks,
     edge_layout,
     eigh_i_stacks,
     eigh_stacks,
@@ -56,7 +58,7 @@ from quivermoment.layout import (
     torus_values,
     trial_stacks,
 )
-from quivermoment.moment import defect_offset, defect_sq_norm, defect_stacks
+from quivermoment.moment import defect_offset
 from quivermoment.kempf_ness import SolveOptions, solve_moment_equation
 from quivermoment.stability import king_stable_test
 from quivermoment.transport import (

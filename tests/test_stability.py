@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -269,3 +270,41 @@ def test_thin_connected_search_builds_no_candidate(monkeypatch):
     monkeypatch.setattr(stability, "generated_subrep", fail)
     cert = king_stable_test(x, theta)
     assert cert.verdict == "stable" and cert.diagnostics["candidates_tested"] == 0
+
+
+def _thin_king_verdict(x, theta):
+    """The exact King verdict of a point whose dimensions are all 0 or 1: its
+    subrepresentations are the subsets of the support closed under the
+    nonzero arrows of the extended quiver, so enumerating them decides.
+    "tie" when a proper nonzero one has slope zero to 1e-9 and none is
+    positive."""
+    support = [v for v, d in enumerate(x.dims) if d]
+    arrows = [(x.quiver.tail(e), x.quiver.head(e)) for e in range(x.quiver.num_edges) if np.any(x.blocks[e])]
+    verdict = "stable"
+    for size in range(1, len(support)):
+        for sub in itertools.combinations(support, size):
+            if any(t in sub and h not in sub for t, h in arrows):
+                continue
+            slope = king_slope(theta, [int(v in sub) for v in range(len(x.dims))])
+            if slope > 1e-9:
+                return "unstable"
+            if slope >= -1e-9:
+                verdict = "tie"
+    return verdict
+
+
+def test_king_verdict_matches_the_exact_thin_oracle():
+    """On every draw whose dimensions are at most 1, the King search gives
+    the verdict that enumerating the closed subsets of the support gives."""
+    verdicts = []
+    for seed, max_dim, count in ((3, 1, 300), (4, 2, 200)):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            _, dims, x = random_instance(rng, max_dim=max_dim)
+            theta = random_theta(rng, dims)
+            if max(dims) > 1:
+                continue
+            want = _thin_king_verdict(x, theta)
+            assert king_stable_test(x, theta).verdict == want, (seed, dims, x.quiver.base.edges)
+            verdicts.append(want)
+    assert (len(verdicts), verdicts.count("stable"), verdicts.count("unstable")) == (343, 249, 94)

@@ -1,15 +1,17 @@
-"""The torus steps of ``flow_integrate`` and ``solve_moment_equation`` (every
-dimension 1) give the bytes of the stack steps that every other dimension
-vector runs.
+"""On thin points (every dimension 1), ``flow_integrate`` and
+``solve_moment_equation`` move the torus implementation of
+``layout.orbit_point``, which gives the bytes of the stack implementation
+that every other dimension vector runs.
 
 Each case is run twice: as selected, with stack kernels patched to fail so
-that the torus step must carry it, and with the selection patched to the
-stack step.  Every ``FlowOutcome`` and ``SolveOutcome`` field is compared by
+that the torus implementation must carry it, and with the selection patched
+to the stack implementation.  Every ``FlowOutcome`` and ``SolveOutcome`` field is compared by
 ``repr``, and the limit point, Y and the divergence direction by their bytes,
 in this interpreter and in a child interpreter per OpenBLAS kernel (the
 variable is set on the child only).
 """
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -31,6 +33,7 @@ from quivermoment import (
     extend,
     flow,
     kempf_ness,
+    layout,
 )
 from quivermoment import sampling as S
 
@@ -166,6 +169,23 @@ def _no_stack_kernel(*args):
     raise AssertionError("a thin step reached a stack kernel")
 
 
+def _torus_only():
+    """The stack arithmetic a thin point never reaches, patched to fail: it
+    builds no trial stack, diagonalizes no direction on the stack kernels and
+    takes no polar logarithm there.  The fallbacks of out-of-range points may
+    act, exponentiate, and take defects and gradients on stacks."""
+    patches = contextlib.ExitStack()
+    patches.enter_context(mock.patch.multiple(layout, trial_stacks=_no_stack_kernel, polar_log_stacks=_no_stack_kernel))
+    patches.enter_context(mock.patch.object(layout._StackPoint, "direct", _no_stack_kernel))
+    return patches
+
+
+def _stack_implementation():
+    """The one selection point, patched so that thin points run the stack
+    implementation too."""
+    return mock.patch.object(layout, "_TorusPoint", layout._StackPoint)
+
+
 def _shapes(x):
     """Whether the quiver of x has a loop, a parallel edge or a split support."""
     edges = x.quiver.base.edges
@@ -186,9 +206,9 @@ def compare():
         for name, theta, x, opts in cases():
             assert set(x.dims) <= {1}
             shapes |= _shapes(x)
-            with mock.patch.object(flow, "trial_stacks", _no_stack_kernel):
+            with _torus_only():
                 torus = flow.flow_integrate(theta, x, opts)
-            with mock.patch.object(flow, "_TorusStep", flow._StackStep):
+            with _stack_implementation():
                 stack = flow.flow_integrate(theta, x, opts)
             if _fingerprint(torus) != _fingerprint(stack):
                 bad.append(f"flow {count} {name}")
@@ -198,11 +218,9 @@ def compare():
         for name, x, theta, structure, opts in solve_cases():
             assert set(x.dims) <= {1}
             solve_shapes |= _shapes(x)
-            # the fallbacks of out-of-range points may call act_stacks and defect_stacks
-            kernels = dict.fromkeys(("trial_stacks", "eigh_i_stacks", "polar_log_stacks"), _no_stack_kernel)
-            with mock.patch.multiple(kempf_ness, **kernels):
+            with _torus_only():
                 torus = _solve_fingerprint(x, theta, structure, opts)
-            with mock.patch.object(kempf_ness, "_TorusStep", kempf_ness._StackStep):
+            with _stack_implementation():
                 stack = _solve_fingerprint(x, theta, structure, opts)
             if torus != stack:
                 bad.append(f"solve {solves} {name}")
